@@ -236,6 +236,56 @@ func TestHotPathAllocsPinned(t *testing.T) {
 		r.AllocsPerOp(), r.AllocedBytesPerOp(), r.NsPerOp())
 }
 
+// TestWQPingPongAllocsPinned holds the Scheduler-polls (WQ) receive path at
+// ~0 allocs per round trip. At one P (AllocsPerRun pins it) the echo is back
+// before the receive is posted and the thread never reaches a scheduling
+// point, so nothing drains the completion ready-list: when such receives
+// were listed there, every handle was released with its notification still
+// queued and abandoned to the garbage collector, one allocation per receive
+// per PE, and the list grew without bound.
+func TestWQPingPongAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race for allocation exactness")
+	}
+	if check.Enabled {
+		t.Skip("chantdebug invariant checks are not allocation-audited")
+	}
+	const warm, runs = 200, 2000
+	const rounds = warm + 1 + runs // AllocsPerRun calls its function runs+1 times
+	var allocs float64
+	rt := core.NewRealRuntime(core.Topology{PEs: 2, ProcsPerPE: 1},
+		core.Config{Policy: core.SchedulerPollsWQ}, machine.Modern())
+	_, err := rt.Run(map[comm.Addr]core.MainFunc{
+		{PE: 0, Proc: 0}: func(t *core.Thread) {
+			peer := core.GlobalID{PE: 1, Proc: 0, Thread: 0}
+			buf := make([]byte, 64)
+			out := make([]byte, 64)
+			round := func() {
+				t.Send(peer, 1, out)
+				t.Recv(peer, 1, buf)
+			}
+			for i := 0; i < warm; i++ {
+				round()
+			}
+			allocs = testing.AllocsPerRun(runs, round)
+		},
+		{PE: 1, Proc: 0}: func(t *core.Thread) {
+			peer := core.GlobalID{PE: 0, Proc: 0, Thread: 0}
+			buf := make([]byte, 64)
+			for i := 0; i < rounds; i++ {
+				t.Recv(peer, 1, buf)
+				t.Send(peer, 1, buf)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 0.5 {
+		t.Fatalf("WQ ping-pong allocates %.2f allocs/op after warm-up; pinned at <= 0.5", allocs)
+	}
+}
+
 // BenchmarkRealRSR measures remote-procedure-call round trips through the
 // server thread.
 func BenchmarkRealRSR(b *testing.B) {

@@ -76,6 +76,7 @@ var restricted = map[[3]string]string{
 
 	{"internal/machine", "Host", "Charge"}:  "consumes the processor's time",
 	{"internal/machine", "Host", "Compute"}: "consumes the processor's time",
+	{"internal/machine", "Host", "Relax"}:   "yields the processor",
 	{"internal/machine", "Host", "Idle"}:    "parks the processor",
 
 	{"internal/sim", "Proc", "Advance"}:    "yields to the simulation kernel",

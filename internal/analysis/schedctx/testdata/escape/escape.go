@@ -20,7 +20,8 @@ func rawGoroutines(s *ult.Sched, t *ult.TCB, host machine.Host) {
 		s.Unblock(t) // want `Sched\.Unblock .* must be called from the scheduler's context`
 	}()
 	go func() {
-		host.Idle() // want `Host\.Idle .* must be called from the scheduler's context`
+		host.Idle()  // want `Host\.Idle .* must be called from the scheduler's context`
+		host.Relax() // want `Host\.Relax .* must be called from the scheduler's context`
 		func() {
 			s.Spawn("nested", func() {}) // want `Sched\.Spawn .* must be called from the scheduler's context`
 		}()

@@ -5,6 +5,7 @@ package machine
 type Host interface {
 	Charge(d int64)
 	Compute(units int64)
+	Relax()
 	Idle()
 	Interrupt()
 }

@@ -169,7 +169,8 @@ func (e *Endpoint) Send(dst Addr, ctx, tag, srcThread int32, data []byte) {
 	e.SendFlags(dst, ctx, tag, srcThread, 0, data)
 }
 
-// SendFlags is Send with delivery flags (FlagSync) in the header.
+// SendFlags is Send with delivery flags (FlagSync) in the header. Once the
+// message is on its way it relaxes the host (machine.Host.Relax).
 func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []byte) {
 	var sendBegin sim.Time
 	if e.tracer != nil {
@@ -197,6 +198,7 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 		if e.tracer != nil {
 			e.tracer.Span(trace.SpanSend, e.addr.PE, srcThread, sendBegin, e.host.Now(), uint64(len(data)))
 		}
+		e.host.Relax()
 		return
 	}
 	var msg *Message
@@ -215,6 +217,10 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 	if e.tracer != nil {
 		e.tracer.Span(trace.SpanSend, e.addr.PE, srcThread, sendBegin, e.host.Now(), uint64(len(data)))
 	}
+	// One unconditional hand-off per send, on this exit and the direct one:
+	// the receiver now has work, and a data-independent yield keeps PEs that
+	// share a core in step.
+	e.host.Relax()
 }
 
 // Irecv posts a nonblocking receive for a message matching spec, to be
@@ -250,7 +256,9 @@ func (e *Endpoint) Irecv(spec MatchSpec, buf []byte) *RecvHandle {
 // Test is msgtest: it checks a handle for completion, charging the modeled
 // hit or miss cost and counting the attempt. The first Test observing
 // completion also charges the receive-completion overhead and counts the
-// receive.
+// receive. A miss relaxes the host, which is what keeps every loop built on
+// Test (Thread polls, the PS partial switch, the deadline waits) from
+// holding a core its peer needs.
 func (e *Endpoint) Test(h *RecvHandle) bool {
 	e.drainIngress()
 	e.ctrs.MsgTestCalls.Add(1)
@@ -258,6 +266,7 @@ func (e *Endpoint) Test(h *RecvHandle) bool {
 	if !h.done.Load() {
 		e.ctrs.MsgTestFails.Add(1)
 		e.host.Charge(m.MsgTestMiss)
+		e.host.Relax()
 		return false
 	}
 	e.host.Charge(m.MsgTestHit)
@@ -282,6 +291,7 @@ func (e *Endpoint) TestAny(hs []*RecvHandle) int {
 			return i
 		}
 	}
+	e.host.Relax()
 	return -1
 }
 
@@ -330,6 +340,7 @@ func (e *Endpoint) Probe(spec MatchSpec) (Header, bool) {
 		e.host.Charge(m.MsgTestHit)
 	} else {
 		e.host.Charge(m.MsgTestMiss)
+		e.host.Relax()
 	}
 	return hdr, ok
 }
@@ -367,11 +378,11 @@ func (e *Endpoint) TestDeadline(h *RecvHandle, deadline sim.Time) bool {
 
 // MsgwaitTimeout waits for the handle with a deadline, spin-testing rather
 // than parking: each miss charges the modeled msgtest-miss cost, which
-// advances virtual time under simulation and yields the processor on real
-// hosts, so the loop always reaches the deadline even if the message never
-// comes — the property a parked Idle wait cannot provide once messages can
-// be dropped. It returns the handle's error: nil, ErrTruncated, ErrTimeout,
-// or ErrPeerDead.
+// advances virtual time under simulation, and relaxes the host, which lets
+// the peer run on real ones, so the loop always reaches the deadline even if
+// the message never comes — the property a parked Idle wait cannot provide
+// once messages can be dropped. It returns the handle's error: nil,
+// ErrTruncated, ErrTimeout, or ErrPeerDead.
 func (e *Endpoint) MsgwaitTimeout(h *RecvHandle, deadline sim.Time) error {
 	for {
 		if e.Test(h) {
@@ -436,18 +447,22 @@ func (e *Endpoint) observeCompletion(h *RecvHandle) {
 func (e *Endpoint) Observe(h *RecvHandle) { e.observeCompletion(h) }
 
 // TrackCompletions enables the mailbox's completion ready-list: from now on
-// every handle this endpoint's mailbox completes (matched, failed, timed
-// out) is queued for DrainCompletions. Enabled once by the Scheduler-polls
-// (WQ) policies; there is no way to disable it.
+// every posted handle this endpoint's mailbox completes (matched, failed,
+// timed out) is queued for DrainCompletions; a receive born complete from an
+// early arrival is not. Enabled once by the Scheduler-polls (WQ) policies;
+// there is no way to disable it.
 func (e *Endpoint) TrackCompletions() { e.mb.track() }
 
 // DrainCompletions appends all handles completed since the last drain to
 // buf and returns it. Drained handles may include ones the caller never
 // registered (receives completed by other paths); callers filter by their
-// own bookkeeping. Must be called from the endpoint's process context.
+// own bookkeeping. Handles already passed to ReleaseHandle are not reported:
+// the drain is what makes them safe to reuse, so it recycles them. Must be
+// called from the endpoint's process context.
 func (e *Endpoint) DrainCompletions(buf []*RecvHandle) []*RecvHandle {
 	e.drainIngress()
-	return e.mb.drainCompleted(buf)
+	buf, e.freeHandles = e.mb.drainCompleted(buf, e.freeHandles)
+	return buf
 }
 
 // ChargeTestAny performs the cost accounting of one TestAny call over n
@@ -504,8 +519,9 @@ func (e *Endpoint) ReleaseHandle(h *RecvHandle) {
 	if h.notified {
 		// A completion notification for this handle is still queued on the
 		// mailbox ready-list; recycling it now could let a polling policy
-		// mistake the stale notification for a fresh registration. Let the
-		// garbage collector have it instead.
+		// mistake the stale notification for a fresh registration. The
+		// drain that consumes the notification recycles it.
+		h.released = true
 		return
 	}
 	h.Reset()

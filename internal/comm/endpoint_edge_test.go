@@ -130,3 +130,57 @@ func TestSelectiveRecvLeavesOthersBuffered(t *testing.T) {
 		t.Fatalf("other message lost: %d buffered", unexpected)
 	}
 }
+
+// A handle released while its completion notification is still on the
+// ready-list (the Scheduler-polls (WQ) policies' common case: the first Test
+// hits, the receive returns, the scheduler has not drained yet) must not be
+// handed out again until that notification is gone: a polling policy that
+// had registered the reused handle would take the stale notification for its
+// completion. The drain recycles it instead of reporting it.
+func TestReleaseWhileNotifiedRecyclesAtDrain(t *testing.T) {
+	ep, _ := newRealEndpoint()
+	ep.TrackCompletions()
+	spec := MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 7}
+	msg := func() *Message { return &Message{Hdr: hdrFrom(1, 7), Data: []byte("x")} }
+
+	h1 := ep.Irecv(spec, make([]byte, 4))
+	ep.DeliverLocal(msg())
+	if !ep.Test(h1) {
+		t.Fatal("receive not complete after delivery")
+	}
+	ep.ReleaseHandle(h1) // notification for h1 still queued
+
+	// The next receive is "re-registered" with a poller while the stale
+	// notification is pending: it must be a different handle, and the drain
+	// must report neither it (not complete) nor h1 (no longer anyone's).
+	h2 := ep.Irecv(spec, make([]byte, 4))
+	if h2 == h1 {
+		t.Fatal("handle reused while its completion notification was still queued")
+	}
+	if got := ep.DrainCompletions(nil); len(got) != 0 {
+		t.Fatalf("drain reported %d handles, want 0 (h1 was released, h2 is pending)", len(got))
+	}
+	if h2.Done() {
+		t.Fatal("pending receive completed by a stale notification")
+	}
+
+	// The drain made h1 safe to reuse, and it comes back clean.
+	h3 := ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 8}, make([]byte, 4))
+	if h3 != h1 {
+		t.Fatal("released handle was not recycled by the drain")
+	}
+	if h3.Done() || h3.Len() != 0 {
+		t.Fatal("recycled handle not reset")
+	}
+
+	// A completion the owner still holds is reported as before.
+	ep.DeliverLocal(msg())
+	got := ep.DrainCompletions(nil)
+	if len(got) != 1 || got[0] != h2 {
+		t.Fatalf("drain = %v, want exactly the live handle h2", got)
+	}
+	ep.ReleaseHandle(h2) // drained: recycled at once
+	if h4 := ep.Irecv(spec, make([]byte, 4)); h4 != h2 {
+		t.Fatal("drained handle not recycled by ReleaseHandle")
+	}
+}

@@ -25,6 +25,7 @@ func (h *fakeHost) Charge(d sim.Duration) {
 	h.now = h.now.Add(d)
 }
 func (h *fakeHost) Compute(units int64) { h.Charge(sim.Duration(units) * h.model.ComputeUnit) }
+func (h *fakeHost) Relax()              {}
 func (h *fakeHost) Idle()               { panic("fakeHost cannot idle") }
 func (h *fakeHost) Interrupt()          { h.interrupts++ }
 func (h *fakeHost) Deterministic() bool { return true }

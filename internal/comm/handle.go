@@ -47,6 +47,11 @@ type RecvHandle struct {
 	// lock before done is set; read by ReleaseHandle after done (endpoint
 	// context), cleared by the drain (also endpoint context).
 	notified bool
+
+	// released marks a notified handle whose owner has already called
+	// ReleaseHandle: the drain that clears the notification recycles the
+	// handle instead of reporting it. Endpoint context only.
+	released bool
 }
 
 // Reset clears the handle for reuse via the endpoint's handle pool. The
@@ -65,6 +70,7 @@ func (h *RecvHandle) Reset() {
 	h.acked = false
 	h.entry = nil
 	h.notified = false
+	h.released = false
 }
 
 // NeedsSyncAck reports (and latches) whether this completed receive

@@ -18,6 +18,10 @@ type realFakeHost struct {
 	model *machine.Model
 	now   sim.Time
 
+	// relaxes counts Relax calls; like Relax itself it belongs to the
+	// endpoint's own context, so it needs no lock.
+	relaxes int
+
 	mu         sync.Mutex
 	interrupts int
 }
@@ -27,6 +31,7 @@ func newRealFakeHost() *realFakeHost { return &realFakeHost{model: machine.Moder
 func (h *realFakeHost) Now() sim.Time         { return h.now }
 func (h *realFakeHost) Charge(d sim.Duration) {}
 func (h *realFakeHost) Compute(units int64)   {}
+func (h *realFakeHost) Relax()                { h.relaxes++ }
 func (h *realFakeHost) Idle()                 { panic("realFakeHost cannot idle") }
 func (h *realFakeHost) Interrupt() {
 	h.mu.Lock()

@@ -50,10 +50,12 @@ type mailbox struct {
 	unexpectedCap int
 
 	// completed is the completion ready-list: when tracking is on (the
-	// Scheduler-polls (WQ) policies enable it), every handle completed by
-	// this mailbox — matched, failed by peer death, or withdrawn by timeout —
-	// is appended here for the endpoint to drain, so polling can inspect
-	// only completed handles instead of re-testing every outstanding one.
+	// Scheduler-polls (WQ) policies enable it), every posted handle this
+	// mailbox completes — matched by an arrival, failed by peer death, or
+	// withdrawn by timeout — is appended here for the endpoint to drain, so
+	// polling can inspect only completed handles instead of re-testing every
+	// outstanding one. A receive satisfied at post time by an early arrival
+	// was never outstanding and is not listed.
 	tracking  bool
 	completed []*RecvHandle
 
@@ -300,7 +302,8 @@ func (mb *mailbox) post(h *RecvHandle, at sim.Time) (immediate bool) {
 		msg := n.msg
 		mb.unlinkMsg(n)
 		mb.freeMsgNode(n)
-		mb.notify(h)
+		// No ready-list notification: the poster learns of this completion
+		// from Irecv itself, so no polling list can ever hold the handle.
 		h.complete(msg, at)
 		releaseMessage(msg)
 		return true
@@ -419,18 +422,24 @@ func (mb *mailbox) track() {
 	mb.tracking = true
 }
 
-// drainCompleted appends the completion ready-list to buf and clears it,
-// releasing each handle's notified latch.
-func (mb *mailbox) drainCompleted(buf []*RecvHandle) []*RecvHandle {
+// drainCompleted clears the completion ready-list, releasing each handle's
+// notified latch: handles still owned by a caller are appended to buf,
+// handles released while notified are reset and appended to free.
+func (mb *mailbox) drainCompleted(buf, free []*RecvHandle) ([]*RecvHandle, []*RecvHandle) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for i, h := range mb.completed {
-		h.notified = false
-		buf = append(buf, h)
+		if h.released {
+			h.Reset()
+			free = append(free, h)
+		} else {
+			h.notified = false
+			buf = append(buf, h)
+		}
 		mb.completed[i] = nil
 	}
 	mb.completed = mb.completed[:0]
-	return buf
+	return buf, free
 }
 
 // notify records a completion on the ready-list, latching the handle

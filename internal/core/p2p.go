@@ -199,9 +199,10 @@ func (t *Thread) MsgwaitTimeout(h *comm.RecvHandle, timeout sim.Duration) error 
 // waitDeadline blocks the calling thread until h completes or the host
 // clock reaches deadline. Unlike policy.Wait it must keep testing rather
 // than park: when the awaited message was dropped by the network, no
-// arrival will ever wake the waiter. Every missed test charges the
-// cost model (and advances the real clock), so the deadline is reached in
-// finitely many steps in both execution modes.
+// arrival will ever wake the waiter. Every missed test charges the cost
+// model, which advances the simulated clock, and relaxes the host, which
+// lets the real one's other PEs run, so the deadline is reached in finitely
+// many steps in both execution modes.
 func (p *Process) waitDeadline(h *comm.RecvHandle, deadline sim.Time) error {
 	if p.ep.Test(h) {
 		return h.Err()

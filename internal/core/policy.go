@@ -370,9 +370,11 @@ func (p *wqPolicy) scanExact() {
 }
 
 // scanBatch is WQ on a real host: learn completions from the drained
-// ready-list, then issue the same counters and charges the per-entry test
-// loop would have — n msgtest calls, misses for the still-pending ones —
-// in one bulk charge (real-mode Charge has no yield semantics to preserve).
+// ready-list, then count what the per-entry test loop would have — n msgtest
+// calls, misses for the still-pending ones — in one step. Nothing here
+// offers the processor to other PEs and nothing needs to: with every thread
+// blocked the scheduler goes on to host.Idle, and a running thread reaches a
+// send, a missed poll or a no-switch yield of its own.
 func (p *wqPolicy) scanBatch() {
 	p.drainDone()
 	n := p.count

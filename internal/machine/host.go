@@ -16,7 +16,8 @@ import (
 // against the wall clock.
 //
 // Charge consumes CPU time on the hosting processor. Compute consumes
-// application work in model compute units. Idle parks the processor until
+// application work in model compute units. Relax offers the processor to
+// whoever else can use it, without parking. Idle parks the processor until
 // Interrupt is called (message arrival, wakeup). Interrupt is the only
 // method that may be invoked from outside the processor's own execution.
 type Host interface {
@@ -26,6 +27,12 @@ type Host interface {
 	Charge(d sim.Duration)
 	// Compute consumes units of application work.
 	Compute(units int64)
+	// Relax marks a point where this processor has just made work for
+	// another one (a message handed off) or found none for itself (a missed
+	// poll, a yield with nobody to switch to). Real hosts offer their OS
+	// thread to the other processing elements there; under simulation it
+	// does nothing, so no event stream depends on where it is called.
+	Relax()
 	// Idle parks until Interrupt is called. Interrupts are coalesced: an
 	// Interrupt delivered while runnable satisfies the next Idle.
 	Idle()
@@ -72,13 +79,16 @@ func (h *SimHost) Charge(d sim.Duration) { h.proc.Advance(d) }
 func (h *SimHost) Compute(units int64) {
 	h.proc.Advance(sim.Duration(units) * h.model.ComputeUnit)
 }
+func (h *SimHost) Relax()              {}
 func (h *SimHost) Idle()               { h.proc.WaitSignal() }
 func (h *SimHost) Interrupt()          { h.proc.Signal() }
 func (h *SimHost) Model() *Model       { return h.model }
 func (h *SimHost) Deterministic() bool { return true }
 
-// RealHost runs against the wall clock: Charge is free (real operations
-// carry their real cost), Compute spins for the requested work, and
+// RealHost runs against the wall clock: Charge does nothing (real operations
+// carry their real cost; the cost model is a simulation input only), Compute
+// spins for the requested work, Relax yields the OS thread so processing
+// elements that share a core take turns at message boundaries, and
 // Idle/Interrupt combine a bounded spin phase with a condition-variable
 // park, so a wakeup that lands within microseconds — the common case on the
 // batched ingress path — is caught without a futex round trip, while a
@@ -86,6 +96,10 @@ func (h *SimHost) Deterministic() bool { return true }
 type RealHost struct {
 	model *Model
 	start time.Time
+
+	// sink keeps Compute's spin loop live. Per host, not per package: two
+	// real-mode PEs compute concurrently.
+	sink uint64
 
 	// spin is Idle's budget of pre-park wakeup checks (each a signal load
 	// plus an OS yield). Set before the machine runs; never mutated
@@ -135,15 +149,16 @@ func (h *RealHost) Now() sim.Time {
 	return sim.Time(time.Since(h.start).Nanoseconds())
 }
 
-// Charge consumes no modeled time in real mode (real operations take real
-// time), but yields the OS scheduler so cooperative spin loops — a
-// scheduler partial-switch polling cycle, a thread-polls yield loop — stay
-// polite on machines with few cores.
-func (h *RealHost) Charge(d sim.Duration) {
-	if d > 0 {
-		runtime.Gosched()
-	}
-}
+// Charge does nothing in real mode: real operations take real time, and the
+// runtime charges on every hot-path step, so anything done here is paid ten
+// times per round trip. Sharing the OS processor is Relax's job.
+func (h *RealHost) Charge(d sim.Duration) {}
+
+// Relax yields the OS thread to the other processing elements' goroutines.
+// Polling loops stay live on a host with fewer cores than PEs only because
+// every pass through them reaches a Relax (a send, a missed poll, or a
+// no-switch yield; see DESIGN.md "Processor sharing").
+func (h *RealHost) Relax() { runtime.Gosched() }
 
 // Compute spins for approximately units iterations of trivial work so real
 // and simulated workloads have comparable structure.
@@ -153,11 +168,8 @@ func (h *RealHost) Compute(units int64) {
 		acc ^= acc << 13
 		acc ^= acc >> 7
 	}
-	computeSink = acc
+	h.sink = acc
 }
-
-// computeSink defeats dead-code elimination of the Compute spin loop.
-var computeSink uint64
 
 func (h *RealHost) Idle() {
 	// Spin-then-park: consume an interrupt lock-free within the budget

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,7 @@ func TestSimHostChargesVirtualTime(t *testing.T) {
 		start := h.Now()
 		h.Charge(5 * sim.Microsecond)
 		h.Compute(1000) // 1000 * 38ns = 38us
+		h.Relax()       // free: no simulated event stream may depend on it
 		elapsed = h.Now().Sub(start)
 	})
 	if err := k.Run(0); err != nil {
@@ -145,4 +147,21 @@ func TestRealHostClockAdvances(t *testing.T) {
 	if b < a {
 		t.Fatal("real clock went backwards")
 	}
+}
+
+// Two real-mode PEs compute at the same time; under -race this fails if
+// Compute's sink is shared between hosts.
+func TestRealHostsComputeConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		h := NewRealHost(Modern())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				h.Compute(1000)
+			}
+		}()
+	}
+	wg.Wait()
 }

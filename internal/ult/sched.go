@@ -401,6 +401,9 @@ func (s *Sched) Yield() {
 		s.ctrs.YieldsNoSwitch.Add(1)
 		s.host.Charge(s.host.Model().YieldNoSwitch)
 		s.opts.EventLog.Add(s.host.Now(), trace.EvYieldFast, t.id)
+		// A lone thread spinning on Yield has nobody to switch to here, but
+		// another PE sharing the core may be what it is waiting for.
+		s.host.Relax()
 		return
 	}
 	t.state = Ready
