@@ -66,7 +66,7 @@ func BenchmarkRealPingPong(b *testing.B) {
 // BenchmarkHotPathPingPong is the allocation-focused round-trip benchmark:
 // ns/op and allocs/op over the in-memory transport, where the message and
 // handle pools should keep the steady state allocation-free on the hot
-// path. Compare against the historical BENCH_hotpath.json figures.
+// path.
 func BenchmarkHotPathPingPong(b *testing.B) {
 	b.ReportAllocs()
 	benchRealMachine(b, core.SchedulerPollsPS,
@@ -92,20 +92,15 @@ func BenchmarkHotPathPingPong(b *testing.B) {
 
 // benchMultiProducer floods one receiving PE from `senders` peer PEs, with
 // credit-window flow control bounding the in-flight backlog. One op is one
-// round: the receiver absorbing one message from every sender. The serial
-// arm forces the per-message mailbox path (SetSerialDelivery), so the pair
-// isolates what the MPSC ingress ring's batched drain buys under
-// multi-producer contention.
-func benchMultiProducer(b *testing.B, senders int, serial bool) {
+// round: the receiver absorbing one message from every sender, through the
+// MPSC ingress ring's batched drain under multi-producer contention.
+func benchMultiProducer(b *testing.B, senders int) {
 	const window = 32
 	rt := core.NewRealRuntime(core.Topology{PEs: senders + 1, ProcsPerPE: 1},
 		core.Config{Policy: core.SchedulerPollsPS, DisableServer: true}, machine.Modern())
 	rounds := b.N
 	mains := map[comm.Addr]core.MainFunc{}
 	mains[comm.Addr{PE: 0, Proc: 0}] = func(t *core.Thread) {
-		if serial {
-			t.Process().Endpoint().SetSerialDelivery(true)
-		}
 		for s := 1; s <= senders; s++ {
 			t.Send(core.GlobalID{PE: int32(s), Proc: 0, Thread: 0}, 2, []byte{1})
 		}
@@ -152,20 +147,13 @@ func benchMultiProducer(b *testing.B, senders int, serial bool) {
 	}
 }
 
-// BenchmarkRealMultiProducer compares batched ingress drain against the
-// serial per-message mailbox path while 2 and 4 producer PEs flood one
-// receiver.
+// BenchmarkRealMultiProducer measures the batched ingress drain while 2 and
+// 4 producer PEs flood one receiver.
 func BenchmarkRealMultiProducer(b *testing.B) {
 	for _, senders := range []int{2, 4} {
-		for _, arm := range []struct {
-			name   string
-			serial bool
-		}{{"batched", false}, {"serial", true}} {
-			senders, arm := senders, arm
-			b.Run(fmt.Sprintf("senders=%d/%s", senders, arm.name), func(b *testing.B) {
-				benchMultiProducer(b, senders, arm.serial)
-			})
-		}
+		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
+			benchMultiProducer(b, senders)
+		})
 	}
 }
 
@@ -215,8 +203,7 @@ func BenchmarkRealStreaming(b *testing.B) {
 // TestHotPathAllocsPinned pins the steady-state allocation count of the
 // real-mode ping-pong hot path. The pooled messages, per-thread wait boxes,
 // and mailbox bucket freelists hold it at zero; the pin leaves slack only
-// for amortized startup. (The pre-ring baseline in
-// BENCH_real_baseline.json sat at 8 allocs/op.)
+// for amortized startup. (Before the ring it sat at 8 allocs/op.)
 func TestHotPathAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed pin skipped in -short mode")

@@ -11,30 +11,18 @@
 //
 // Experiments: table1 table2 fig8 table3 table4 table5 fig10 fig11 fig12
 // fig13 ablation-testany ablation-fastpath ablation-delivery
-// ablation-scaling modern hotpath all
+// ablation-scaling modern recovery, and all (every one but recovery).
 //
-// chantbench -json runs the hot-path A/B benchmarks (indexed ready queue,
-// bucketed matching, pooled ping-pong) and emits machine-readable JSON;
-// redirect it to BENCH_hotpath.json. chantbench -exp parallel -json runs
-// the parallel-kernel scaling sweep instead (sequential vs parallel wall
-// clock on a 32-PE workload across GOMAXPROCS); redirect it to
-// BENCH_parallel.json. Adding -baseline BENCH_parallel.json gates the sweep
-// against the committed figures: a best_speedup regression of more than 10%
-// exits nonzero (skipped on hosts with fewer than 4 cores). chantbench
-// -exp recovery -json measures the crash recovery subsystem (checkpoint
-// capture cost, marker overhead, restart-to-rejoin latency); redirect it to
-// BENCH_recovery.json. chantbench -exp real -json measures the real-mode
-// data plane (per-policy ping-pong latency and allocations, zero-copy
-// direct share, streaming bandwidth, multi-producer batched-vs-serial
-// drain); redirect it to BENCH_real.json, and add -baseline BENCH_real.json
-// to gate latency (25% slack) and allocs/op against the committed figures.
+// recovery prints the crash-recovery subsystem's simulated, deterministic
+// figures: marker overhead, checkpoint capture cost and archive sizes,
+// restart-to-rejoin latency. Wall-clock measurements of the library live in
+// the benchmark (go run ./benchmark), not here.
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever was run, so
 // performance PRs can attach evidence for the hot spots they claim.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -58,8 +46,6 @@ func run() int {
 		md         = flag.Bool("md", false, "render Markdown instead of terminal tables")
 		report     = flag.Bool("report", false, "run everything and emit the full report")
 		rounds     = flag.Int("rounds", 0, "table2 exchanges per size (default 500)")
-		asJSON     = flag.Bool("json", false, "run the hot-path A/B benchmarks and emit JSON (BENCH_hotpath.json)")
-		baseline   = flag.String("baseline", "", "with -exp parallel|real and -json: committed BENCH_*.json to gate against (parallel: best_speedup may not regress >10%, skipped on hosts with <4 cores; real: latency 25% slack, allocs/op 10%+0.5)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-GC) to this file at exit")
 		traceOut   = flag.String("trace-out", "", "run one traced Table-3 polling cell and write its spans as Perfetto/Chrome trace JSON to this file, then exit")
@@ -96,41 +82,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "chantbench: %v\n", err)
 			}
 		}()
-	}
-
-	if *asJSON {
-		var payload any
-		var par *experiments.ParallelResult
-		var realRes *experiments.RealResult
-		switch *exp {
-		case "parallel":
-			r := experiments.RunParallel()
-			par, payload = &r, r
-		case "recovery":
-			payload = experiments.RunRecovery()
-		case "real":
-			r := experiments.RunReal()
-			realRes, payload = &r, r
-		default:
-			payload = experiments.RunHotPath()
-		}
-		out, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chantbench: %v\n", err)
-			return 1
-		}
-		fmt.Println(string(out))
-		if *baseline != "" && par != nil {
-			if !checkParallelBaseline(*baseline, par) {
-				return 1
-			}
-		}
-		if *baseline != "" && realRes != nil {
-			if !checkRealBaseline(*baseline, realRes) {
-				return 1
-			}
-		}
-		return 0
 	}
 
 	if *report {
@@ -189,19 +140,6 @@ func run() int {
 		case "ablation-scaling":
 			fmt.Println("Ablation E: polling cost vs thread population")
 			fmt.Print(experiments.FormatScaling(experiments.RunScaling(nil), *md))
-		case "parallel":
-			fmt.Println("Parallel kernel: 32-PE workload, sequential vs sharded (wall clock)")
-			r := experiments.RunParallel()
-			fmt.Printf("  sequential: %8.1f ms  (%d PEs, %d workers/PE, %d host cores)\n",
-				r.SeqWallMS, r.PEs, r.Workers, r.HostCores)
-			for _, row := range r.Rows {
-				ok := "identical"
-				if !row.Identical {
-					ok = "DIVERGED"
-				}
-				fmt.Printf("  GOMAXPROCS=%d shards=%d: %8.1f ms  %.2fx  %s\n",
-					row.GOMAXPROCS, row.Shards, row.WallMS, row.Speedup, ok)
-			}
 		case "recovery":
 			fmt.Println("Crash recovery: checkpoint capture, marker overhead, rejoin latency")
 			r := experiments.RunRecovery()
@@ -210,32 +148,8 @@ func run() int {
 				r.CheckpointVirtualMS, r.MarkerOverheadPct)
 			fmt.Printf("  capture (initiator):     %10.1f us virtual  (%d + %d checkpoint bytes)\n",
 				r.CaptureVirtualUS, r.CheckpointBytesPE0, r.CheckpointBytesPE1)
-			fmt.Printf("  encode:                  %10.1f ns/snapshot wall\n", r.EncodeNsPerSnapshot)
 			fmt.Printf("  restart-to-rejoin:       %10.1f us virtual  (epoch %d, crash run %.3f ms)\n",
 				r.RejoinLatencyVirtualUS, r.RestartEpoch, r.CrashRunVirtualMS)
-		case "real":
-			fmt.Println("Real-mode data plane: ingress ring, zero-copy receive, streaming (wall clock)")
-			r := experiments.RunReal()
-			for _, row := range r.Rows {
-				fmt.Printf("  ping-pong %-20s %8.1f ns/op  %.1f allocs/op\n",
-					row.Policy+":", row.PingPongNsOp, row.PingPongAllocsOp)
-			}
-			fmt.Printf("  zero-copy direct share (PS): %.1f%%\n", r.DirectShare*100)
-			fmt.Printf("  streaming 4 KiB:             %8.0f msgs/s  %.0f MB/s\n",
-				r.StreamMsgsPerSec, r.StreamMBPerSec)
-			for _, row := range r.MultiProducer {
-				fmt.Printf("  %d senders -> 1:  batched %8.1f ns/round  serial %8.1f ns/round  %.2fx  (%.1f msgs/batch)\n",
-					row.Senders, row.BatchedNsOp, row.SerialNsOp, row.Speedup, row.AvgBatch)
-			}
-		case "hotpath":
-			fmt.Println("Hot paths: constant-time structures vs the seed's linear scans (wall clock)")
-			r := experiments.RunHotPath()
-			fmt.Printf("  ready queue, 1000 threads:   %8.1f ns/op indexed  %8.1f ns/op linear  (%.1fx)\n",
-				r.QueueIndexedNsOp, r.QueueLinearNsOp, r.QueueSpeedup)
-			fmt.Printf("  matching, 1000 outstanding:  %8.1f ns/op bucketed %8.1f ns/op linear  (%.1fx)\n",
-				r.MatchBucketedNsOp, r.MatchLinearNsOp, r.MatchSpeedup)
-			fmt.Printf("  memnet ping-pong round trip: %8.1f ns/op  %.1f allocs/op\n",
-				r.PingPongNsOp, r.PingPongAllocsOp)
 		default:
 			fmt.Fprintf(os.Stderr, "chantbench: unknown experiment %q\n", name)
 			os.Exit(2)
@@ -256,76 +170,6 @@ func run() int {
 	}
 	runExp(*exp)
 	return 0
-}
-
-// checkParallelBaseline compares a fresh parallel sweep against the
-// committed BENCH_parallel.json and reports whether it passes: a
-// best_speedup drop of more than 10% fails. Hosts with fewer than 4 cores
-// skip the comparison (matching TestParallelBench) — a small host measures
-// protocol overhead, not scaling, and its number would gate nothing
-// meaningful.
-func checkParallelBaseline(path string, got *experiments.ParallelResult) bool {
-	if runtime.NumCPU() < 4 {
-		fmt.Fprintf(os.Stderr, "chantbench: baseline check skipped: host has %d cores (<4)\n", runtime.NumCPU())
-		return true
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chantbench: baseline: %v\n", err)
-		return false
-	}
-	var want experiments.ParallelResult
-	if err := json.Unmarshal(data, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "chantbench: baseline %s: %v\n", path, err)
-		return false
-	}
-	if want.BestSpeedup <= 0 {
-		fmt.Fprintf(os.Stderr, "chantbench: baseline %s has no best_speedup; nothing to gate\n", path)
-		return true
-	}
-	if got.BestSpeedup < want.BestSpeedup*0.9 {
-		fmt.Fprintf(os.Stderr, "chantbench: parallel best_speedup regressed: %.3fx vs committed %.3fx (>10%% drop)\n",
-			got.BestSpeedup, want.BestSpeedup)
-		return false
-	}
-	fmt.Fprintf(os.Stderr, "chantbench: parallel best_speedup %.3fx vs committed %.3fx: ok\n",
-		got.BestSpeedup, want.BestSpeedup)
-	return true
-}
-
-// checkRealBaseline compares a fresh real-mode sweep against the committed
-// BENCH_real.json: best ping-pong latency may not regress more than 25%
-// (wall-clock latency is noisy, especially on small hosts), and the minimum
-// allocs/op may not exceed the committed figure by more than 10% plus half
-// an allocation of absolute slack (so a committed 0.0 tolerates amortized
-// startup noise but not a real per-op allocation).
-func checkRealBaseline(path string, got *experiments.RealResult) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chantbench: baseline: %v\n", err)
-		return false
-	}
-	var want experiments.RealResult
-	if err := json.Unmarshal(data, &want); err != nil {
-		fmt.Fprintf(os.Stderr, "chantbench: baseline %s: %v\n", path, err)
-		return false
-	}
-	ok := true
-	if want.BestPingPongNsOp > 0 && got.BestPingPongNsOp > want.BestPingPongNsOp*1.25 {
-		fmt.Fprintf(os.Stderr, "chantbench: real best ping-pong regressed: %.0f ns/op vs committed %.0f (>25%%)\n",
-			got.BestPingPongNsOp, want.BestPingPongNsOp)
-		ok = false
-	}
-	if got.MinAllocsOp > want.MinAllocsOp*1.1+0.5 {
-		fmt.Fprintf(os.Stderr, "chantbench: real allocs/op regressed: %.2f vs committed %.2f\n",
-			got.MinAllocsOp, want.MinAllocsOp)
-		ok = false
-	}
-	if ok {
-		fmt.Fprintf(os.Stderr, "chantbench: real ping-pong %.0f ns/op (committed %.0f), %.2f allocs/op (committed %.2f): ok\n",
-			got.BestPingPongNsOp, want.BestPingPongNsOp, got.MinAllocsOp, want.MinAllocsOp)
-	}
-	return ok
 }
 
 // writePollingTrace runs one span-traced cell of the Table-3 polling

@@ -45,12 +45,6 @@ type Endpoint struct {
 	// here and the owning process drains them in batches (see ingress.go).
 	ing ingress
 
-	// serial, when set, restores the seed's per-message lock-and-wake
-	// delivery and disables the direct path — the benchmark control arm for
-	// measuring batched drain against per-message locking. Never set in
-	// production paths.
-	serial atomic.Bool
-
 	// Ingress instrumentation (real mode only; deliberately kept out of
 	// trace.Counters so no simulated snapshot or chaos hash can see it).
 	ingressBatches  atomic.Uint64
@@ -540,7 +534,7 @@ func (e *Endpoint) ReleaseHandle(h *RecvHandle) {
 // message. The owning process drains the ring from its polling and wait
 // paths (drainIngress).
 func (e *Endpoint) DeliverLocal(msg *Message) {
-	if e.det || e.serial.Load() {
+	if e.det {
 		h, dropped := e.mb.deliver(msg, e.host.Now())
 		if dropped {
 			e.ctrs.UnexpectedDropped.Add(1)
@@ -562,10 +556,9 @@ func (e *Endpoint) DeliverLocal(msg *Message) {
 // to overtake), and a posted receive matches hdr, the payload is copied
 // straight from data into the waiting thread's buffer and the host is
 // interrupted. data is only read during the call. Safe to call from any
-// context; always false on deterministic endpoints and under serial
-// delivery.
+// context; always false on deterministic endpoints.
 func (e *Endpoint) TryDeliverDirect(hdr Header, data []byte) bool {
-	if e.det || e.serial.Load() {
+	if e.det {
 		return false
 	}
 	if !e.mb.tryDepositDirect(&e.ing, hdr, data, e.host.Now()) {
@@ -610,15 +603,6 @@ func (e *Endpoint) drainIngress() {
 	if dropped > 0 {
 		e.ctrs.UnexpectedDropped.Add(uint64(dropped))
 	}
-}
-
-// SetSerialDelivery, when on, restores the seed's per-message delivery
-// (mailbox lock + host wakeup per arrival) and disables the zero-copy direct
-// path on this endpoint. It exists solely as the control arm for the
-// batched-vs-serial benchmarks; flip it only while no traffic is in flight.
-func (e *Endpoint) SetSerialDelivery(on bool) {
-	e.drainIngress()
-	e.serial.Store(on)
 }
 
 // IngressStats reports how many ring drains ran, how many messages they

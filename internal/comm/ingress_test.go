@@ -190,29 +190,6 @@ func TestDirectRespectsRingOrder(t *testing.T) {
 	}
 }
 
-// TestSerialDeliveryKnob checks the benchmark control arm: under serial
-// delivery every message takes the per-message mailbox path (ring untouched)
-// and the direct path declines.
-func TestSerialDeliveryKnob(t *testing.T) {
-	ep, host := newRealEndpoint()
-	ep.SetSerialDelivery(true)
-	buf := make([]byte, 16)
-	ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 7}, buf)
-	if ep.TryDeliverDirect(hdrFrom(1, 7), []byte("x")) {
-		t.Fatal("direct delivery accepted under serial mode")
-	}
-	for i := 0; i < 4; i++ {
-		ep.DeliverLocal(&Message{Hdr: hdrFrom(1, int32(100+i)), Data: []byte("y")})
-	}
-	if got := host.Interrupts(); got != 4 {
-		t.Fatalf("serial mode raised %d interrupts for 4 messages, want 4", got)
-	}
-	batches, msgs, direct := ep.IngressStats()
-	if batches != 0 || msgs != 0 || direct != 0 {
-		t.Fatalf("serial mode touched the ring: stats %d/%d/%d", batches, msgs, direct)
-	}
-}
-
 // TestDeterministicEndpointBypassesRing checks the sim-isolation invariant:
 // a deterministic endpoint delivers synchronously and never touches the
 // ingress ring or the direct path, so simulated event streams cannot see

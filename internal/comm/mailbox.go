@@ -22,7 +22,7 @@ import (
 // with a monotonic sequence number: "oldest compatible" is then the
 // minimum-sequence candidate across the exact bucket front and the wildcard
 // scan, which is exactly the element the old linear sweep would have
-// stopped at. RefMatcher (refmatch.go) preserves the linear algorithm as
+// stopped at. RefMatcher (refmatch_test.go) preserves the linear algorithm as
 // the reference model for the differential property test and benchmarks.
 type mailbox struct {
 	mu  sync.Mutex

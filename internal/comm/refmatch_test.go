@@ -2,66 +2,6 @@ package comm
 
 import "chant/internal/sim"
 
-// This file keeps two thin faces over the matching engines for tests and
-// benchmarks: Matcher exposes the production bucketed mailbox standalone
-// (no endpoint, no cost accounting), and RefMatcher preserves the seed's
-// linear algorithm verbatim as the reference model. The differential
-// property test drives both with the same operation stream and asserts
-// identical match results; BenchmarkHotPathMatch* measures one against the
-// other.
-
-// NewRecvHandle creates a bare receive handle bound to no endpoint, for
-// driving a Matcher or RefMatcher directly.
-func NewRecvHandle(spec MatchSpec, buf []byte) *RecvHandle {
-	return &RecvHandle{spec: spec, buf: buf}
-}
-
-// RearmHandle resets a terminal bare handle and re-initializes it for
-// another post, so matcher benchmarks can measure match cost without a
-// handle allocation per operation. Only for handles made by NewRecvHandle;
-// endpoint-owned handles are recycled through ReleaseHandle.
-func RearmHandle(h *RecvHandle, spec MatchSpec, buf []byte) {
-	h.Reset()
-	h.spec, h.buf = spec, buf
-}
-
-// Matcher is the production bucketed matching engine, standalone.
-type Matcher struct{ mb mailbox }
-
-// NewMatcher creates an empty bucketed matcher.
-func NewMatcher() *Matcher { return &Matcher{} }
-
-// SetUnexpectedCap bounds the unexpected queue (zero = unbounded).
-func (m *Matcher) SetUnexpectedCap(cap int) { m.mb.unexpectedCap = cap }
-
-// Deliver matches msg against posted receives; see mailbox.deliver.
-func (m *Matcher) Deliver(msg *Message, at sim.Time) (*RecvHandle, bool) {
-	return m.mb.deliver(msg, at)
-}
-
-// Post registers a receive; see mailbox.post.
-func (m *Matcher) Post(h *RecvHandle, at sim.Time) bool { return m.mb.post(h, at) }
-
-// Remove cancels a posted receive; see mailbox.remove.
-func (m *Matcher) Remove(h *RecvHandle) bool { return m.mb.remove(h) }
-
-// RemoveFailed withdraws and fails a posted receive; see
-// mailbox.removeFailed.
-func (m *Matcher) RemoveFailed(h *RecvHandle, err error, status Status, at sim.Time) bool {
-	return m.mb.removeFailed(h, err, status, at)
-}
-
-// FailPeer fails every receive pinned to peer; see mailbox.failPeer.
-func (m *Matcher) FailPeer(peer Addr, at sim.Time) int { return m.mb.failPeer(peer, at) }
-
-// FindUnexpected probes the unexpected queue; see mailbox.findUnexpected.
-func (m *Matcher) FindUnexpected(spec MatchSpec) (Header, bool) {
-	return m.mb.findUnexpected(spec)
-}
-
-// Depths reports queue lengths.
-func (m *Matcher) Depths() (posted, unexpected int) { return m.mb.depths() }
-
 // RefMatcher is the seed's linear matching engine: every operation scans a
 // flat slice. Semantics are identical to Matcher by construction — the
 // property test in mailbox_test.go enforces it.

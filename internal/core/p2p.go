@@ -209,8 +209,8 @@ func (p *Process) waitDeadline(h *comm.RecvHandle, deadline sim.Time) error {
 	}
 	host := p.ep.Host()
 	t := p.sched.Current()
-	end := waitAccounting(p.ep, h)
-	defer end()
+	beginWait(p.ep)
+	defer endWait(p.ep, h)
 	t.SetOnCancel(func() { p.ep.CancelRecv(h) })
 	defer t.SetOnCancel(nil)
 	for {

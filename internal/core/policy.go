@@ -91,19 +91,13 @@ func newPolicy(kind PolicyKind, sched *ult.Sched, ep *comm.Endpoint) policy {
 	panic("core: unknown polling policy")
 }
 
-// waitAccounting brackets a wait with the Figure-13 waiting-thread
-// integrator, robustly against cancellation unwinds. The wait ends when
-// the request stops being outstanding — the message's arrival time — not
-// when the thread resumes, matching the paper's "threads waiting on
-// outstanding receive requests".
-func waitAccounting(ep *comm.Endpoint, h *comm.RecvHandle) func() {
-	beginWait(ep)
-	return func() { endWait(ep, h) }
-}
-
-// beginWait/endWait are waitAccounting split into a plain call pair, so the
-// policies' hot wait paths can bracket a wait with `beginWait(ep)` and
-// `defer endWait(ep, h)` — no closure allocation per blocking receive.
+// beginWait/endWait bracket a wait with the Figure-13 waiting-thread
+// integrator, robustly against cancellation unwinds when used as
+// `beginWait(ep)` and `defer endWait(ep, h)` (a plain call pair: no closure
+// allocation per blocking receive). The wait ends when the request stops
+// being outstanding — the message's arrival time — not when the thread
+// resumes, matching the paper's "threads waiting on outstanding receive
+// requests".
 func beginWait(ep *comm.Endpoint) {
 	ep.Counters().WaitBegin(ep.Host().Now())
 }

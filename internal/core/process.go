@@ -40,13 +40,6 @@ type Config struct {
 	// IdleBlock parks idle schedulers on host interrupts instead of
 	// busy-polling; real-mode runtimes enable it.
 	IdleBlock bool
-	// SpinBudget tunes the real host's spin-then-park idle policy: an idle
-	// processor re-checks for a pending interrupt that many times (yielding
-	// between checks) before parking on the OS. Zero keeps
-	// machine.DefaultSpinBudget; negative disables spinning (park
-	// immediately, the pre-spin behaviour). Only real-mode runtimes observe
-	// it — simulated hosts have no spin phase at all.
-	SpinBudget int
 	// MeshWidth, when positive, arranges simulated PEs in a 2D mesh of
 	// that width (the Paragon's topology): messages pay Model.NetPerHop
 	// for each hop beyond the first. Zero models a flat network. Only the

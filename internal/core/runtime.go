@@ -45,14 +45,6 @@ type Result struct {
 	PerProc map[comm.Addr]trace.Snapshot
 	// Total sums the per-process snapshots.
 	Total trace.Snapshot
-	// SimWindows and SimInlineWindows report the parallel kernel's
-	// execution-window counts (zero on the sequential kernel and in real
-	// mode): total barrier-synchronized windows, and the subset the
-	// controller ran inline because the window was single-shard or
-	// predicted tiny. Diagnostics only — they never affect results.
-	SimWindows uint64
-	// SimInlineWindows is the inline subset of SimWindows.
-	SimInlineWindows uint64
 }
 
 // Runtime builds and runs one Chant machine. Create it with NewSimRuntime
@@ -466,12 +458,7 @@ func (rt *Runtime) runSim(mains map[comm.Addr]MainFunc) (*Result, error) {
 	if err := kernel.Run(0); err != nil {
 		return nil, err
 	}
-	res := rt.collect(kernel.Now())
-	if pk, ok := kernel.(*sim.ParKernel); ok {
-		res.SimWindows = pk.Windows
-		res.SimInlineWindows = pk.InlineWindows
-	}
-	return res, errors.Join(perr...)
+	return rt.collect(kernel.Now()), errors.Join(perr...)
 }
 
 // crashPE simulates the failure of a whole processing element at the
@@ -520,9 +507,6 @@ func (rt *Runtime) runReal(mains map[comm.Addr]MainFunc) (*Result, error) {
 	// all exist before the first send.
 	for _, addr := range addrs {
 		host := machine.NewRealHost(rt.model)
-		if rt.cfg.SpinBudget != 0 {
-			host.SetSpinBudget(rt.cfg.SpinBudget)
-		}
 		ctrs := &trace.Counters{}
 		ep := net.NewEndpoint(addr, host, ctrs)
 		rt.procs[addr] = newProcess(rt, addr, host, ctrs, ep, rt.cfg)

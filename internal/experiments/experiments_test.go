@@ -124,6 +124,27 @@ func TestTable3Shape(t *testing.T) { assertPollingShape(t, getSweeps(t)[100]) }
 func TestTable4Shape(t *testing.T) { assertPollingShape(t, getSweeps(t)[1000]) }
 func TestTable5Shape(t *testing.T) { assertPollingShape(t, getSweeps(t)[0]) }
 
+// TestRecoveryFiguresGolden pins the recovery experiment's row. Every figure
+// is a virtual time or a byte count, so it is bit-deterministic like the
+// Table 3-5 rows; a change means checkpoint, marker or rejoin behaviour (or
+// the archive format) moved.
+func TestRecoveryFiguresGolden(t *testing.T) {
+	want := RecoveryResult{
+		BaselineVirtualMS:      58.5806,
+		CheckpointVirtualMS:    66.60326,
+		MarkerOverheadPct:      13.69507994114094,
+		CaptureVirtualUS:       4537.78,
+		CheckpointBytesPE0:     4112,
+		CheckpointBytesPE1:     1925,
+		RejoinLatencyVirtualUS: 11241.38,
+		CrashRunVirtualMS:      92.9263,
+		RestartEpoch:           1,
+	}
+	if got := RunRecovery(); got != want {
+		t.Errorf("recovery figures diverged from golden:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 func TestPollingRatiosNearPaper(t *testing.T) {
 	// Beyond orderings: the WQ/PS time ratio at beta=100 should be
 	// paper-scale (the paper has 2.47 at alpha=100 shrinking to 1.47 at

@@ -88,23 +88,8 @@ type PollingRow struct {
 	AvgWaiting   float64
 }
 
-// SimStats carries parallel-kernel diagnostics for one run: how many
-// execution windows the kernel drove and how many it ran inline. Kept out
-// of PollingRow so row equality still means "the simulated results
-// matched" regardless of kernel.
-type SimStats struct {
-	Windows       uint64
-	InlineWindows uint64
-}
-
 // RunPolling executes one cell of the polling experiment.
 func RunPolling(cfg PollingConfig) PollingRow {
-	row, _ := RunPollingStats(cfg)
-	return row
-}
-
-// RunPollingStats is RunPolling plus the kernel's window diagnostics.
-func RunPollingStats(cfg PollingConfig) (PollingRow, SimStats) {
 	cfg = cfg.withDefaults()
 	rt := core.NewSimRuntime(core.Topology{PEs: 2 * cfg.Pairs, ProcsPerPE: 1},
 		core.Config{Policy: cfg.Policy, Delivery: core.DeliverCtx, DisableServer: true,
@@ -163,7 +148,6 @@ func RunPollingStats(cfg PollingConfig) (PollingRow, SimStats) {
 	if err != nil {
 		panic("experiments: polling run: " + err.Error())
 	}
-	stats := SimStats{Windows: res.SimWindows, InlineWindows: res.SimInlineWindows}
 	return PollingRow{
 		Policy:       cfg.Policy,
 		Alpha:        cfg.Alpha,
@@ -175,7 +159,7 @@ func RunPollingStats(cfg PollingConfig) (PollingRow, SimStats) {
 		MsgTestFails: res.Total.MsgTestFails,
 		TestAnyCalls: res.Total.TestAnyCalls,
 		AvgWaiting:   res.Total.AvgWaiting,
-	}, stats
+	}
 }
 
 // PollingSweep holds one full polling table: rows for every (policy, alpha)

@@ -54,21 +54,20 @@ func TestSimPathsNeverTouchIngressRing(t *testing.T) {
 	}
 }
 
-// runRealFanIn runs a 3-sender fan-in on a real-mode machine, serial or
-// batched, verifying per-sender FIFO at the receiver and returning an
-// order-insensitive checksum of everything received plus the number of
-// deliveries that used the real-mode data plane (ingress ring or zero-copy
-// direct path).
-func runRealFanIn(t *testing.T, serial bool) (checksum uint64, planeMsgs uint64) {
-	t.Helper()
+// TestRealRingFanIn runs a 3-sender fan-in through the real-mode data plane
+// (ingress ring and zero-copy direct path; the ring is a mechanism change,
+// not a semantics change): per-sender FIFO must hold at the receiver, the
+// order-insensitive checksum of everything received must equal its closed
+// form in senders × perSender, and the ingress stats must show the data
+// plane actually carried the messages.
+func TestRealRingFanIn(t *testing.T) {
 	const senders, perSender, window = 3, 200, 32
+	const seqWeight = 2654435761
+	var checksum, planeMsgs uint64
 	rt := core.NewRealRuntime(core.Topology{PEs: senders + 1, ProcsPerPE: 1},
 		core.Config{Policy: core.SchedulerPollsPS, DisableServer: true}, machine.Modern())
 	mains := map[comm.Addr]core.MainFunc{}
 	mains[comm.Addr{PE: 0, Proc: 0}] = func(th *core.Thread) {
-		if serial {
-			th.Process().Endpoint().SetSerialDelivery(true)
-		}
 		for s := 1; s <= senders; s++ {
 			th.Send(core.GlobalID{PE: int32(s), Proc: 0, Thread: 0}, 2, []byte{1})
 		}
@@ -96,7 +95,7 @@ func runRealFanIn(t *testing.T, serial bool) (checksum uint64, planeMsgs uint64)
 				return
 			}
 			got[from.PE]++
-			checksum += uint64(sender)<<32 ^ uint64(seq)*2654435761
+			checksum += uint64(sender)<<32 + uint64(seq)*seqWeight
 			if got[from.PE]%window == 0 {
 				th.Send(from, 3, []byte{1})
 			}
@@ -130,25 +129,13 @@ func runRealFanIn(t *testing.T, serial bool) (checksum uint64, planeMsgs uint64)
 	if _, err := rt.Run(mains); err != nil {
 		t.Fatal(err)
 	}
-	return checksum, planeMsgs
-}
-
-// TestRealRingSerialEquivalence runs the same multi-producer fan-in through
-// the batched data plane and through the serial per-message path: both arms
-// must deliver exactly the same messages with per-sender FIFO intact (the
-// ring and direct path are mechanism changes, not semantics changes), and
-// the ingress stats must show that the knob actually selected different
-// paths.
-func TestRealRingSerialEquivalence(t *testing.T) {
-	batchedSum, batchedPlane := runRealFanIn(t, false)
-	serialSum, serialPlane := runRealFanIn(t, true)
-	if batchedSum != serialSum {
-		t.Errorf("checksum differs: batched %#x vs serial %#x", batchedSum, serialSum)
+	// Every sender 1..senders contributes each seq 0..perSender-1 once.
+	const want = uint64(perSender*senders*(senders+1)/2)<<32 +
+		uint64(senders*perSender*(perSender-1)/2)*seqWeight
+	if checksum != want {
+		t.Errorf("checksum %#x, want %#x", checksum, want)
 	}
-	if batchedPlane == 0 {
-		t.Error("batched arm never used the ring or direct path; the equivalence test is vacuous")
-	}
-	if serialPlane != 0 {
-		t.Errorf("serial arm moved %d messages through the data plane; the knob did not take", serialPlane)
+	if planeMsgs == 0 {
+		t.Error("no message used the ring or direct path; the test is vacuous")
 	}
 }

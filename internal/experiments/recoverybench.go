@@ -1,15 +1,14 @@
 // Recovery cost measurements: what the crash-recovery subsystem costs when
 // nothing crashes (coordinated-snapshot markers riding the normal RSR
 // traffic), what a checkpoint capture costs, and how long a restarted PE
-// takes from its restart instant to a completed rejoin handshake. Simulated
-// figures are deterministic (the same virtual clocks the invariance tests
-// pin); the encode figure is wall-clock, measuring the codec implementation
-// like the hot-path suite.
+// takes from its restart instant to a completed rejoin handshake. Every
+// figure is simulated, so deterministic (the same virtual clocks the
+// invariance tests pin); the codec's wall-clock cost is measured by the
+// benchmark's recovery.encode_ns/decode_ns.
 package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"chant/internal/comm"
 	"chant/internal/core"
@@ -19,32 +18,28 @@ import (
 	"chant/internal/sim"
 )
 
-// RecoveryResult is the BENCH_recovery.json payload.
+// RecoveryResult is the row of the recovery experiment: a two-PE echo
+// workload, 4 workers per PE, 20 iterations each.
 type RecoveryResult struct {
-	PEs     int `json:"pes"`
-	Workers int `json:"workers_per_pe"`
-	Iters   int `json:"iters"`
-
 	// Steady-state marker overhead: the same workload with and without one
 	// machine-wide coordinated checkpoint, no crash.
-	BaselineVirtualMS   float64 `json:"baseline_virtual_ms"`
-	CheckpointVirtualMS float64 `json:"checkpoint_virtual_ms"`
-	MarkerOverheadPct   float64 `json:"marker_overhead_pct"`
+	BaselineVirtualMS   float64
+	CheckpointVirtualMS float64
+	MarkerOverheadPct   float64
 
 	// Capture cost: virtual time the initiating thread spends inside
 	// Checkpoint() — marker flood, in-flight recording, capture, archive —
 	// and the byte size of the archived checkpoints.
-	CaptureVirtualUS    float64 `json:"capture_virtual_us"`
-	CheckpointBytesPE0  int     `json:"checkpoint_bytes_pe0"`
-	CheckpointBytesPE1  int     `json:"checkpoint_bytes_pe1"`
-	EncodeNsPerSnapshot float64 `json:"encode_ns_per_snapshot"`
+	CaptureVirtualUS   float64
+	CheckpointBytesPE0 int
+	CheckpointBytesPE1 int
 
 	// Restart-to-rejoin latency: virtual time from the crashed PE's restart
 	// instant (crash time + restart delay) until its rejoin handshake
 	// completed (Process.RejoinedAt), and the whole-run cost of the outage.
-	RejoinLatencyVirtualUS float64 `json:"rejoin_latency_virtual_us"`
-	CrashRunVirtualMS      float64 `json:"crash_run_virtual_ms"`
-	RestartEpoch           uint32  `json:"restart_epoch"`
+	RejoinLatencyVirtualUS float64
+	CrashRunVirtualMS      float64
+	RestartEpoch           uint32
 }
 
 // recoveryBenchRun executes the two-PE echo workload once. With checkpoint
@@ -122,9 +117,10 @@ func recoveryBenchRun(checkpoint, crash bool) (res *core.Result, store *recovery
 	return res, store, captureUS, rt, err
 }
 
-// RunRecovery produces the BENCH_recovery.json measurements.
+// RunRecovery runs the recovery experiment: a baseline run, a run with one
+// coordinated checkpoint, and a run where PE1 crashes and restarts from it.
 func RunRecovery() RecoveryResult {
-	out := RecoveryResult{PEs: 2, Workers: 4, Iters: 20}
+	var out RecoveryResult
 
 	base, _, _, _, err := recoveryBenchRun(false, false)
 	if err != nil {
@@ -151,20 +147,6 @@ func RunRecovery() RecoveryResult {
 			out.CheckpointBytesPE1 = n
 		}
 	}
-
-	// Wall-clock codec cost on PE1's real captured checkpoint.
-	cp1, _, err := store.Latest(comm.Addr{PE: 1, Proc: 0})
-	if err != nil {
-		panic(err)
-	}
-	const reps = 2000
-	//chant:allow-nondet wall-clock benchmark timing
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		recovery.Encode(cp1)
-	}
-	//chant:allow-nondet wall-clock benchmark timing
-	out.EncodeNsPerSnapshot = float64(time.Since(start).Nanoseconds()) / reps
 
 	cr, _, _, rt, err := recoveryBenchRun(true, true)
 	if err != nil {

@@ -101,11 +101,6 @@ type RealHost struct {
 	// real-mode PEs compute concurrently.
 	sink uint64
 
-	// spin is Idle's budget of pre-park wakeup checks (each a signal load
-	// plus an OS yield). Set before the machine runs; never mutated
-	// concurrently with Idle.
-	spin int
-
 	mu   sync.Mutex
 	cond *sync.Cond
 
@@ -116,11 +111,10 @@ type RealHost struct {
 	signal atomic.Bool
 }
 
-// DefaultSpinBudget is the number of wakeup checks Idle performs before
-// parking when no budget has been configured. Each miss yields the OS
-// scheduler, so the spin phase costs a few microseconds of politeness, not a
-// core.
-const DefaultSpinBudget = 256
+// spinBudget is the number of wakeup checks (each a signal load plus an OS
+// yield) Idle performs before parking. Each miss yields the OS scheduler, so
+// the spin phase costs a few microseconds of politeness, not a core.
+const spinBudget = 256
 
 // NewRealHost returns a Host that reports wall-clock time relative to its
 // creation.
@@ -128,20 +122,9 @@ func NewRealHost(model *Model) *RealHost {
 	// RealHost *is* the sanctioned wall-clock boundary: every other
 	// package reads time through a Host so that only this one touches it.
 	//chant:allow-nondet RealHost is the wall-clock abstraction itself
-	h := &RealHost{model: model, start: time.Now(), spin: DefaultSpinBudget}
+	h := &RealHost{model: model, start: time.Now()}
 	h.cond = sync.NewCond(&h.mu)
 	return h
-}
-
-// SetSpinBudget sets how many times Idle re-checks for a pending interrupt
-// (yielding between checks) before parking; zero or negative parks
-// immediately. Must be called before the machine runs — it is not
-// synchronized against Idle.
-func (h *RealHost) SetSpinBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
-	h.spin = n
 }
 
 func (h *RealHost) Now() sim.Time {
@@ -175,7 +158,7 @@ func (h *RealHost) Idle() {
 	// Spin-then-park: consume an interrupt lock-free within the budget
 	// (counted, so detlint's unbounded-busy-wait check holds), then fall
 	// back to the condition variable.
-	for i := h.spin; i > 0; i-- {
+	for i := spinBudget; i > 0; i-- {
 		if h.signal.Load() {
 			h.signal.Store(false)
 			return

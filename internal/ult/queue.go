@@ -22,8 +22,8 @@ import "math/bits"
 // position. Relocation is O(deque length) but happens only on the rare
 // raise-while-queued path (the paper's server boost fires while the server
 // is blocked, not queued); every hot-path operation touches O(1) entries.
-// LinearQueue preserves the seed algorithm as a reference model for
-// differential tests and the BenchmarkHotPath baselines.
+// LinearQueue (queue_ref_test.go) preserves the seed algorithm as a
+// reference model for differential tests and the BenchmarkHotPath baselines.
 
 // prioRing is one priority's FIFO deque: a growable circular buffer.
 type prioRing struct {
@@ -91,8 +91,7 @@ const bitmapPrios = 64
 
 // ReadyQueue is the scheduler's indexed run queue. The zero value is ready
 // to use. It is exported (despite living in an internal package) so the
-// hot-path benchmarks and chantbench can drive it directly against
-// LinearQueue.
+// benchmark can drive it directly.
 type ReadyQueue struct {
 	buckets map[int]*prioRing
 	occ     uint64 // bit p set <=> bucket for priority p (0<=p<64) is nonempty
@@ -249,39 +248,6 @@ func removePrio(list []int, p int) []int {
 		}
 	}
 	return list
-}
-
-// LinearQueue is the seed scheduler's ready queue, preserved verbatim as
-// the reference model: differential tests assert ReadyQueue pops the same
-// thread sequence, and BenchmarkHotPathReadyQueue* measures the indexed
-// queue against this baseline.
-type LinearQueue struct {
-	s []*TCB
-}
-
-// Len reports the number of queued threads.
-func (q *LinearQueue) Len() int { return len(q.s) }
-
-// Push appends t to the queue.
-func (q *LinearQueue) Push(t *TCB) { q.s = append(q.s, t) }
-
-// Pop removes and returns the first queued thread of the highest current
-// priority — the seed's O(n) pickReady scan.
-func (q *LinearQueue) Pop() *TCB {
-	if len(q.s) == 0 {
-		return nil
-	}
-	best := 0
-	for i := 1; i < len(q.s); i++ {
-		if q.s[i].prio > q.s[best].prio {
-			best = i
-		}
-	}
-	t := q.s[best]
-	copy(q.s[best:], q.s[best+1:])
-	q.s[len(q.s)-1] = nil
-	q.s = q.s[:len(q.s)-1]
-	return t
 }
 
 // NewBenchTCB creates a detached TCB usable only as a ready-queue element —
