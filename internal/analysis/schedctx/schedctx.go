@@ -82,17 +82,9 @@ var restricted = map[[3]string]string{
 	{"internal/sim", "Proc", "Advance"}:    "yields to the simulation kernel",
 	{"internal/sim", "Proc", "WaitSignal"}: "parks the simulation process",
 	{"internal/sim", "Kernel", "At"}:       "mutates the event heap",
-	{"internal/sim", "Kernel", "AtOn"}:     "mutates the event heap",
 	{"internal/sim", "Kernel", "After"}:    "mutates the event heap",
 	{"internal/sim", "Kernel", "Spawn"}:    "mutates the event heap",
 	{"internal/sim", "Kernel", "SpawnAt"}:  "mutates the event heap",
-
-	// The parallel kernel's controller-side API is restricted exactly like
-	// the sequential kernel's; ParKernel.Stop is deliberately absent (it is
-	// the sanctioned atomic cross-context stop request).
-	{"internal/sim", "ParKernel", "At"}:      "mutates the controller callback heap",
-	{"internal/sim", "ParKernel", "Spawn"}:   "mutates the shard event heaps",
-	{"internal/sim", "ParKernel", "SpawnAt"}: "mutates the shard event heaps",
 }
 
 // lookup resolves a call to its restriction reason, or "" if unrestricted.

@@ -50,17 +50,7 @@ func commEscape(ep *comm.Endpoint, p *sim.Proc, k *sim.Kernel) {
 		ep.Recv(comm.MatchSpec{}, buf) // want `Endpoint\.Recv .* must be called from the scheduler's context`
 		p.Advance(10)                  // want `Proc\.Advance .* must be called from the scheduler's context`
 		k.At(0, func() {})             // want `Kernel\.At .* must be called from the scheduler's context`
-		k.AtOn(p, 0, func() {})        // want `Kernel\.AtOn .* must be called from the scheduler's context`
 		p.Signal()                     // ok: Signal is the sim-side interrupt entry point
-	}()
-}
-
-func parKernelEscape(pk *sim.ParKernel) {
-	go func() {
-		pk.At(0, func() {})                     // want `ParKernel\.At .* must be called from the scheduler's context`
-		pk.Spawn("lp", func(*sim.Proc) {})      // want `ParKernel\.Spawn .* must be called from the scheduler's context`
-		pk.SpawnAt(5, "lp", func(*sim.Proc) {}) // want `ParKernel\.SpawnAt .* must be called from the scheduler's context`
-		pk.Stop()                               // ok: Stop is the sanctioned atomic cross-context stop request
 	}()
 }
 

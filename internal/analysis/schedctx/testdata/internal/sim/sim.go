@@ -18,15 +18,6 @@ func (p *Proc) Signal()            {}
 type Kernel struct{}
 
 func (k *Kernel) At(t Time, fn func())                              {}
-func (k *Kernel) AtOn(target *Proc, t Time, fn func())              {}
 func (k *Kernel) After(d Duration, fn func())                       {}
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc           { return nil }
 func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc { return nil }
-
-// ParKernel stubs the parallel conservative kernel.
-type ParKernel struct{}
-
-func (pk *ParKernel) At(t Time, fn func())                              {}
-func (pk *ParKernel) Spawn(name string, fn func(*Proc)) *Proc           { return nil }
-func (pk *ParKernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc { return nil }
-func (pk *ParKernel) Stop()                                             {}

@@ -103,16 +103,6 @@ func (e *Endpoint) SetUnexpectedCap(cap int) {
 // born failed. Safe to call from any context (failure detectors run on
 // transport goroutines or simulator events). Idempotent.
 func (e *Endpoint) MarkPeerDead(peer Addr) {
-	e.MarkPeerDeadAt(peer, e.host.Now())
-}
-
-// MarkPeerDeadAt is MarkPeerDead with an explicit failure instant stamped
-// into the failed receives. The simulator's crash events use it: the fan-out
-// runs at the kernel controller while shard clocks sit anywhere inside the
-// conservative window, so the observer's host.Now() would make the failure
-// timestamps — and the waiting-thread integral fed from them — depend on
-// which kernel ran the machine.
-func (e *Endpoint) MarkPeerDeadAt(peer Addr, at sim.Time) {
 	e.deadMu.Lock()
 	if e.dead[peer] {
 		e.deadMu.Unlock()
@@ -124,7 +114,7 @@ func (e *Endpoint) MarkPeerDeadAt(peer Addr, at sim.Time) {
 	e.dead[peer] = true
 	e.deadMu.Unlock()
 	e.ctrs.PeersDead.Add(1)
-	if failed := e.mb.failPeer(peer, at); failed > 0 {
+	if failed := e.mb.failPeer(peer, e.host.Now()); failed > 0 {
 		e.ctrs.PeerDeadRecvs.Add(uint64(failed))
 	}
 	e.host.Interrupt()

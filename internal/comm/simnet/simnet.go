@@ -5,14 +5,6 @@
 // always send time plus a positive latency, and the kernel executes events
 // in global virtual-time order, no message can arrive in a receiver's past
 // — the conservative-simulation property the runtime relies on.
-//
-// The same property makes the network the natural shard boundary for the
-// parallel kernel: cross-process latency is at least Model.NetBase, so a
-// delivery scheduled from one shard always lands at or beyond the parallel
-// kernel's lookahead horizon. Deliveries are scheduled against the sending
-// process's own shard kernel (Kernel.AtOn routes them cross-shard through
-// the barrier), and order-sensitive fault-plane effects are journaled so
-// they replay in the merged global order.
 package simnet
 
 import (
@@ -28,19 +20,17 @@ import (
 )
 
 // Network is a simulated interconnect joining the endpoints of one
-// simulation kernel (sequential or parallel).
+// simulation kernel.
 type Network struct {
 	kernel *sim.Kernel
 	model  *machine.Model
 
-	// mu guards eps and procs: under the parallel kernel, endpoints attach
-	// concurrently from shard workers during the start window, and senders
-	// read the maps while others attach. Map contents are identical across
-	// runs; only the (unobserved) mutation interleaving varies.
+	// mu guards eps. Simulation processes attach and send one at a time, so
+	// it is never contended; it keeps Endpoint safe to call from a goroutine
+	// outside the kernel's hand-off (a harness inspecting the network).
 	//chant:allow-nondet registry lock only; protects map access, never event order
-	mu    sync.RWMutex
-	eps   map[comm.Addr]*comm.Endpoint
-	procs map[comm.Addr]*sim.Proc
+	mu  sync.RWMutex
+	eps map[comm.Addr]*comm.Endpoint
 
 	// MeshWidth, when positive, arranges processing elements in a 2D mesh
 	// of that width (the Paragon's topology): pe i sits at (i mod width,
@@ -60,15 +50,11 @@ type Network struct {
 }
 
 // New creates a network delivering through kernel with model's latency.
-// kernel may be nil when every attached host exposes its own simulation
-// process (the parallel kernel's shards); it is the fallback scheduler for
-// endpoints on hosts that do not.
 func New(kernel *sim.Kernel, model *machine.Model) *Network {
 	return &Network{
 		kernel: kernel,
 		model:  model,
 		eps:    make(map[comm.Addr]*comm.Endpoint),
-		procs:  make(map[comm.Addr]*sim.Proc),
 	}
 }
 
@@ -77,9 +63,7 @@ func (n *Network) Delivered() uint64 { return n.delivered.Load() }
 
 // NewEndpoint attaches process addr to the network, executing on host and
 // counting into ctrs. Attaching the same address twice panics: it would
-// make delivery ambiguous. Hosts that expose their simulation process (the
-// simulated host does) get deliveries scheduled against that process's own
-// kernel, which is what routes traffic between shards of a parallel run.
+// make delivery ambiguous.
 func (n *Network) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Counters) *comm.Endpoint {
 	ep := comm.NewEndpoint(addr, host, ctrs, n)
 	n.mu.Lock()
@@ -88,11 +72,6 @@ func (n *Network) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Cou
 		panic(fmt.Sprintf("simnet: duplicate endpoint %v", addr))
 	}
 	n.eps[addr] = ep
-	if hp, ok := host.(interface{ Proc() *sim.Proc }); ok {
-		if p := hp.Proc(); p != nil {
-			n.procs[addr] = p
-		}
-	}
 	return ep
 }
 
@@ -102,8 +81,6 @@ func (n *Network) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Cou
 // pre-crash in-flight traffic lands in the dead incarnation and is lost,
 // exactly like a real wire); sends decided after Rebind reach the new one.
 // Unlike NewEndpoint, rebinding requires the address to exist already.
-// Under the parallel kernel, call only from a controller callback: the
-// registry swap must not race a window's sends.
 func (n *Network) Rebind(addr comm.Addr, host machine.Host, ctrs *trace.Counters) *comm.Endpoint {
 	ep := comm.NewEndpoint(addr, host, ctrs, n)
 	n.mu.Lock()
@@ -112,12 +89,6 @@ func (n *Network) Rebind(addr comm.Addr, host machine.Host, ctrs *trace.Counters
 		panic(fmt.Sprintf("simnet: rebind of unknown process %v", addr))
 	}
 	n.eps[addr] = ep
-	delete(n.procs, addr)
-	if hp, ok := host.(interface{ Proc() *sim.Proc }); ok {
-		if p := hp.Proc(); p != nil {
-			n.procs[addr] = p
-		}
-	}
 	return ep
 }
 
@@ -136,24 +107,14 @@ func (n *Network) Deliver(msg *comm.Message) {
 	src, dst := msg.Hdr.Src(), msg.Hdr.Dst()
 	n.mu.RLock()
 	ep := n.eps[dst]
-	sp, dp := n.procs[src], n.procs[dst]
 	srcEp := n.eps[src]
 	n.mu.RUnlock()
 	if ep == nil {
 		panic(fmt.Sprintf("simnet: send to unknown process %v", dst))
 	}
-	// Schedule against the sending process's shard kernel; fall back to the
-	// network-wide kernel for hosts with no simulation process.
-	k := n.kernel
-	if sp != nil {
-		k = sp.Kernel()
-	}
-	if k == nil {
-		panic(fmt.Sprintf("simnet: no kernel to deliver %v -> %v through", src, dst))
-	}
 	if dst == src {
 		latency := n.model.Loopback + n.model.CopyCost(len(msg.Data))
-		n.schedule(k, dp, latency, ep, msg)
+		n.schedule(latency, ep, msg)
 		return
 	}
 	latency := n.model.MsgLatency(len(msg.Data))
@@ -161,15 +122,7 @@ func (n *Network) Deliver(msg *comm.Message) {
 		latency += n.model.NetPerHop.Scale(float64(hops - 1))
 	}
 	if n.Faults != nil {
-		// Decide now (per-link RNG streams are only ever drawn from the
-		// sending side, so draw order is deterministic per link), but
-		// journal the event-stream records: the witness log is global and
-		// order-sensitive, so it must be appended in merged event order.
-		d, evs := n.Faults.DecideDeferred(k.Now(), src, dst, len(msg.Data))
-		if len(evs) > 0 {
-			plan := n.Faults
-			k.Journal(func() { plan.Commit(evs) })
-		}
+		d := n.Faults.Decide(n.kernel.Now(), src, dst, len(msg.Data))
 		var ctrs *trace.Counters
 		if srcEp != nil {
 			ctrs = srcEp.Counters()
@@ -191,25 +144,18 @@ func (n *Network) Deliver(msg *comm.Message) {
 				ctrs.FaultDups.Add(1)
 			}
 			dup := &comm.Message{Hdr: msg.Hdr, Data: msg.Data, SentAt: msg.SentAt}
-			n.schedule(k, dp, latency+d.DupDelay, ep, dup)
+			n.schedule(latency+d.DupDelay, ep, dup)
 		}
 	}
-	n.schedule(k, dp, latency, ep, msg)
+	n.schedule(latency, ep, msg)
 }
 
-// schedule books one delivery at now+latency on the sending-side kernel k,
-// routed to the destination's process (and thereby its shard) when known.
-func (n *Network) schedule(k *sim.Kernel, dp *sim.Proc, latency sim.Duration, ep *comm.Endpoint, msg *comm.Message) {
-	at := k.Now().Add(latency)
-	fn := func() {
+// schedule books one delivery at now+latency.
+func (n *Network) schedule(latency sim.Duration, ep *comm.Endpoint, msg *comm.Message) {
+	n.kernel.After(latency, func() {
 		n.delivered.Add(1)
 		ep.DeliverLocal(msg)
-	}
-	if dp != nil {
-		k.AtOn(dp, at, fn)
-		return
-	}
-	k.At(at, fn)
+	})
 }
 
 // hops reports the Manhattan distance between two PEs on the configured

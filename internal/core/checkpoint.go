@@ -456,14 +456,13 @@ func (rt *Runtime) restoreSim(addr comm.Addr, host machine.Host, ctrs *trace.Cou
 }
 
 // restartPE restarts every process of a crashed PE at the scheduled
-// recovery instant. It runs as a kernel callback — under the parallel
-// kernel that is controller time, between windows — so the network
-// registry swap (simnet.Rebind) cannot race a window's sends: the new
-// endpoints and shard processes are installed before any event runs.
-// Messages that were bound to the dead incarnation's endpoint stay with it
-// and are lost, exactly like traffic in a real wire when its host dies;
-// the RSR retry layer re-covers them.
-func (rt *Runtime) restartPE(kernel simKernel, net *simnet.Network, pe int32, perr []error) {
+// recovery instant. It runs as a kernel callback, so the network registry
+// swap (simnet.Rebind) happens between events: the new endpoints and
+// processes are installed before any later send is decided. Messages that
+// were bound to the dead incarnation's endpoint stay with it and are lost,
+// exactly like traffic in a real wire when its host dies; the RSR retry
+// layer re-covers them.
+func (rt *Runtime) restartPE(kernel *sim.Kernel, net *simnet.Network, pe int32, perr []error) {
 	for i, addr := range rt.topo.Addrs() {
 		if addr.PE != pe {
 			continue
@@ -482,9 +481,9 @@ func (rt *Runtime) restartPE(kernel simKernel, net *simnet.Network, pe int32, pe
 				rt.noteRunErr(perr, i, addr, err)
 			}
 		})
-		// The proc body only runs once the next event window opens; binding
-		// the host and endpoint here, at controller time, keeps the registry
-		// deterministic for every send decided after the restart instant.
+		// The proc body only runs at its own start event; binding the host
+		// and endpoint here, inside the restart callback, makes every send
+		// decided after the restart instant reach the new incarnation.
 		host = machine.NewSimHost(sp, rt.model)
 		ep = net.Rebind(addr, host, ctrs)
 	}

@@ -50,15 +50,6 @@ type Config struct {
 	// Process.EventLog. The determinism self-test compares these streams
 	// across runs; debugging sessions dump them.
 	EventLogSize int
-	// SimShards, when at least 2, runs the simulation on the parallel
-	// conservative kernel with that many shards: simulated PEs are
-	// partitioned across shard event heaps executed concurrently on host
-	// cores in bounded-lag windows of Model.NetBase (the conservative
-	// lookahead — no cross-PE effect can land sooner than the network base
-	// latency). Results are bit-identical to the sequential kernel. Zero or
-	// one keeps the sequential reference kernel. Requires Model.NetBase > 0;
-	// only simulated runtimes observe it.
-	SimShards int
 
 	// --- Robustness (fault tolerance) ---
 

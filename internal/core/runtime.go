@@ -369,44 +369,16 @@ func (rt *Runtime) gracefulHandshake(addr comm.Addr, t *Thread) {
 	}
 }
 
-// simKernel is the simulator surface runSim drives. Both the sequential
-// reference kernel and the parallel conservative kernel implement it; the
-// parallel one reproduces the sequential event stream bit for bit, so the
-// choice is purely a wall-clock matter.
-type simKernel interface {
-	Spawn(name string, fn func(*sim.Proc)) *sim.Proc
-	At(t sim.Time, fn func())
-	Run(deadline sim.Time) error
-	Now() sim.Time
-}
-
 // runSim executes the machine on the discrete-event simulator. Processes
 // first register their endpoints (so no send can target a missing
-// endpoint), rendezvous at virtual time zero, then run their mains. With
-// Config.SimShards ≥ 2 the simulation runs on the parallel conservative
-// kernel, one simulated PE process per shard slot, with Model.NetBase as
-// the lookahead window.
+// endpoint), rendezvous at virtual time zero, then run their mains.
 func (rt *Runtime) runSim(mains map[comm.Addr]MainFunc) (*Result, error) {
-	var kernel simKernel
-	var net *simnet.Network
-	if n := rt.cfg.SimShards; n > 1 {
-		if rt.model.NetBase <= 0 {
-			return nil, fmt.Errorf("core: SimShards=%d needs Model.NetBase > 0: the network base latency is the parallel kernel's conservative lookahead", n)
-		}
-		kernel = sim.NewParKernel(n, rt.model.NetBase)
-		// Every simulated host exposes its own shard process; the network
-		// needs no fallback kernel.
-		net = simnet.New(nil, rt.model)
-	} else {
-		k := sim.NewKernel()
-		kernel = k
-		net = simnet.New(k, rt.model)
-	}
+	kernel := sim.NewKernel()
+	net := simnet.New(kernel, rt.model)
 	net.MeshWidth = rt.cfg.MeshWidth
 	addrs := rt.topo.Addrs()
 
-	// One error slot per process: mains may finish concurrently on shard
-	// workers, so each writes only its own index.
+	// One error slot per process, joined in address order after the run.
 	perr := make([]error, len(addrs))
 	var ready []*sim.Proc
 	for i, addr := range addrs {
@@ -437,7 +409,7 @@ func (rt *Runtime) runSim(mains map[comm.Addr]MainFunc) (*Result, error) {
 		for _, c := range plan.Crashes() {
 			c := c
 			kernel.At(c.At, func() {
-				rt.crashPE(c.PE, c.At)
+				rt.crashPE(c.PE)
 				plan.WitnessCrash(c.PE, c.At, c.RestartAfter)
 			})
 			if c.RestartAfter <= 0 {
@@ -466,12 +438,10 @@ func (rt *Runtime) runSim(mains map[comm.Addr]MainFunc) (*Result, error) {
 // ult.ErrKilled), and every surviving process is told the dead addresses so
 // receives pinned to them fail over to comm.ErrPeerDead instead of hanging.
 // It runs as a kernel callback, outside any process, walking the sorted
-// address list for a deterministic kill and notification order. The failure
-// instant is stamped explicitly (MarkPeerDeadAt): on the parallel kernel
-// the fan-out executes at the controller while survivor shards' clocks sit
-// anywhere inside the conservative window, and the stamped time feeds the
-// waiting-thread integral, which must not depend on the kernel.
-func (rt *Runtime) crashPE(pe int32, at sim.Time) {
+// address list for a deterministic kill and notification order. The kernel
+// clock stands at the crash instant for the whole callback, so every failed
+// receive is stamped with it (it feeds the waiting-thread integral).
+func (rt *Runtime) crashPE(pe int32) {
 	addrs := rt.topo.Addrs()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -493,7 +463,7 @@ func (rt *Runtime) crashPE(pe int32, at sim.Time) {
 		}
 		for _, dead := range addrs {
 			if dead.PE == pe {
-				p.ep.MarkPeerDeadAt(dead, at)
+				p.ep.MarkPeerDead(dead)
 			}
 		}
 	}

@@ -50,10 +50,6 @@ type ChaosConfig struct {
 	// calls PE 2p+1 and back), scaling the topology to 2*Pairs simulated
 	// PEs. Default 1: the standard two-PE soak.
 	Pairs int
-	// Shards, when at least 2, runs the soak on the parallel conservative
-	// kernel with that many shards (core.Config.SimShards). Zero keeps the
-	// sequential reference kernel.
-	Shards int
 
 	// Recovery extension (enabled by CrashAt > 0): CrashPE crashes at
 	// CrashAt and restarts RestartAfter later from the coordinated
@@ -173,7 +169,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		TermGrace:     cfg.TermGrace,
 		MaxUnexpected: 1024,
 		Faults:        plan,
-		SimShards:     cfg.Shards,
 	}
 	if cfg.CrashAt > 0 {
 		ccfg.CheckpointStore = recovery.NewMemStore()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -119,118 +118,4 @@ func TestChaosEventInvariance(t *testing.T) {
 		t.Errorf("chaos-wq stream hash = %#x, want 0x3285942fa943b5a4 (time=%.6f sends=%d retries=%d faultevents=%d)",
 			got, rwq.TimeMS, rwq.Total.Sends, rwq.Total.RSRRetries, len(rwq.FaultEvents))
 	}
-}
-
-// --- Parallel-kernel differential invariance ---
-//
-// The parallel conservative kernel must be pure mechanism, exactly like the
-// hot paths above: same event streams, same counters, same virtual clock,
-// only the host wall-clock changes. The tests below run the pinned Table
-// 2–5 golden rows and the chaos soak hashes on the parallel kernel across
-// shard counts and GOMAXPROCS values (including GOMAXPROCS=1, where the
-// shard workers interleave on one core and any synchronization-order
-// dependence would surface differently than at 8).
-
-// parallelGOMAXPROCS are the host-parallelism levels every differential
-// check runs at.
-var parallelGOMAXPROCS = []int{1, 4, 8}
-
-// withGOMAXPROCS runs fn at each parallelism level, restoring the previous
-// setting afterwards.
-func withGOMAXPROCS(t *testing.T, fn func(gmp int)) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-	for _, gmp := range parallelGOMAXPROCS {
-		runtime.GOMAXPROCS(gmp)
-		fn(gmp)
-	}
-}
-
-// TestParallelPollingInvariance runs the pinned polling golden rows on the
-// parallel kernel: every counter and the virtual end time must match the
-// sequential goldens bit for bit at every shard count and GOMAXPROCS.
-func TestParallelPollingInvariance(t *testing.T) {
-	base := PollingConfig{Workers: 8, Iters: 30, MsgSize: 1024, Shift: 1}
-	withGOMAXPROCS(t, func(gmp int) {
-		for _, shards := range []int{2, 4} {
-			if testing.Short() && shards != 2 {
-				continue
-			}
-			for _, g := range pollingGoldens {
-				if testing.Short() && g.alpha != 1000 {
-					continue
-				}
-				cfg := base
-				cfg.Policy = g.policy
-				cfg.Alpha = g.alpha
-				cfg.Beta = 100
-				cfg.Shards = shards
-				row := RunPolling(cfg)
-				if row.CtxSw != g.ctxSw || row.PartialSw != g.partial ||
-					row.MsgTest != g.msgTest || row.MsgTestFails != g.fails ||
-					row.TestAnyCalls != g.testAny || row.TimeMS != g.timeMS {
-					t.Errorf("gomaxprocs=%d shards=%d %s alpha=%d diverged from sequential golden:\n got ctxsw=%d partial=%d msgtest=%d fails=%d testany=%d time=%.6f\nwant ctxsw=%d partial=%d msgtest=%d fails=%d testany=%d time=%.6f",
-						gmp, shards, g.policy, g.alpha,
-						row.CtxSw, row.PartialSw, row.MsgTest, row.MsgTestFails, row.TestAnyCalls, row.TimeMS,
-						g.ctxSw, g.partial, g.msgTest, g.fails, g.testAny, g.timeMS)
-				}
-			}
-		}
-	})
-}
-
-// TestParallelChaosInvariance runs the pinned chaos soaks — full fault
-// plane, RSR retries, termination handshake — on the parallel kernel and
-// requires the complete behaviour hash (counters, fault event stream,
-// per-process scheduler event streams) to equal the sequential goldens.
-func TestParallelChaosInvariance(t *testing.T) {
-	goldens := []struct {
-		cfg  ChaosConfig
-		want uint64
-	}{
-		// Same hashes as TestChaosEventInvariance, re-pinned with it when the
-		// RSR envelope grew the sender-epoch field (see the comment there).
-		{ChaosConfig{Workers: 4, Iters: 10}, 0x64aefb9bc7bc6787},
-		{ChaosConfig{Workers: 4, Iters: 10, Policy: core.SchedulerPollsWQ}, 0x3285942fa943b5a4},
-	}
-	withGOMAXPROCS(t, func(gmp int) {
-		for gi, g := range goldens {
-			if testing.Short() && gi > 0 {
-				continue
-			}
-			cfg := g.cfg
-			cfg.Shards = 2
-			r, err := RunChaos(cfg)
-			if err != nil {
-				t.Fatalf("gomaxprocs=%d golden %d: parallel chaos run failed: %v", gmp, gi, err)
-			}
-			if got := hashChaos(r); got != g.want {
-				t.Errorf("gomaxprocs=%d golden %d: parallel chaos stream hash = %#x, want %#x (time=%.6f sends=%d retries=%d faultevents=%d)",
-					gmp, gi, got, g.want, r.TimeMS, r.Total.Sends, r.Total.RSRRetries, len(r.FaultEvents))
-			}
-		}
-	})
-}
-
-// TestParallelLargeTopologyInvariance compares sequential and parallel runs
-// of a 32-PE polling workload (16 replicated Table 3 pairs) — the benchmark
-// shape — across shard counts that do and do not divide the PE count.
-func TestParallelLargeTopologyInvariance(t *testing.T) {
-	base := PollingConfig{Workers: 4, Iters: 15, MsgSize: 1024, Shift: 1,
-		Alpha: 1000, Beta: 100, Pairs: 16, Policy: core.SchedulerPollsWQ}
-	want := RunPolling(base)
-	withGOMAXPROCS(t, func(gmp int) {
-		for _, shards := range []int{2, 5, 8} {
-			if testing.Short() && shards != 8 {
-				continue
-			}
-			cfg := base
-			cfg.Shards = shards
-			got := RunPolling(cfg)
-			if got != want {
-				t.Errorf("gomaxprocs=%d shards=%d: 32-PE run diverged from sequential:\n got %+v\nwant %+v", gmp, shards, got, want)
-			}
-		}
-	})
 }

@@ -34,14 +34,9 @@ type PollingConfig struct {
 	Policy    core.PolicyKind
 	Model     *machine.Model
 
-	// Pairs replicates the two-PE workload across independent PE pairs (PE
-	// 2p talks to PE 2p+1), scaling the topology to 2*Pairs simulated PEs
-	// for host-parallelism experiments. Default 1: the paper's two-PE
-	// machine.
-	Pairs int
-	// Shards, when at least 2, runs the simulation on the parallel
-	// conservative kernel with that many shards (core.Config.SimShards).
-	// Zero keeps the sequential reference kernel.
+	// Shards is ignored; the sequential kernel always runs. It survives only
+	// because the frozen benchmark/ still sets it: delete at the next
+	// benchmark thaw.
 	Shards int
 
 	// Tracer, when non-nil, records spans from every layer of the run
@@ -53,9 +48,6 @@ type PollingConfig struct {
 func (c PollingConfig) withDefaults() PollingConfig {
 	if c.Workers == 0 {
 		c.Workers = 12
-	}
-	if c.Pairs == 0 {
-		c.Pairs = 1
 	}
 	if c.Iters == 0 {
 		c.Iters = 100
@@ -91,9 +83,9 @@ type PollingRow struct {
 // RunPolling executes one cell of the polling experiment.
 func RunPolling(cfg PollingConfig) PollingRow {
 	cfg = cfg.withDefaults()
-	rt := core.NewSimRuntime(core.Topology{PEs: 2 * cfg.Pairs, ProcsPerPE: 1},
+	rt := core.NewSimRuntime(core.Topology{PEs: 2, ProcsPerPE: 1},
 		core.Config{Policy: cfg.Policy, Delivery: core.DeliverCtx, DisableServer: true,
-			SimShards: cfg.Shards, Tracer: cfg.Tracer},
+			Tracer: cfg.Tracer},
 		cfg.Model)
 	workers := int32(cfg.Workers)
 	mk := func(pe int32) core.MainFunc {
@@ -113,11 +105,9 @@ func RunPolling(cfg PollingConfig) PollingRow {
 						}
 						return n - span/2 + int64(rng.Uint64()%uint64(span+1))
 					}
-					// Worker local ids start at 1 (main is 0). The peer is
-					// the pair partner: PE 2p+1 for 2p and vice versa (for
-					// the default single pair, exactly "the other PE").
-					sendTo := core.GlobalID{PE: pe ^ 1, Proc: 0, Thread: (w+cfg.Shift)%workers + 1}
-					recvFrom := core.GlobalID{PE: pe ^ 1, Proc: 0, Thread: (w-cfg.Shift+workers)%workers + 1}
+					// Worker local ids start at 1 (main is 0).
+					sendTo := core.GlobalID{PE: 1 - pe, Proc: 0, Thread: (w+cfg.Shift)%workers + 1}
+					recvFrom := core.GlobalID{PE: 1 - pe, Proc: 0, Thread: (w-cfg.Shift+workers)%workers + 1}
 					host := me.Process().Endpoint().Host()
 					out := make([]byte, cfg.MsgSize)
 					buf := make([]byte, cfg.MsgSize)
@@ -140,11 +130,10 @@ func RunPolling(cfg PollingConfig) PollingRow {
 			}
 		}
 	}
-	mains := make(map[comm.Addr]core.MainFunc, 2*cfg.Pairs)
-	for pe := int32(0); pe < int32(2*cfg.Pairs); pe++ {
-		mains[comm.Addr{PE: pe, Proc: 0}] = mk(pe)
-	}
-	res, err := rt.Run(mains)
+	res, err := rt.Run(map[comm.Addr]core.MainFunc{
+		{PE: 0, Proc: 0}: mk(0),
+		{PE: 1, Proc: 0}: mk(1),
+	})
 	if err != nil {
 		panic("experiments: polling run: " + err.Error())
 	}

@@ -284,31 +284,18 @@ func (p *Plan) Crashes() []Crash {
 }
 
 // Decide answers what happens to a message from src to dst of the given
-// size at virtual time now, recording the fault events immediately. Exactly
-// three random draws are consumed per stochastic decision regardless of
-// outcome, so a link's stream stays aligned whatever earlier messages
-// suffered.
+// size at virtual time now, recording the fault events on the witness
+// stream. Exactly three random draws are consumed per stochastic decision
+// regardless of outcome, so a link's stream stays aligned whatever earlier
+// messages suffered.
 func (p *Plan) Decide(now sim.Time, src, dst comm.Addr, size int) Decision {
-	d, evs := p.DecideDeferred(now, src, dst, size)
-	p.Commit(evs)
-	return d
-}
-
-// DecideDeferred is Decide split from its event-stream side effect: it makes
-// the (per-link deterministic) decision now but returns the would-be fault
-// events unsequenced instead of recording them. The caller passes them to
-// Commit in global event order — under the parallel simulation kernel that
-// means through Kernel.Journal, so the witness stream is appended in the
-// merged order and stays bit-identical to a sequential run. Stats update
-// immediately; they are order-independent sums.
-func (p *Plan) DecideDeferred(now sim.Time, src, dst comm.Addr, size int) (Decision, []Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.Messages++
 
-	var evs []Event
 	note := func(k Kind, delay sim.Duration) {
-		evs = append(evs, Event{At: now, Src: src, Dst: dst, Kind: k, Delay: delay})
+		p.seq++
+		p.events = append(p.events, Event{Seq: p.seq, At: now, Src: src, Dst: dst, Kind: k, Delay: delay})
 	}
 
 	// Deterministic schedule faults take priority over stochastic ones and
@@ -316,12 +303,12 @@ func (p *Plan) DecideDeferred(now sim.Time, src, dst comm.Addr, size int) (Decis
 	if p.DeadAt(src.PE, now) || p.DeadAt(dst.PE, now) {
 		p.stats.CrashDrops++
 		note(KindCrash, 0)
-		return Decision{Drop: true, Kind: KindCrash}, evs
+		return Decision{Drop: true, Kind: KindCrash}
 	}
 	if p.CutAt(src.PE, dst.PE, now) {
 		p.stats.PartitionDrops++
 		note(KindPartition, 0)
-		return Decision{Drop: true, Kind: KindPartition}, evs
+		return Decision{Drop: true, Kind: KindPartition}
 	}
 
 	var d Decision
@@ -348,7 +335,7 @@ func (p *Plan) DecideDeferred(now sim.Time, src, dst comm.Addr, size int) (Decis
 	if r.DropProb > 0 && uDrop < r.DropProb {
 		p.stats.Drops++
 		note(KindDrop, 0)
-		return Decision{Drop: true, Kind: KindDrop}, evs
+		return Decision{Drop: true, Kind: KindDrop}
 	}
 	if r.DupProb > 0 && uDup < r.DupProb {
 		d.Duplicate = true
@@ -367,15 +354,14 @@ func (p *Plan) DecideDeferred(now sim.Time, src, dst comm.Addr, size int) (Decis
 		p.stats.Delays++
 		note(KindDelay, extra)
 	}
-	return d, evs
+	return d
 }
 
 // WitnessCrash records a PE crash on the witness stream at the instant the
 // runtime executes it. The event's Delay field carries the recover time
 // (RestartAfter; zero for a permanent crash), so crash/recover pairs are
-// readable from the stream alone. Call it in global event order — runtimes
-// call it from the crash's own kernel callback, which is globally ordered
-// under both the sequential and the parallel kernel.
+// readable from the stream alone. Runtimes call it from the crash's own
+// kernel callback, so it lands in event order with the message faults.
 func (p *Plan) WitnessCrash(pe int32, at sim.Time, restartAfter sim.Duration) {
 	a := comm.Addr{PE: pe, Proc: -1}
 	p.mu.Lock()
@@ -394,21 +380,6 @@ func (p *Plan) WitnessRecover(pe int32, at sim.Time) {
 	p.stats.Recoveries++
 	p.seq++
 	p.events = append(p.events, Event{Seq: p.seq, At: at, Src: a, Dst: a, Kind: KindRecover})
-}
-
-// Commit appends events returned by DecideDeferred to the witness stream,
-// assigning their global sequence numbers. Call it in global event order.
-func (p *Plan) Commit(evs []Event) {
-	if len(evs) == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range evs {
-		p.seq++
-		e.Seq = p.seq
-		p.events = append(p.events, e)
-	}
 }
 
 // Events snapshots the recorded fault event stream.

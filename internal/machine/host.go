@@ -50,16 +50,9 @@ type Host interface {
 // SimHost runs a processing element inside the discrete-event simulator:
 // Charge advances the PE's virtual clock, Idle parks the sim process, and
 // Interrupt signals it. All methods except Interrupt must be invoked from
-// the (single) goroutine currently animating the PE's sim process.
-//
-// Under the parallel kernel (sim.ParKernel) the PE's process belongs to one
-// shard, and "the goroutine animating it" is that shard's worker for the
-// duration of a window — still exactly one goroutine at a time, so the
-// contract is unchanged. Now reads the shard-local clock while a window
-// runs and the kernel-global clock between windows; Interrupt delegates to
-// Proc.Signal, whose wake is scheduled through the owning kernel and thus
-// lands in the deterministic merged event order regardless of which shard
-// (or the controller) raised it.
+// the (single) goroutine currently animating the PE's sim process; Interrupt
+// delegates to Proc.Signal, which any simulation context (an event callback
+// or another running process) may call.
 type SimHost struct {
 	proc  *sim.Proc
 	model *Model
@@ -69,10 +62,6 @@ type SimHost struct {
 func NewSimHost(proc *sim.Proc, model *Model) *SimHost {
 	return &SimHost{proc: proc, model: model}
 }
-
-// Proc exposes the underlying simulation process (used by the simulated
-// network to schedule deliveries against the right kernel).
-func (h *SimHost) Proc() *sim.Proc { return h.proc }
 
 func (h *SimHost) Now() sim.Time         { return h.proc.Now() }
 func (h *SimHost) Charge(d sim.Duration) { h.proc.Advance(d) }

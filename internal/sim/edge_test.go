@@ -76,9 +76,6 @@ func TestProcDoneAndName(t *testing.T) {
 	if p.Done() {
 		t.Fatal("done before running")
 	}
-	if p.Kernel() != k {
-		t.Fatal("Kernel accessor broken")
-	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}

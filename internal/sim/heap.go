@@ -9,22 +9,6 @@ type event struct {
 	proc *Proc
 }
 
-// eventKey is an event's global position: events execute in ascending
-// (at, seq) order. Sequence numbers start at 1, so a key with seq 0 sorts
-// before every real event at the same instant — the parallel kernel uses
-// such keys as exclusive window bounds.
-type eventKey struct {
-	at  Time
-	seq uint64
-}
-
-func (k eventKey) less(o eventKey) bool {
-	if k.at != o.at {
-		return k.at < o.at
-	}
-	return k.seq < o.seq
-}
-
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
 // rather than using container/heap to avoid interface boxing on the hot path;
 // the simulator pushes and pops one event per virtual-time step.
@@ -86,12 +70,3 @@ func (h *eventHeap) siftDown(i int) {
 // peekTime reports the virtual time of the earliest event. It must not be
 // called on an empty heap.
 func (h *eventHeap) peekTime() Time { return h.ev[0].at }
-
-// peekKey reports the (time, seq) key of the earliest event. It must not be
-// called on an empty heap.
-//
-// There is deliberately no bulk-rewrite/re-heapify operation: the parallel
-// kernel holds insertions that outlive their window out of the heap and
-// pushes them at the barrier already resolved, so keys in a heap are never
-// rewritten in place.
-func (h *eventHeap) peekKey() eventKey { return eventKey{h.ev[0].at, h.ev[0].seq} }

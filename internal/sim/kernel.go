@@ -12,13 +12,6 @@ import (
 // simulations are deterministic. At any moment at most one goroutine runs:
 // either the kernel loop or the single active process, which means shared
 // simulator state needs no locking.
-//
-// A Kernel is also the building block of the parallel kernel: ParKernel owns
-// several Kernels, one per shard, each executing a partition of the processes
-// inside bounded-lag windows. A shard kernel (shard != nil) must not be Run
-// directly; everything else — scheduling, process handoff, the event heap —
-// is shared between the two modes, with the shard hooks in insert routing
-// in-window insertions through the window log.
 type Kernel struct {
 	now     Time
 	seq     uint64
@@ -26,11 +19,6 @@ type Kernel struct {
 	procs   []*Proc
 	running bool
 	stopped bool
-
-	// shard is non-nil when this kernel is one shard of a ParKernel; it
-	// carries the window bookkeeping (provisional sequence numbers, the
-	// execution log replayed at barriers).
-	shard *shardState
 
 	// Events counts every event dispatched, for diagnostics.
 	Events uint64
@@ -46,81 +34,26 @@ func NewKernel() *Kernel { return &Kernel{} }
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// schedNow is the clock insertions are validated against and Signal wakes
-// resume at: the shard's own clock while it executes a window, the global
-// controller clock between windows (a shard's clock lags the controller's
-// whenever the shard had no event at the front of a window), and plain now
-// in sequential mode.
-func (k *Kernel) schedNow() Time {
-	if k.shard != nil && !k.shard.active {
-		return k.shard.pk.now
-	}
-	return k.now
-}
-
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error in the caller; the kernel panics to surface the bug immediately.
 func (k *Kernel) At(t Time, fn func()) {
-	if t < k.schedNow() {
-		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.schedNow()))
+	if t < k.now {
+		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.now))
 	}
-	k.insert(t, fn, nil)
+	k.seq++
+	k.heap.push(event{at: t, seq: k.seq, fn: fn})
 }
 
 // After schedules fn to run d after the current virtual time.
-func (k *Kernel) After(d Duration, fn func()) { k.At(k.schedNow().Add(d), fn) }
-
-// AtOn schedules fn at virtual time t against the kernel that owns target:
-// in a sequential simulation (or when target lives on this same shard) it is
-// exactly At; across shards of a parallel simulation it records a
-// cross-shard insertion that takes effect at the next window barrier, in the
-// deterministic merged order. Cross-shard events must respect the parallel
-// kernel's lookahead: their time must be at least one window ahead, which
-// the barrier enforces.
-func (k *Kernel) AtOn(target *Proc, t Time, fn func()) {
-	if t < k.schedNow() {
-		panic(fmt.Sprintf("sim: event scheduled in the past: %v < now %v", t, k.schedNow()))
-	}
-	tk := target.k
-	if tk == k || k.shard == nil {
-		k.insert(t, fn, nil)
-		return
-	}
-	k.shard.insertRemote(tk, t, fn, nil)
-}
-
-// Journal runs fn immediately in a sequential simulation; inside a parallel
-// window it defers fn to the next barrier, where every shard's journal
-// replays in the merged global event order. Use it for side effects on
-// shared, order-sensitive state (the fault plane's event stream) so the
-// parallel kernel reproduces the sequential ordering bit for bit.
-func (k *Kernel) Journal(fn func()) {
-	if sh := k.shard; sh != nil && sh.active {
-		r := sh.cur()
-		r.jrn = append(r.jrn, fn)
-		return
-	}
-	fn()
-}
-
-// insert routes one event insertion: plain (time, seq) heap push in
-// sequential mode, shard-aware (provisional keys, window log) in parallel
-// mode.
-func (k *Kernel) insert(t Time, fn func(), p *Proc) {
-	if sh := k.shard; sh != nil {
-		sh.insertLocal(k, t, fn, p)
-		return
-	}
-	k.seq++
-	k.heap.push(event{at: t, seq: k.seq, fn: fn, proc: p})
-}
+func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 
 // scheduleProc enqueues a resumption of p at time t.
 func (k *Kernel) scheduleProc(p *Proc, t Time) {
-	if t < k.schedNow() {
-		panic(fmt.Sprintf("sim: proc %q resumed in the past: %v < now %v", p.name, t, k.schedNow()))
+	if t < k.now {
+		panic(fmt.Sprintf("sim: proc %q resumed in the past: %v < now %v", p.name, t, k.now))
 	}
-	k.insert(t, nil, p)
+	k.seq++
+	k.heap.push(event{at: t, seq: k.seq, proc: p})
 }
 
 // Run executes events until none remain, the deadline passes, or Stop is
@@ -129,9 +62,6 @@ func (k *Kernel) scheduleProc(p *Proc, t Time) {
 // parked forever by choice (a parked process with no pending wake counts as
 // deadlocked, since nothing can ever signal it once the event heap is empty).
 func (k *Kernel) Run(deadline Time) error {
-	if k.shard != nil {
-		panic("sim: Run on a shard kernel; drive the ParKernel instead")
-	}
 	if k.running {
 		panic("sim: Kernel.Run called reentrantly")
 	}
@@ -168,13 +98,5 @@ func (k *Kernel) Run(deadline Time) error {
 }
 
 // Stop halts the run loop after the current event finishes. It is intended
-// to be called from inside an event callback or process. On a shard of a
-// parallel kernel it latches a stop of the whole ParKernel, which takes
-// effect at the next window barrier.
-func (k *Kernel) Stop() {
-	if k.shard != nil {
-		k.shard.pk.Stop()
-		return
-	}
-	k.stopped = true
-}
+// to be called from inside an event callback or process.
+func (k *Kernel) Stop() { k.stopped = true }

@@ -50,9 +50,6 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt creates a process that starts at virtual time t.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
-	if k.shard != nil {
-		panic("sim: SpawnAt on a shard kernel; spawn through the ParKernel")
-	}
 	p := &Proc{
 		k:      k,
 		name:   name,
@@ -68,11 +65,8 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 // Name reports the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the kernel this process belongs to.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now reports the current virtual time. Valid only while the process is
-// running (which is the only time its body can call it).
+// Now reports the current virtual time: the kernel's clock, so it is valid
+// from the running process and from event callbacks alike.
 func (p *Proc) Now() Time { return p.k.now }
 
 // Done reports whether the process body has returned.
@@ -141,10 +135,7 @@ func (p *Proc) Signal() {
 	switch p.state {
 	case procParked:
 		p.state = procReady
-		// schedNow, not now: between parallel windows the controller signals
-		// procs whose shard clock lags the global clock; the wake must land
-		// at the controller's time, exactly as it would sequentially.
-		p.k.scheduleProc(p, p.k.schedNow())
+		p.k.scheduleProc(p, p.k.now)
 	case procDone:
 		// Nothing to wake.
 	default:

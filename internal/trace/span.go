@@ -108,7 +108,7 @@ type Span struct {
 //
 // Two backing stores share the front door. Deterministic (sim) runs append
 // under a mutex in emission order, exactly as cheap as the existing event
-// Log and safe for the parallel kernel's worker goroutines. Real-mode runs
+// Log (uncontended: one simulation process runs at a time). Real-mode runs
 // use the lock-free per-PE flight recorder instead (see recorder.go), since
 // a mutex per span on the data-plane hot path would serialize the PEs being
 // measured.
@@ -160,7 +160,7 @@ func (t *Tracer) Span(kind SpanKind, pe, tid int32, begin, end sim.Time, arg uin
 
 // Snapshot returns the collected spans in canonical order (Begin, End,
 // Kind, PE, TID, Arg): a total order independent of which store backed the
-// tracer and of worker interleaving, so two runs that emitted the same
+// tracer and of emission interleaving, so two runs that emitted the same
 // spans snapshot to the same slice.
 func (t *Tracer) Snapshot() []Span {
 	var out []Span
