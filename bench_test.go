@@ -7,6 +7,7 @@ import (
 	"chant/internal/core"
 	"chant/internal/experiments"
 	"chant/internal/machine"
+	"chant/internal/sim"
 	"chant/internal/trace"
 	"chant/internal/ult"
 )
@@ -70,6 +71,69 @@ func BenchmarkTable1ContextSwitch(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkHotPathProcSwitch measures a simulated process switch: two
+// processes alternating Advance, so every op is the yielding process running
+// the kernel's event loop and resuming the other directly (one goroutine
+// hand-off).
+func BenchmarkHotPathProcSwitch(b *testing.B) {
+	k := sim.NewKernel()
+	steps := b.N/2 + 1
+	step := func(p *sim.Proc) {
+		for i := 0; i < steps; i++ {
+			p.Advance(1)
+		}
+	}
+	k.Spawn("a", step)
+	k.Spawn("b", step)
+	b.ResetTimer()
+	if err := k.Run(0); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkHotPathULTSwitch measures both shapes of a user-level context
+// switch: two threads alternating Yield (the parking thread dispatches and
+// resumes the other: one goroutine hand-off per op), and a lone thread that
+// blocks and is completed by the polling hook it runs itself (a full switch
+// in the model's books, no goroutine switch at all).
+func BenchmarkHotPathULTSwitch(b *testing.B) {
+	bare := func(b *testing.B, body func(s *ult.Sched)) {
+		host := machine.NewRealHost(&machine.Model{Name: "bench"})
+		s := ult.NewSched(host, &trace.Counters{}, ult.Options{})
+		if err := s.Run(func() { body(s) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("alternating", func(b *testing.B) {
+		bare(b, func(s *ult.Sched) {
+			yields := b.N/2 + 1
+			yielder := func() {
+				for i := 0; i < yields; i++ {
+					s.Yield()
+				}
+			}
+			a, c := s.Spawn("a", yielder), s.Spawn("b", yielder)
+			b.ResetTimer()
+			s.Join(a)
+			s.Join(c)
+		})
+	})
+	b.Run("lone-blocked", func(b *testing.B) {
+		bare(b, func(s *ult.Sched) {
+			self := s.Current()
+			s.SetPreSchedule(func() {
+				if self.State() == ult.Blocked {
+					s.Unblock(self)
+				}
+			})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Block()
+			}
+		})
+	})
 }
 
 // benchTable2 runs one Table-2 configuration and reports the simulated

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
 
 func TestSpawnAtFutureTime(t *testing.T) {
 	k := NewKernel()
@@ -129,4 +133,204 @@ func TestTwoKernelsIndependent(t *testing.T) {
 	if k1.Now() == k2.Now() {
 		t.Fatal("kernels share a clock")
 	}
+}
+
+// The tests below pin the kernel's edges under direct dispatch: there is no
+// kernel goroutine, so deadlines, Stop, the end of the run and panics are all
+// met by whichever process goroutine happens to be running the event loop.
+
+func TestRunDeadlineTwiceResumesSuspendedProcs(t *testing.T) {
+	k := NewKernel()
+	steps := map[string]int{}
+	for _, name := range []string{"a", "b"} {
+		name := name
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				p.Advance(100)
+				steps[name]++
+			}
+		})
+	}
+	for _, w := range []struct {
+		deadline, now Time
+		steps         int
+		done          bool
+	}{
+		{150, 150, 1, false}, // both suspended inside their second Advance
+		{250, 250, 2, false}, // resumed there, suspended inside the third
+		{0, 300, 3, true},
+	} {
+		if err := k.Run(w.deadline); err != nil {
+			t.Fatalf("Run(%v): %v", w.deadline, err)
+		}
+		if k.Now() != w.now || steps["a"] != w.steps || steps["b"] != w.steps {
+			t.Fatalf("after Run(%v): now=%v steps=%v, want now=%v and %d steps each", w.deadline, k.Now(), steps, w.now, w.steps)
+		}
+		for _, p := range k.procs {
+			if p.Done() != w.done {
+				t.Fatalf("after Run(%v): %s done=%v, want %v", w.deadline, p.Name(), p.Done(), w.done)
+			}
+		}
+	}
+}
+
+func TestStopFromCallbackDispatchedByProc(t *testing.T) {
+	k := NewKernel()
+	var late, finished bool
+	// The process is inside Advance, running the event loop itself, when
+	// the callback at 10 stops the run.
+	k.Spawn("p", func(p *Proc) {
+		p.Advance(20)
+		finished = true
+	})
+	k.At(10, k.Stop)
+	k.At(15, func() { late = true })
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 10 || late || finished {
+		t.Fatalf("after Stop: now=%v late=%v finished=%v", k.Now(), late, finished)
+	}
+	// A stopped run is resumable: the suspended process picks up mid-Advance.
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 20 || !late || !finished {
+		t.Fatalf("after resume: now=%v late=%v finished=%v", k.Now(), late, finished)
+	}
+}
+
+func TestStopFromProcBodySuspendsAtNextYield(t *testing.T) {
+	k := NewKernel()
+	var after bool
+	k.Spawn("stopper", func(p *Proc) {
+		p.Advance(10)
+		k.Stop()
+		p.Advance(10) // the run ends here, not at Stop
+		after = true
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 10 || after {
+		t.Fatalf("after Stop: now=%v after=%v", k.Now(), after)
+	}
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 20 || !after {
+		t.Fatalf("after resume: now=%v after=%v", k.Now(), after)
+	}
+}
+
+func TestLastProcFinishingEndsRun(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("short", func(p *Proc) { p.Advance(5) })
+	k.Spawn("long", func(p *Proc) { p.Advance(50) })
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 50 {
+		t.Fatalf("clock = %v, want 50", k.Now())
+	}
+	// Two starts and two resumptions, no callbacks.
+	if k.Events != 4 {
+		t.Fatalf("Events = %d, want 4", k.Events)
+	}
+}
+
+func TestParkedProcWithEmptyHeapDeadlockText(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("fine", func(p *Proc) { p.Advance(10) })
+	k.Spawn("stuck", func(p *Proc) {
+		p.Advance(10)
+		p.WaitSignal()
+	})
+	err := k.Run(0)
+	const want = `sim: deadlock: live processes but no pending events (process "stuck" is parked at 0.010us)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant  %s", err, want)
+	}
+}
+
+func TestSignalToTheDispatchingProc(t *testing.T) {
+	// Parked: the only process runs the event loop from inside WaitSignal,
+	// so the callback that signals it is one it dispatched itself, and the
+	// process it then finds due is itself.
+	k := NewKernel()
+	var wokeAt Time
+	p := k.Spawn("p", func(p *Proc) {
+		p.WaitSignal()
+		wokeAt = p.Now()
+	})
+	k.At(10, p.Signal)
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if wokeAt != 10 || !p.Done() {
+		t.Fatalf("parked proc woke at %v (done=%v), want 10", wokeAt, p.Done())
+	}
+
+	// Ready: signalled from inside its own Advance, the process is not
+	// parked, so the signal coalesces into a hint for the next WaitSignal.
+	k = NewKernel()
+	var advancedAt Time
+	p = k.Spawn("p", func(p *Proc) {
+		p.Advance(20)
+		advancedAt = p.Now()
+		p.WaitSignal() // satisfied by the hint: no park, no time
+		wokeAt = p.Now()
+	})
+	k.At(10, p.Signal)
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if advancedAt != 20 || wokeAt != 20 || !p.Done() {
+		t.Fatalf("ready proc: advanced at %v, woke at %v (done=%v), want 20, 20", advancedAt, wokeAt, p.Done())
+	}
+}
+
+// TestCallbackPanicSurfacesFromRun: a callback that panics while a process
+// goroutine is running the event loop must not kill the program from that
+// goroutine; Run re-raises the original value on its caller's goroutine.
+func TestCallbackPanicSurfacesFromRun(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		body func(p *Proc)
+	}{
+		{"from Advance", func(p *Proc) { p.Advance(20) }},
+		{"from WaitSignal", func(p *Proc) { p.WaitSignal() }},
+		{"from proc exit", func(p *Proc) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			k.Spawn("p", tc.body)
+			k.At(10, func() { panic(boom) })
+			defer func() {
+				if r := recover(); r != boom {
+					t.Fatalf("recovered %v, want the callback's own panic value", r)
+				}
+			}()
+			k.Run(0)
+			t.Fatal("Run returned despite a panicking callback")
+		})
+	}
+}
+
+// TestPastEventFromDispatchedCallbackSurfacesFromRun is the same routing for
+// the kernel's own guard: At's "scheduled in the past" panic, raised inside a
+// callback that a process dispatched.
+func TestPastEventFromDispatchedCallbackSurfacesFromRun(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("p", func(p *Proc) { p.Advance(200) })
+	k.At(100, func() { k.At(50, func() {}) })
+	defer func() {
+		r := recover()
+		if s, ok := r.(string); !ok || !strings.HasPrefix(s, "sim: event scheduled in the past") {
+			t.Fatalf("recovered %v", r)
+		}
+	}()
+	k.Run(0)
+	t.Fatal("Run returned despite an event scheduled in the past")
 }

@@ -29,8 +29,9 @@ func (s procState) String() string {
 // Proc is a simulation process: a body function that runs in virtual time,
 // interleaved with other processes by the kernel. A process advances the
 // clock explicitly with Advance and can park awaiting a Signal. Under the
-// covers each process is a goroutine, but handoff through the kernel
-// guarantees only one runs at a time, in deterministic order.
+// covers each process is a goroutine, but strict handoff — a process that
+// gives up the processor resumes its successor and then waits to be resumed
+// itself — guarantees only one runs at a time, in deterministic order.
 type Proc struct {
 	k       *Kernel
 	name    string
@@ -38,7 +39,6 @@ type Proc struct {
 	started bool
 	sig     bool // coalesced wakeup hint delivered while not parked
 	resume  chan struct{}
-	yield   chan struct{}
 	fn      func(*Proc)
 }
 
@@ -55,7 +55,6 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 		name:   name,
 		fn:     fn,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	k.procs = append(k.procs, p)
 	k.scheduleProc(p, t)
@@ -72,24 +71,57 @@ func (p *Proc) Now() Time { return p.k.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// run resumes the process and blocks until it yields back to the kernel.
-// Called only from the kernel loop.
-func (p *Proc) run() {
+// switchIn hands the processor to p: the one goroutine hand-off of a process
+// switch. The caller must stop touching simulator state at once — wait to be
+// resumed itself, or exit.
+func (p *Proc) switchIn() {
 	p.state = procRunning
+	if check.Enabled {
+		p.k.handoffs++
+	}
 	if !p.started {
 		p.started = true
-		// The goroutine is a coroutine: strict yield/resume handoff with
-		// the kernel loop means only one side ever runs at a time.
+		// The goroutine is a coroutine: strict resume handoff between the
+		// processes and Run means only one side ever runs at a time.
 		//chant:allow-nondet strict coroutine handoff, no free interleaving
 		go func() {
 			p.fn(p)
 			p.state = procDone
-			p.yield <- struct{}{}
+			p.dispatch()
 		}()
-	} else {
-		p.resume <- struct{}{}
+		return
 	}
-	<-p.yield
+	p.resume <- struct{}{}
+}
+
+// dispatch gives up the processor from p's context: p runs the kernel's
+// event loop itself and hands over to whichever process is due next. It
+// reports whether that process is p, in which case nothing was handed over
+// and p simply keeps running. When the run is over, or the event loop
+// panicked, it wakes Run's goroutine instead; a panic is carried there
+// rather than raised here, where nothing could recover it.
+func (p *Proc) dispatch() (self bool) {
+	k := p.k
+	switch q := k.nextCaught(); q {
+	case p:
+		p.state = procRunning
+		return true
+	case nil:
+		if check.Enabled {
+			k.handoffs++
+		}
+		k.over <- struct{}{}
+	default:
+		q.switchIn()
+	}
+	return false
+}
+
+// yield gives up the processor and returns once p has been resumed.
+func (p *Proc) yield() {
+	if !p.dispatch() {
+		<-p.resume
+	}
 }
 
 // Advance moves this process's clock forward by d, yielding to the kernel so
@@ -105,8 +137,7 @@ func (p *Proc) Advance(d Duration) {
 	}
 	p.k.scheduleProc(p, p.k.now.Add(d))
 	p.state = procReady
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield()
 }
 
 // WaitSignal parks the process until another process or event callback calls
@@ -122,8 +153,7 @@ func (p *Proc) WaitSignal() {
 		return
 	}
 	p.state = procParked
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield()
 	p.sig = false
 }
 

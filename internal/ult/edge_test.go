@@ -265,3 +265,73 @@ func TestCountersMatchActivity(t *testing.T) {
 		t.Error("no switches recorded")
 	}
 }
+
+// TestDispatchPanicSurfacesFromRun: the scheduler now runs on the goroutine
+// of whichever thread gives up the processor, so a panic at a scheduling
+// point (a pre-schedule hook here; a Pending check or an invariant check
+// take the same route) fires on a thread's goroutine. It must still reach
+// the caller of Run, wrapped like a thread-body panic and naming the thread
+// that was dispatching, whether that thread was parking or had just exited.
+func TestDispatchPanicSurfacesFromRun(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		thread string
+		main   func(s *Sched, arm func())
+	}{
+		{"parking thread dispatches", "yielder", func(s *Sched, arm func()) {
+			s.Spawn("yielder", func() {
+				arm()
+				s.Yield()
+			})
+			for {
+				s.Yield()
+			}
+		}},
+		{"blocking thread dispatches", "main", func(s *Sched, arm func()) {
+			s.Spawn("other", func() {})
+			arm()
+			s.Block()
+		}},
+		{"exiting thread dispatches", "short", func(s *Sched, arm func()) {
+			s.Spawn("short", func() { arm() })
+			for {
+				s.Yield()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSched()
+			armed := false
+			s.SetPreSchedule(func() {
+				if armed {
+					panic("hook boom")
+				}
+			})
+			defer func() {
+				pe, ok := recover().(*PanicError)
+				if !ok || pe.Value != "hook boom" || pe.Thread != tc.thread {
+					t.Fatalf("recovered %+v, want *PanicError{Thread: %q, Value: hook boom}", pe, tc.thread)
+				}
+			}()
+			s.Run(func() { tc.main(s, func() { armed = true }) })
+			t.Fatal("Run returned instead of propagating the hook's panic")
+		})
+	}
+}
+
+// TestPendingPanicSurfacesFromRun is the same for a Scheduler-polls (PS)
+// pending check, which the parked thread itself now evaluates.
+func TestPendingPanicSurfacesFromRun(t *testing.T) {
+	s := newTestSched()
+	defer func() {
+		pe, ok := recover().(*PanicError)
+		if !ok || pe.Value != "pending boom" || pe.Thread != "main" {
+			t.Fatalf("recovered %+v, want *PanicError{Thread: main, Value: pending boom}", pe)
+		}
+	}()
+	s.Run(func() {
+		s.Current().Pending = func() bool { panic("pending boom") }
+		s.Yield()
+	})
+	t.Fatal("Run returned instead of propagating the pending check's panic")
+}

@@ -7,7 +7,6 @@ import (
 
 	"chant/internal/check"
 	"chant/internal/machine"
-	"chant/internal/sim"
 	"chant/internal/trace"
 )
 
@@ -52,9 +51,19 @@ type Sched struct {
 	ctrs *trace.Counters
 	opts Options
 
-	ready   ReadyQueue
-	cur     *TCB
+	ready ReadyQueue
+	cur   *TCB
+	// toSched wakes Run's goroutine. There is no scheduler goroutine during
+	// a run: whoever gives up the processor runs dispatch itself and resumes
+	// its successor directly. Run's goroutine sleeps on toSched until a
+	// dispatcher finds the run over (see over), then reaps the remaining
+	// threads, each of which reports back here.
 	toSched chan struct{}
+	// over is set by the dispatch that finds the run finished — no regular
+	// thread left, a deadlock (err), or a panic (pan) — and stays set until
+	// Run returns.
+	over bool
+	err  error
 
 	nextID      int32
 	liveRegular int
@@ -63,7 +72,7 @@ type Sched struct {
 	threads     []*TCB
 	finished    int // Done entries in threads awaiting pruning
 
-	// preSchedule runs at every scheduling point in the run loop
+	// preSchedule runs at every scheduling point in dispatch
 	// (Scheduler-polls (WQ) walks its request list here).
 	preSchedule func()
 	// hasExternalWaiters reports whether some blocked thread can still be
@@ -73,17 +82,20 @@ type Sched struct {
 
 	// killed is the asynchronous whole-scheduler termination request (a
 	// simulated PE crash). It is the only cross-context input to the
-	// scheduler: any goroutine may set it; the run loop and the Yield fast
+	// scheduler: any goroutine may set it; dispatch and the Yield fast
 	// path observe it at their next scheduling point.
 	killed atomic.Bool
 
 	pan *PanicError
 
 	// owner is the chantdebug scheduling-domain token: exactly one
-	// goroutine — the scheduler's or the running thread's trampoline —
-	// holds it at a time, transferred at every coroutine handoff. Inert
-	// (an empty struct) in release builds.
+	// goroutine — Run's or a thread's trampoline — holds it at a time. A
+	// thread keeps it while it dispatches; it is released just before, and
+	// acquired just after, each goroutine handoff (handTo). Inert (an
+	// empty struct) in release builds.
 	owner check.Owner
+	// handoffs counts those goroutine handoffs, in chantdebug builds only.
+	handoffs uint64
 }
 
 // NewSched creates a scheduler charging host and counting into ctrs.
@@ -156,15 +168,57 @@ func (s *Sched) SpawnWith(name string, fn func(), o SpawnOpts) *TCB {
 // (non-daemon) thread has finished, then cancels and reaps any remaining
 // daemons. It returns ErrDeadlock (wrapped, with a state dump) if blocked
 // threads remain with no possible wakeup source, and re-raises any panic
-// that escaped a thread body as a *PanicError.
+// that escaped a thread body as a *PanicError. A panic raised at a
+// scheduling point — by the pre-schedule hook, a Pending check or an
+// invariant check — is wrapped the same way, naming the thread whose
+// goroutine was dispatching, so it too surfaces here and not on a thread's
+// goroutine.
 func (s *Sched) Run(main func()) error {
 	if check.Enabled {
 		s.owner.Acquire("sched " + s.opts.Name)
 		defer s.owner.Release()
 	}
+	s.over, s.err = false, nil
 	s.Spawn("main", main)
+	if t := s.dispatch("scheduler"); t != nil {
+		s.handTo(t)
+		<-s.toSched
+		if check.Enabled {
+			s.owner.Acquire("sched " + s.opts.Name)
+		}
+	}
+	if s.pan != nil {
+		panic(s.pan)
+	}
+	s.reapRemaining()
+	if s.err != nil {
+		return s.err
+	}
+	if s.killed.Load() {
+		return ErrKilled
+	}
+	return nil
+}
+
+// dispatch is the scheduler proper. It runs on the goroutine of whoever is
+// giving up the processor — Run at the start, then each thread as it parks
+// or exits — with no thread current, and returns the thread to run next,
+// already switched in (counted, charged, logged, current). That may be the
+// caller itself. It returns nil once the run is over: every regular thread
+// has finished, the threads are deadlocked (s.err), or a thread or this
+// scheduling point panicked (s.pan, attributed to the dispatching thread
+// by). From then on it always returns nil, and the caller must wake Run's
+// goroutine instead of a thread.
+func (s *Sched) dispatch(by string) (next *TCB) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.pan = &PanicError{Thread: by, Value: v}
+			s.over = true
+			next = nil
+		}
+	}()
 	m := s.host.Model()
-	for s.liveRegular > 0 {
+	for !s.over && s.pan == nil && s.liveRegular > 0 {
 		if check.Enabled {
 			s.audit()
 		}
@@ -182,9 +236,8 @@ func (s *Sched) Run(main func()) error {
 				panic("ult: scheduler invariant violated: live threads but none ready or blocked")
 			}
 			if s.hasExternalWaiters == nil || !s.hasExternalWaiters() {
-				err := s.deadlockError()
-				s.reapRemaining()
-				return err
+				s.err = s.deadlockError()
+				break
 			}
 			s.ctrs.IdleEntries.Add(1)
 			s.opts.EventLog.Add(s.host.Now(), trace.EvIdle, -1)
@@ -209,14 +262,9 @@ func (s *Sched) Run(main func()) error {
 		}
 		t.Pending = nil
 		s.switchIn(t)
-		if s.pan != nil {
-			panic(s.pan)
-		}
+		return t
 	}
-	s.reapRemaining()
-	if s.killed.Load() {
-		return ErrKilled
-	}
+	s.over = true
 	return nil
 }
 
@@ -226,7 +274,7 @@ func (s *Sched) Run(main func()) error {
 // simulated PE crash takes its process down: safe to call from any context
 // — a simulator event, a transport goroutine — because it only latches a
 // flag and interrupts the host; all cancellation runs inside the
-// scheduler's own loop, in deterministic thread-creation order.
+// scheduler's own dispatch, in deterministic thread-creation order.
 func (s *Sched) Kill() {
 	s.killed.Store(true)
 	s.host.Interrupt()
@@ -235,8 +283,8 @@ func (s *Sched) Kill() {
 // Killed reports whether Kill has been requested.
 func (s *Sched) Killed() bool { return s.killed.Load() }
 
-// killSweep cancels every live thread, in creation order. Runs in the
-// scheduler's loop with the owner token held.
+// killSweep cancels every live thread, in creation order. Runs in dispatch,
+// with the owner token held.
 func (s *Sched) killSweep() {
 	for _, t := range s.threads {
 		if t.state != Done && !t.canceled {
@@ -254,48 +302,71 @@ func (s *Sched) pickReady() *TCB {
 }
 
 // switchIn performs a complete context switch to t: the event the paper's
-// CtxSw column counts.
+// CtxSw column counts. It is the model's switch — counted and charged even
+// when t is the thread whose goroutine is dispatching, in which case no
+// goroutine switch follows.
 func (s *Sched) switchIn(t *TCB) {
 	s.ctrs.FullSwitches.Add(1)
 	s.host.Charge(s.host.Model().FullSwitch)
 	s.opts.EventLog.Add(s.host.Now(), trace.EvSwitchIn, t.id)
-	var runBegin sim.Time
 	if s.opts.Tracer != nil {
-		runBegin = s.host.Now()
+		t.runBegin = s.host.Now()
 	}
 	t.state = Running
 	s.cur = t
-	if check.Enabled {
-		s.owner.Release()
-	}
-	if !t.started {
-		t.started = true
-		// The trampoline goroutine is a coroutine: resume/toSched handoff
-		// keeps exactly one of {scheduler, thread} running at a time.
-		//chant:allow-nondet strict coroutine handoff, no free interleaving
-		go s.trampoline(t)
-	} else {
-		t.resume <- struct{}{}
-	}
-	<-s.toSched
-	if s.opts.Tracer != nil {
-		// One occupancy interval: this switch-in until the thread parked
-		// (block, yield-with-switch) or finished and control came back.
-		s.opts.Tracer.Span(trace.SpanRun, s.opts.PE, t.id, runBegin, s.host.Now(), 0)
-	}
-	if check.Enabled {
-		s.owner.Acquire("sched " + s.opts.Name)
+}
+
+// switchOut ends t's occupancy of the processor (it is parking, or has
+// finished): from here until the next switchIn no thread is current.
+func (s *Sched) switchOut(t *TCB) {
+	if s.opts.Tracer != nil && !s.over {
+		// One occupancy interval: the switch-in until the thread parked
+		// (block, yield-with-switch) or finished. A thread unwinding under
+		// the end-of-run reap was not switched in, so it closes none.
+		s.opts.Tracer.Span(trace.SpanRun, s.opts.PE, t.id, t.runBegin, s.host.Now(), 0)
 	}
 	s.cur = nil
 }
 
+// handTo gives the processor, and the owner token, to t's goroutine: the
+// one goroutine handoff of a context switch. A nil t — what dispatch returns
+// once the run is over — stands for Run's goroutine. The caller must touch no
+// scheduler state afterwards until it has been resumed itself.
+func (s *Sched) handTo(t *TCB) {
+	if check.Enabled {
+		s.handoffs++
+		s.owner.Release()
+	}
+	switch {
+	case t == nil:
+		s.toSched <- struct{}{}
+	case !t.started:
+		t.started = true
+		// The trampoline goroutine is a coroutine: strict resume handoff
+		// keeps exactly one of {Run, the threads} running at a time.
+		//chant:allow-nondet strict coroutine handoff, no free interleaving
+		go s.trampoline(t)
+	default:
+		t.resume <- struct{}{}
+	}
+}
+
 // trampoline is the goroutine body wrapping a thread function: it converts
 // exit and cancel unwinds into completion, captures stray panics, and
-// always returns control to the scheduler.
+// passes the processor on when the thread is done.
 func (s *Sched) trampoline(t *TCB) {
 	if check.Enabled {
 		s.owner.Acquire("thread " + t.name)
 	}
+	s.runBody(t)
+	s.finish(t)
+	s.switchOut(t)
+	s.handTo(s.dispatch(t.name))
+}
+
+// runBody runs t's function to completion, absorbing the exit and cancel
+// unwinds and recording any other panic for Run to re-raise.
+func (s *Sched) runBody(t *TCB) {
 	defer func() {
 		switch v := recover().(type) {
 		case nil:
@@ -305,11 +376,6 @@ func (s *Sched) trampoline(t *TCB) {
 		default:
 			s.pan = &PanicError{Thread: t.name, Value: v}
 		}
-		s.finish(t)
-		if check.Enabled {
-			s.owner.Release()
-		}
-		s.toSched <- struct{}{}
 	}()
 	if t.canceled {
 		panic(cancelSignal{})
@@ -354,13 +420,19 @@ func (s *Sched) pruneThreads() {
 	s.finished = 0
 }
 
-// park returns control to the scheduler and blocks until this thread is
-// switched in again. Callers must check t.canceled afterwards.
+// park gives up the processor and returns when this thread is switched in
+// again. The parking thread runs the scheduler itself: if dispatch picks
+// another thread, that thread's goroutine is resumed directly and this one
+// sleeps; if it picks this thread again (a lone blocked thread woken by the
+// hook or the Pending check it has just run), park returns with no goroutine
+// switch at all. Callers must check t.canceled afterwards.
 func (s *Sched) park(t *TCB) {
-	if check.Enabled {
-		s.owner.Release()
+	s.switchOut(t)
+	next := s.dispatch(t.name)
+	if next == t {
+		return
 	}
-	s.toSched <- struct{}{}
+	s.handTo(next)
 	<-t.resume
 	if check.Enabled {
 		s.owner.Acquire("thread " + t.name)
@@ -380,7 +452,7 @@ func (s *Sched) Yield() {
 	}
 	if s.killed.Load() {
 		// A lone spinning thread takes the no-switch fast path below and
-		// might never return to the run loop, so the kill must also be a
+		// might never reach dispatch, so the kill must also be a
 		// cancellation point here.
 		t.canceled = true
 		if t.onCancel != nil {
@@ -536,17 +608,15 @@ func (s *Sched) reapRemaining() {
 			s.finish(t)
 			continue
 		}
+		// The run is over, so the thread's next park or its exit reports
+		// straight back here.
 		t.state = Running
 		s.cur = t
-		if check.Enabled {
-			s.owner.Release()
-		}
-		t.resume <- struct{}{}
+		s.handTo(t)
 		<-s.toSched
 		if check.Enabled {
 			s.owner.Acquire("sched " + s.opts.Name)
 		}
-		s.cur = nil
 	}
 }
 
@@ -574,7 +644,7 @@ func (s *Sched) mustCurrent(op string) *TCB {
 
 // audit cross-checks the scheduler's cached accounting — the blocked count,
 // the ready queue, the live totals — against the ground truth of thread
-// states. Run calls it at every scheduling iteration in chantdebug builds;
+// states. dispatch calls it at every scheduling iteration in chantdebug builds;
 // a mismatch means some transition skipped its bookkeeping, so it panics
 // with a full thread dump rather than let the run limp on.
 func (s *Sched) audit() {

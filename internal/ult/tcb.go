@@ -135,9 +135,11 @@ type TCB struct {
 	WaitBox any
 
 	// blockedAt remembers when this thread last blocked, so Unblock can
-	// emit the blocked-interval span. Only maintained when the scheduler
-	// has a tracer attached.
+	// emit the blocked-interval span, and runBegin when it was last
+	// switched in, so switch-out can emit the occupancy span. Only
+	// maintained when the scheduler has a tracer attached.
 	blockedAt sim.Time
+	runBegin  sim.Time
 
 	locals map[*Key]any
 	// localOrder remembers key insertion order so destructors run
