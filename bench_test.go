@@ -74,9 +74,8 @@ func BenchmarkTable1ContextSwitch(b *testing.B) {
 }
 
 // BenchmarkHotPathProcSwitch measures a simulated process switch: two
-// processes alternating Advance, so every op is the yielding process running
-// the kernel's event loop and resuming the other directly (one goroutine
-// hand-off).
+// processes alternating Advance, so every op is one process yielding to
+// Kernel.Run and Run resuming the other (two coroutine switches).
 func BenchmarkHotPathProcSwitch(b *testing.B) {
 	k := sim.NewKernel()
 	steps := b.N/2 + 1
@@ -94,10 +93,11 @@ func BenchmarkHotPathProcSwitch(b *testing.B) {
 }
 
 // BenchmarkHotPathULTSwitch measures both shapes of a user-level context
-// switch: two threads alternating Yield (the parking thread dispatches and
-// resumes the other: one goroutine hand-off per op), and a lone thread that
-// blocks and is completed by the polling hook it runs itself (a full switch
-// in the model's books, no goroutine switch at all).
+// switch: two threads alternating Yield (the parking thread dispatches, then
+// switches out to Sched.Run, which resumes the other: two coroutine switches
+// per op), and a lone thread that blocks and is completed by the polling hook
+// it runs itself (a full switch in the model's books, no coroutine switch at
+// all).
 func BenchmarkHotPathULTSwitch(b *testing.B) {
 	bare := func(b *testing.B, body func(s *ult.Sched)) {
 		host := machine.NewRealHost(&machine.Model{Name: "bench"})

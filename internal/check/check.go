@@ -4,15 +4,15 @@
 // empty method — but built with -tags chantdebug it arms:
 //
 //   - an Owner token per cooperative scheduling domain (one per ult.Sched),
-//     transferred at every coroutine handoff, so any API call arriving from
+//     transferred at every coroutine switch, so any API call arriving from
 //     a goroutine outside the domain panics at the call instead of
 //     corrupting scheduler state later;
 //   - accounting audits in ult.Sched's dispatch loop, cross-checking the
 //     cached ready/blocked/live counts against the ground truth of thread
 //     states every scheduling iteration;
 //   - a monotonic-time audit on the simulation kernel's event heap;
-//   - a count of goroutine hand-offs per scheduler and per kernel, so tests
-//     can pin how many a coroutine switch costs, not only how long.
+//   - a count of coroutine resumptions per scheduler and per kernel, so
+//     tests can pin how many a coroutine switch costs, not only how long.
 //
 // Violations panic through Failf with a diagnostic dump, because an
 // invariant breach means later behaviour is undefined — there is nothing

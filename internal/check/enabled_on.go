@@ -33,8 +33,8 @@ func goid() int64 {
 // Owner is a scheduling-domain ownership token. A cooperative domain (an
 // ult scheduler and its threads) spans many goroutines but only one may run
 // at a time; the token records which. The running side releases the token
-// before every coroutine handoff and the resuming side acquires it after,
-// so channel synchronization orders every access. Assert then catches calls
+// before every coroutine switch and the resuming side acquires it after, so
+// the switch's own synchronization orders every access. Assert then catches calls
 // entering the domain from any goroutine that was never handed the token.
 //
 // The zero Owner is valid and unowned. The mutex exists so that the misuse
@@ -47,7 +47,7 @@ type Owner struct {
 }
 
 // Acquire takes the token for the current goroutine, panicking if another
-// goroutine holds it (two sides of a handoff both believing they run).
+// goroutine holds it (two sides of a switch both believing they run).
 func (o *Owner) Acquire(name string) {
 	g := goid()
 	o.mu.Lock()
@@ -58,7 +58,7 @@ func (o *Owner) Acquire(name string) {
 	o.gid, o.name = g, name
 }
 
-// Release gives the token up before a handoff, panicking if the caller is
+// Release gives the token up before a switch, panicking if the caller is
 // not the owner.
 func (o *Owner) Release() {
 	g := goid()

@@ -49,10 +49,11 @@ func TestHeapMonotonicAuditCatchesPastEvent(t *testing.T) {
 	t.Fatal("Run returned despite a backwards event")
 }
 
-// TestHandoffCountPinned pins the number of goroutine hand-offs, not just
-// their cost: a switch between two processes is one (the yielding process
-// resumes its successor directly; through a kernel goroutine it was two), and
-// a process that finds itself next is none.
+// TestHandoffCountPinned pins the number of coroutine resumptions, not just
+// their cost: Run is the only dispatcher, so every start and every return
+// from a yield is exactly one resumption (two coroutine switches: out to Run,
+// in to the process), a process that finishes just returns to Run, and the
+// end of the run costs nothing — there is no Run goroutine to wake.
 func TestHandoffCountPinned(t *testing.T) {
 	t.Run("two procs alternating", func(t *testing.T) {
 		const n = 100 // Advance calls per process
@@ -67,19 +68,20 @@ func TestHandoffCountPinned(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		// Run starts a; each of the 2n Advances hands to the other process;
-		// a's exit hands to b; b's exit wakes Run.
-		if got, want := k.handoffs, uint64(2*n+3); got != want {
-			t.Fatalf("%d hand-offs for %d alternating Advances, want %d", got, 2*n, want)
+		// 2 starts + 2n returns from Advance; the two exits return to Run
+		// without a resumption.
+		if got, want := k.handoffs, uint64(2*n+2); got != want {
+			t.Fatalf("%d resumptions for %d alternating Advances, want %d", got, 2*n, want)
 		}
 	})
 
 	t.Run("proc advancing alone", func(t *testing.T) {
+		const n = 100
 		k := NewKernel()
 		var during uint64
 		k.Spawn("solo", func(p *Proc) {
 			before := k.handoffs
-			for i := 0; i < 100; i++ {
+			for i := 0; i < n; i++ {
 				p.Advance(1)
 			}
 			during = k.handoffs - before
@@ -87,16 +89,14 @@ func TestHandoffCountPinned(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		if during != 0 {
-			t.Fatalf("%d hand-offs while a lone process advanced, want 0", during)
-		}
-		// Run starts it, its exit wakes Run.
-		if got := k.handoffs; got != 2 {
-			t.Fatalf("%d hand-offs in the whole run, want 2", got)
+		// A process that is itself next still goes through Run: n returns
+		// from Advance, plus the start.
+		if during != n || k.handoffs != n+1 {
+			t.Fatalf("%d resumptions across %d lone Advances, %d in the whole run, want %d and %d", during, n, k.handoffs, n, n+1)
 		}
 	})
 
-	t.Run("proc woken by a callback it dispatched", func(t *testing.T) {
+	t.Run("proc woken by callbacks", func(t *testing.T) {
 		k := NewKernel()
 		var during uint64
 		var tick func()
@@ -118,8 +118,10 @@ func TestHandoffCountPinned(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		if during != 0 || k.Now() != 50 {
-			t.Fatalf("%d hand-offs across 10 self-dispatched wakeups ending at %v, want 0 and 50", during, k.Now())
+		// One resumption per wakeup; the 10 callbacks themselves run on
+		// Run's goroutine and cost none.
+		if during != 10 || k.Now() != 50 {
+			t.Fatalf("%d resumptions across 10 wakeups ending at %v, want 10 and 50", during, k.Now())
 		}
 	})
 }

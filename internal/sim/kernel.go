@@ -10,13 +10,11 @@ import (
 // Kernel is a sequential discrete-event simulator. Events — kernel callbacks
 // and process resumptions — execute strictly in (time, insertion) order, so
 // simulations are deterministic. At any moment at most one goroutine runs,
-// which means shared simulator state needs no locking. There is no kernel
-// goroutine: whoever gives up the processor — Run at the start, then each
-// process as it advances, parks or finishes — runs the event loop (next) on
-// its own goroutine and resumes the chosen process directly, so a switch
-// between two processes is one goroutine hand-off and a process that finds
-// itself next just keeps running. Run's goroutine sleeps until a process
-// finds the run over.
+// which means shared simulator state needs no locking. Run is the only event
+// loop: every callback runs on the goroutine that called Run, and every
+// process is a coroutine that Run resumes and that yields back to Run, so a
+// switch between two processes is two coroutine switches and never passes
+// through the Go scheduler's run queue.
 type Kernel struct {
 	now      Time
 	seq      uint64
@@ -26,14 +24,7 @@ type Kernel struct {
 	stopped  bool
 	deadline Time // of the current Run; 0 means none
 
-	// over wakes Run's goroutine: the process that was dispatching found
-	// the run finished (no events, Stop, deadline) or caught a panic.
-	over chan struct{}
-	// pan is a panic caught while a process goroutine was running the event
-	// loop, handed to Run to be raised on the goroutine that called it.
-	pan any
-
-	// handoffs counts goroutine hand-offs, in chantdebug builds only.
+	// handoffs counts process resumptions, in chantdebug builds only.
 	handoffs uint64
 
 	// Events counts every event dispatched, for diagnostics.
@@ -45,7 +36,7 @@ type Kernel struct {
 var ErrDeadlock = errors.New("sim: deadlock: live processes but no pending events")
 
 // NewKernel returns an empty simulator with the clock at zero.
-func NewKernel() *Kernel { return &Kernel{over: make(chan struct{})} }
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -80,9 +71,11 @@ func (k *Kernel) scheduleProc(p *Proc, t Time) {
 // A run cut short by the deadline or by Stop leaves its processes suspended
 // where they yielded; a later Run resumes them.
 //
-// A panic raised by an event callback is re-raised here, on the goroutine
-// that called Run, with its original value, whichever goroutine happened to
-// be running the event loop when it fired.
+// A panic raised by an event callback, or escaping a process body, unwinds
+// out of Run on the goroutine that called it, with its original value. No
+// callback ever runs on a process's goroutine, where the body's own recover
+// (or, one layer up, a ult thread's) could intercept it and blame the wrong
+// party.
 func (k *Kernel) Run(deadline Time) error {
 	if k.running {
 		panic("sim: Kernel.Run called reentrantly")
@@ -92,13 +85,8 @@ func (k *Kernel) Run(deadline Time) error {
 	k.deadline = deadline
 	defer func() { k.running = false }()
 
-	if p := k.next(); p != nil {
-		p.switchIn()
-		<-k.over
-		if v := k.pan; v != nil {
-			k.pan = nil
-			panic(v)
-		}
+	for p := k.next(); p != nil; p = k.next() {
+		p.resume()
 	}
 	if k.stopped || k.heap.Len() > 0 {
 		return nil // Stop, or the deadline, cut the run short
@@ -111,20 +99,8 @@ func (k *Kernel) Run(deadline Time) error {
 	return nil
 }
 
-// nextCaught is next for a process goroutine, where a panic would kill the
-// program with no caller to recover it: the panic is stashed for Run to
-// re-raise and reported as the end of the run.
-func (k *Kernel) nextCaught() (q *Proc) {
-	defer func() {
-		if v := recover(); v != nil {
-			k.pan, q = v, nil
-		}
-	}()
-	return k.next()
-}
-
-// next is the event loop: it runs callbacks inline on the calling goroutine
-// until a process is due and returns it, or returns nil when the run is over
+// next is the body of the event loop: it runs callbacks inline until a
+// process is due and returns it, or returns nil when the run is over
 // (no events left, Stop called, or the next event lies past the deadline, in
 // which case the clock moves to the deadline).
 func (k *Kernel) next() *Proc {

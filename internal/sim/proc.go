@@ -1,6 +1,10 @@
 package sim
 
-import "chant/internal/check"
+import (
+	"iter"
+
+	"chant/internal/check"
+)
 
 // procState tracks where a process is in its lifecycle.
 type procState int
@@ -29,17 +33,23 @@ func (s procState) String() string {
 // Proc is a simulation process: a body function that runs in virtual time,
 // interleaved with other processes by the kernel. A process advances the
 // clock explicitly with Advance and can park awaiting a Signal. Under the
-// covers each process is a goroutine, but strict handoff — a process that
-// gives up the processor resumes its successor and then waits to be resumed
-// itself — guarantees only one runs at a time, in deterministic order.
+// covers each process is a runtime coroutine (iter.Pull) of Kernel.Run:
+// exactly one of Run and the processes runs at a time, in deterministic
+// order.
 type Proc struct {
-	k       *Kernel
-	name    string
-	state   procState
-	started bool
-	sig     bool // coalesced wakeup hint delivered while not parked
-	resume  chan struct{}
-	fn      func(*Proc)
+	k     *Kernel
+	name  string
+	state procState
+	sig   bool // coalesced wakeup hint delivered while not parked
+	fn    func(*Proc)
+
+	// in switches from Run into the coroutine, out from the coroutine back
+	// to Run. Both are nil until the process is first resumed. A coroutine
+	// parks whichever goroutine calls out, not the one it was created on:
+	// that goroutine is the one in resumes. A ult thread under SimHost relies
+	// on this, advancing the process's clock from its own nested coroutine.
+	in  func() (struct{}, bool)
+	out func(struct{}) bool
 }
 
 // Spawn creates a process named name running fn, scheduled to start at the
@@ -50,12 +60,7 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt creates a process that starts at virtual time t.
 func (k *Kernel) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		fn:     fn,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, fn: fn}
 	k.procs = append(k.procs, p)
 	k.scheduleProc(p, t)
 	return p
@@ -71,58 +76,25 @@ func (p *Proc) Now() Time { return p.k.now }
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// switchIn hands the processor to p: the one goroutine hand-off of a process
-// switch. The caller must stop touching simulator state at once — wait to be
-// resumed itself, or exit.
-func (p *Proc) switchIn() {
+// resume hands the processor to p and returns when p next yields or
+// finishes. Only Run calls it.
+func (p *Proc) resume() {
 	p.state = procRunning
 	if check.Enabled {
 		p.k.handoffs++
 	}
-	if !p.started {
-		p.started = true
-		// The goroutine is a coroutine: strict resume handoff between the
-		// processes and Run means only one side ever runs at a time.
-		//chant:allow-nondet strict coroutine handoff, no free interleaving
-		go func() {
+	if p.in == nil {
+		p.in, _ = iter.Pull(func(out func(struct{}) bool) {
+			p.out = out
 			p.fn(p)
 			p.state = procDone
-			p.dispatch()
-		}()
-		return
+		})
 	}
-	p.resume <- struct{}{}
+	p.in()
 }
 
-// dispatch gives up the processor from p's context: p runs the kernel's
-// event loop itself and hands over to whichever process is due next. It
-// reports whether that process is p, in which case nothing was handed over
-// and p simply keeps running. When the run is over, or the event loop
-// panicked, it wakes Run's goroutine instead; a panic is carried there
-// rather than raised here, where nothing could recover it.
-func (p *Proc) dispatch() (self bool) {
-	k := p.k
-	switch q := k.nextCaught(); q {
-	case p:
-		p.state = procRunning
-		return true
-	case nil:
-		if check.Enabled {
-			k.handoffs++
-		}
-		k.over <- struct{}{}
-	default:
-		q.switchIn()
-	}
-	return false
-}
-
-// yield gives up the processor and returns once p has been resumed.
-func (p *Proc) yield() {
-	if !p.dispatch() {
-		<-p.resume
-	}
-}
+// yield gives the processor back to Run and returns once p has been resumed.
+func (p *Proc) yield() { p.out(struct{}{}) }
 
 // Advance moves this process's clock forward by d, yielding to the kernel so
 // other processes with earlier virtual times run first. Advancing by a

@@ -77,11 +77,11 @@ func TestAuditCatchesCorruptAccounting(t *testing.T) {
 	t.Fatal("Run returned despite corrupt accounting")
 }
 
-// TestHandoffCountPinned pins the number of goroutine hand-offs behind the
+// TestHandoffCountPinned pins the number of coroutine resumptions behind the
 // scheduler's context switches: a full switch to another thread is exactly
-// one (the parking thread resumes its successor directly; through a
-// scheduler goroutine it was two), and the whole run adds one more, the
-// last thread waking Run.
+// one (the parking or exiting thread dispatches, switches out to Run, and Run
+// resumes the thread it chose: two coroutine switches), and the end of the
+// run adds none — the last thread just returns into Run.
 func TestHandoffCountPinned(t *testing.T) {
 	const n = 100
 	s := newTestSched()
@@ -102,8 +102,12 @@ func TestHandoffCountPinned(t *testing.T) {
 	if full < 2*n {
 		t.Fatalf("only %d full switches for %d alternating yields", full, 2*n)
 	}
-	if got := s.handoffs; got != full+1 {
-		t.Fatalf("%d hand-offs for %d full switches, want one each plus the end of the run", got, full)
+	// Every full switch in this run lands on a thread other than the one
+	// dispatching — main's start, a's start, one per Yield (2n, the first of
+	// which starts b) and main's two returns from Join: 2n+4, 204 at n = 100
+	// — so each is one resumption and nothing else is.
+	if got := s.handoffs; got != full {
+		t.Fatalf("%d resumptions for %d full switches, want one each", got, full)
 	}
 }
 

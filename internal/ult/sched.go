@@ -2,6 +2,7 @@ package ult
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"sync/atomic"
 
@@ -53,12 +54,13 @@ type Sched struct {
 
 	ready ReadyQueue
 	cur   *TCB
-	// toSched wakes Run's goroutine. There is no scheduler goroutine during
-	// a run: whoever gives up the processor runs dispatch itself and resumes
-	// its successor directly. Run's goroutine sleeps on toSched until a
-	// dispatcher finds the run over (see over), then reaps the remaining
-	// threads, each of which reports back here.
-	toSched chan struct{}
+	// pending is the thread a parking or exiting thread's dispatch chose and
+	// switched in, for Run's loop to resume once the coroutine switch back to
+	// it lands; nil once the run is over. Every thread is a coroutine of
+	// Run's goroutine, so a switch between two threads is two coroutine
+	// switches — out to Run, in to the successor — with the scheduling
+	// decision already made on the parking side.
+	pending *TCB
 	// over is set by the dispatch that finds the run finished — no regular
 	// thread left, a deadlock (err), or a panic (pan) — and stays set until
 	// Run returns.
@@ -89,23 +91,27 @@ type Sched struct {
 	pan *PanicError
 
 	// owner is the chantdebug scheduling-domain token: exactly one
-	// goroutine — Run's or a thread's trampoline — holds it at a time. A
+	// goroutine — Run's or a thread's coroutine — holds it at a time. A
 	// thread keeps it while it dispatches; it is released just before, and
-	// acquired just after, each goroutine handoff (handTo). Inert (an
+	// acquired just after, each coroutine switch (resume, park). Inert (an
 	// empty struct) in release builds.
 	owner check.Owner
-	// handoffs counts those goroutine handoffs, in chantdebug builds only.
+	// handoffs counts thread resumptions, in chantdebug builds only.
 	handoffs uint64
 }
 
 // NewSched creates a scheduler charging host and counting into ctrs.
 func NewSched(host machine.Host, ctrs *trace.Counters, opts Options) *Sched {
-	return &Sched{
-		host:    host,
-		ctrs:    ctrs,
-		opts:    opts,
-		toSched: make(chan struct{}),
+	return &Sched{host: host, ctrs: ctrs, opts: opts}
+}
+
+// logEvent records a scheduler event, reading the host clock only when a log
+// is attached: on RealHost, Now is a time.Since.
+func (s *Sched) logEvent(kind trace.EventKind, id int32) {
+	if s.opts.EventLog == nil {
+		return
 	}
+	s.opts.EventLog.Add(s.host.Now(), kind, id)
 }
 
 // Host reports the scheduler's execution host.
@@ -149,7 +155,6 @@ func (s *Sched) SpawnWith(name string, fn func(), o SpawnOpts) *TCB {
 		prio:   o.Priority,
 		daemon: o.Daemon,
 		fn:     fn,
-		resume: make(chan struct{}),
 	}
 	s.nextID++
 	s.threads = append(s.threads, t)
@@ -160,7 +165,7 @@ func (s *Sched) SpawnWith(name string, fn func(), o SpawnOpts) *TCB {
 	s.ctrs.ThreadsCreated.Add(1)
 	s.host.Charge(s.host.Model().ThreadCreate)
 	s.ready.Push(t)
-	s.opts.EventLog.Add(s.host.Now(), trace.EvSpawn, t.id)
+	s.logEvent(trace.EvSpawn, t.id)
 	return t
 }
 
@@ -171,8 +176,8 @@ func (s *Sched) SpawnWith(name string, fn func(), o SpawnOpts) *TCB {
 // that escaped a thread body as a *PanicError. A panic raised at a
 // scheduling point — by the pre-schedule hook, a Pending check or an
 // invariant check — is wrapped the same way, naming the thread whose
-// goroutine was dispatching, so it too surfaces here and not on a thread's
-// goroutine.
+// coroutine was dispatching, so it too surfaces here and not inside a
+// thread.
 func (s *Sched) Run(main func()) error {
 	if check.Enabled {
 		s.owner.Acquire("sched " + s.opts.Name)
@@ -180,12 +185,8 @@ func (s *Sched) Run(main func()) error {
 	}
 	s.over, s.err = false, nil
 	s.Spawn("main", main)
-	if t := s.dispatch("scheduler"); t != nil {
-		s.handTo(t)
-		<-s.toSched
-		if check.Enabled {
-			s.owner.Acquire("sched " + s.opts.Name)
-		}
+	for t := s.dispatch("scheduler"); t != nil; t = s.pending {
+		s.resume(t)
 	}
 	if s.pan != nil {
 		panic(s.pan)
@@ -207,8 +208,7 @@ func (s *Sched) Run(main func()) error {
 // caller itself. It returns nil once the run is over: every regular thread
 // has finished, the threads are deadlocked (s.err), or a thread or this
 // scheduling point panicked (s.pan, attributed to the dispatching thread
-// by). From then on it always returns nil, and the caller must wake Run's
-// goroutine instead of a thread.
+// by). From then on it always returns nil, which ends Run's loop.
 func (s *Sched) dispatch(by string) (next *TCB) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -240,7 +240,7 @@ func (s *Sched) dispatch(by string) (next *TCB) {
 				break
 			}
 			s.ctrs.IdleEntries.Add(1)
-			s.opts.EventLog.Add(s.host.Now(), trace.EvIdle, -1)
+			s.logEvent(trace.EvIdle, -1)
 			if s.opts.IdleBlock {
 				s.host.Idle()
 			} else {
@@ -254,7 +254,7 @@ func (s *Sched) dispatch(by string) (next *TCB) {
 			// Scheduler polls (PS)).
 			s.ctrs.PartialSwitches.Add(1)
 			s.host.Charge(m.PartialSwitch)
-			s.opts.EventLog.Add(s.host.Now(), trace.EvPartialSwitch, t.id)
+			s.logEvent(trace.EvPartialSwitch, t.id)
 			if !t.Pending() {
 				s.ready.Push(t)
 				continue
@@ -303,12 +303,12 @@ func (s *Sched) pickReady() *TCB {
 
 // switchIn performs a complete context switch to t: the event the paper's
 // CtxSw column counts. It is the model's switch — counted and charged even
-// when t is the thread whose goroutine is dispatching, in which case no
-// goroutine switch follows.
+// when t is the thread that is dispatching, in which case no coroutine
+// switch follows.
 func (s *Sched) switchIn(t *TCB) {
 	s.ctrs.FullSwitches.Add(1)
 	s.host.Charge(s.host.Model().FullSwitch)
-	s.opts.EventLog.Add(s.host.Now(), trace.EvSwitchIn, t.id)
+	s.logEvent(trace.EvSwitchIn, t.id)
 	if s.opts.Tracer != nil {
 		t.runBegin = s.host.Now()
 	}
@@ -328,32 +328,30 @@ func (s *Sched) switchOut(t *TCB) {
 	s.cur = nil
 }
 
-// handTo gives the processor, and the owner token, to t's goroutine: the
-// one goroutine handoff of a context switch. A nil t — what dispatch returns
-// once the run is over — stands for Run's goroutine. The caller must touch no
-// scheduler state afterwards until it has been resumed itself.
-func (s *Sched) handTo(t *TCB) {
+// resume switches from Run's goroutine into t's coroutine, giving it the
+// processor and the owner token, and returns when t parks or finishes. The
+// coroutine is created here, at the first resumption, so it always starts
+// from Run's goroutine and inherits that goroutine's pprof labels.
+func (s *Sched) resume(t *TCB) {
 	if check.Enabled {
 		s.handoffs++
 		s.owner.Release()
 	}
-	switch {
-	case t == nil:
-		s.toSched <- struct{}{}
-	case !t.started:
-		t.started = true
-		// The trampoline goroutine is a coroutine: strict resume handoff
-		// keeps exactly one of {Run, the threads} running at a time.
-		//chant:allow-nondet strict coroutine handoff, no free interleaving
-		go s.trampoline(t)
-	default:
-		t.resume <- struct{}{}
+	if t.in == nil {
+		t.in, _ = iter.Pull(func(out func(struct{}) bool) {
+			t.out = out
+			s.trampoline(t)
+		})
+	}
+	t.in()
+	if check.Enabled {
+		s.owner.Acquire("sched " + s.opts.Name)
 	}
 }
 
-// trampoline is the goroutine body wrapping a thread function: it converts
+// trampoline is the coroutine body wrapping a thread function: it converts
 // exit and cancel unwinds into completion, captures stray panics, and
-// passes the processor on when the thread is done.
+// leaves the thread to run next for Run's loop when the thread is done.
 func (s *Sched) trampoline(t *TCB) {
 	if check.Enabled {
 		s.owner.Acquire("thread " + t.name)
@@ -361,7 +359,10 @@ func (s *Sched) trampoline(t *TCB) {
 	s.runBody(t)
 	s.finish(t)
 	s.switchOut(t)
-	s.handTo(s.dispatch(t.name))
+	s.pending = s.dispatch(t.name)
+	if check.Enabled {
+		s.owner.Release()
+	}
 }
 
 // runBody runs t's function to completion, absorbing the exit and cancel
@@ -389,7 +390,7 @@ func (s *Sched) finish(t *TCB) {
 	t.state = Done
 	t.Pending = nil
 	t.runDestructors()
-	s.opts.EventLog.Add(s.host.Now(), trace.EvExit, t.id)
+	s.logEvent(trace.EvExit, t.id)
 	s.liveTotal--
 	if !t.daemon {
 		s.liveRegular--
@@ -422,18 +423,21 @@ func (s *Sched) pruneThreads() {
 
 // park gives up the processor and returns when this thread is switched in
 // again. The parking thread runs the scheduler itself: if dispatch picks
-// another thread, that thread's goroutine is resumed directly and this one
-// sleeps; if it picks this thread again (a lone blocked thread woken by the
-// hook or the Pending check it has just run), park returns with no goroutine
-// switch at all. Callers must check t.canceled afterwards.
+// another thread, this one leaves it in pending and switches out to Run,
+// which resumes it; if it picks this thread again (a lone blocked thread
+// woken by the hook or the Pending check it has just run), park returns with
+// no coroutine switch at all. Callers must check t.canceled afterwards.
 func (s *Sched) park(t *TCB) {
 	s.switchOut(t)
 	next := s.dispatch(t.name)
 	if next == t {
 		return
 	}
-	s.handTo(next)
-	<-t.resume
+	s.pending = next
+	if check.Enabled {
+		s.owner.Release()
+	}
+	t.out(struct{}{})
 	if check.Enabled {
 		s.owner.Acquire("thread " + t.name)
 	}
@@ -472,7 +476,7 @@ func (s *Sched) Yield() {
 	if s.ready.Len() == 0 && t.Pending == nil {
 		s.ctrs.YieldsNoSwitch.Add(1)
 		s.host.Charge(s.host.Model().YieldNoSwitch)
-		s.opts.EventLog.Add(s.host.Now(), trace.EvYieldFast, t.id)
+		s.logEvent(trace.EvYieldFast, t.id)
 		// A lone thread spinning on Yield has nobody to switch to here, but
 		// another PE sharing the core may be what it is waiting for.
 		s.host.Relax()
@@ -496,7 +500,7 @@ func (s *Sched) Block() {
 	}
 	t.state = Blocked
 	s.blocked++
-	s.opts.EventLog.Add(s.host.Now(), trace.EvBlock, t.id)
+	s.logEvent(trace.EvBlock, t.id)
 	if s.opts.Tracer != nil {
 		t.blockedAt = s.host.Now()
 	}
@@ -519,7 +523,7 @@ func (s *Sched) Unblock(t *TCB) {
 	t.state = Ready
 	s.blocked--
 	s.ready.Push(t)
-	s.opts.EventLog.Add(s.host.Now(), trace.EvUnblock, t.id)
+	s.logEvent(trace.EvUnblock, t.id)
 	if s.opts.Tracer != nil {
 		s.opts.Tracer.Span(trace.SpanBlocked, s.opts.PE, t.id, t.blockedAt, s.host.Now(), 0)
 	}
@@ -545,7 +549,7 @@ func (s *Sched) Cancel(t *TCB) {
 		return
 	}
 	t.canceled = true
-	s.opts.EventLog.Add(s.host.Now(), trace.EvCancel, t.id)
+	s.logEvent(trace.EvCancel, t.id)
 	if t.onCancel != nil {
 		fn := t.onCancel
 		t.onCancel = nil
@@ -582,10 +586,10 @@ func (s *Sched) Join(t *TCB) (any, error) {
 	return t.result, nil
 }
 
-// reapRemaining cancels and unwinds every thread still alive, so daemon
-// goroutines (like the Chant server thread) and deadlocked threads do not
-// outlive their scheduler. Each unwind may finish threads and prune the
-// bookkeeping slice, so the scan restarts after every reap.
+// reapRemaining cancels and unwinds every thread still alive, so daemons
+// (like the Chant server thread) and deadlocked threads do not outlive their
+// scheduler as suspended coroutines. Each unwind may finish threads and
+// prune the bookkeeping slice, so the scan restarts after every reap.
 func (s *Sched) reapRemaining() {
 	for {
 		var t *TCB
@@ -604,19 +608,15 @@ func (s *Sched) reapRemaining() {
 			t.onCancel = nil
 			fn()
 		}
-		if !t.started {
+		if t.in == nil {
 			s.finish(t)
 			continue
 		}
-		// The run is over, so the thread's next park or its exit reports
-		// straight back here.
+		// The run is over, so dispatch picks nobody: the thread's next park
+		// or its exit comes straight back here.
 		t.state = Running
 		s.cur = t
-		s.handTo(t)
-		<-s.toSched
-		if check.Enabled {
-			s.owner.Acquire("sched " + s.opts.Name)
-		}
+		s.resume(t)
 	}
 }
 

@@ -11,12 +11,12 @@
 //     the scheduler inspects the next TCB and tests its outstanding request
 //     before paying for a full restore (the Scheduler-polls (PS) algorithm).
 //
-// Threads are goroutine-backed but strictly cooperative: within one
-// scheduler exactly one thread (or the scheduler itself) runs at a time,
-// control moves only at explicit handoff points, and every complete context
-// switch is counted and charged against the machine cost model. This makes
-// the scheduler's behaviour — and therefore the paper's CtxSw and msgtest
-// columns — deterministic under the simulation kernel.
+// Threads are runtime coroutines (iter.Pull) of Sched.Run and strictly
+// cooperative: within one scheduler exactly one thread (or Run itself) runs
+// at a time, control moves only at explicit switch points, and every
+// complete context switch is counted and charged against the machine cost
+// model. This makes the scheduler's behaviour — and therefore the paper's
+// CtxSw and msgtest columns — deterministic under the simulation kernel.
 package ult
 
 import (
@@ -99,8 +99,10 @@ type TCB struct {
 	prio  int
 	fn    func()
 
-	started bool
-	resume  chan struct{}
+	// in switches from Sched.Run into the thread's coroutine, out from the
+	// thread back to Run; both nil until the first resumption.
+	in  func() (struct{}, bool)
+	out func(struct{}) bool
 
 	// Ready-queue bookkeeping (see queue.go): enqueue sequence number (the
 	// within-priority FIFO tiebreak), the priority bucket the TCB currently
