@@ -2,229 +2,92 @@
 // contracts: scheduler-context-only calls (schedctx), determinism of the
 // simulation-critical packages (detlint), instrumentation/lock discipline
 // (ctrlock), nondeterminism reachable from simulation-critical roots
-// (ndtaint, interprocedural via facts and the call graph), and must-release
-// of pooled messages and receive handles (handleleak). See each analyzer's
-// package documentation for what it reports and DESIGN.md's "Correctness
-// tooling" section for the conventions (including the //chant:allow-nondet
-// and //chant:allow-leak suppression comments).
+// (ndtaint, interprocedural over the call graph), and must-release of pooled
+// messages and receive handles (handleleak). See each analyzer's package
+// documentation for what it reports and DESIGN.md's "Correctness tooling"
+// section for the conventions (including the //chant:allow-nondet and
+// //chant:allow-leak suppression comments).
 //
-// Two ways to run it:
+// There is one way to run it, from the module root:
 //
-//	go vet -vettool=$(which chantvet) ./...   # unit-at-a-time, facts compose via .vetx files
-//	chantvet ./...                            # standalone, whole-program
+//	chantvet ./...          # findings as text on stderr
+//	chantvet -sarif ./...   # a SARIF 2.1.0 log on stdout (for CI upload)
 //
-// Standalone mode accepts output and rewrite flags:
-//
-//	-json       emit findings as a JSON array instead of text
-//	-sarif      emit a SARIF 2.1.0 log (for CI code-scanning upload)
-//	-fix        apply the analyzers' suggested fixes to the source files
-//
-// Both modes report findings (text mode as `file:line:col: analyzer:
-// message`) and exit 2 when any diagnostic is found.
+// The named packages (default ./...) are loaded and analyzed as one program.
+// Findings print as `file:line:col: analyzer: message`; the exit status is 2
+// when there is any, 1 when the packages do not load, 0 on a clean tree.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"chant/internal/analysis"
 	"chant/internal/analysis/load"
 	"chant/internal/analysis/registry"
 	"chant/internal/analysis/render"
-	"chant/internal/analysis/unitcheck"
 )
+
+const usage = `usage: chantvet [-sarif] [packages]   (default ./...)
+
+The named packages are analyzed as one program: the call graph, and so
+ndtaint's reachability verdict, covers exactly the packages loaded. Pass
+./... for the whole-module verdict; a sub-tree run sees that sub-tree only.
+
+`
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// The go command probes its vet tool before first use: `-V=full` must
-	// print an identification line used as a cache key, and `-flags` must
-	// dump the supported flags as JSON.
-	if len(args) == 1 {
-		switch args[0] {
-		case "-V=full", "--V=full":
-			printVersion()
-			return 0
-		case "-flags", "--flags":
-			printFlags()
-			return 0
-		}
-	}
+	analyzers := registry.Analyzers()
 
-	fs := flag.NewFlagSet("chantvet", flag.ExitOnError)
+	fs := flag.NewFlagSet("chantvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sarif := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: chantvet [-json|-sarif] [-fix] [packages]   (standalone)\n")
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=chantvet [packages]\n\nAnalyzers:\n")
-		for _, a := range registry.Analyzers() {
-			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
+		fmt.Fprint(stderr, usage)
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nAnalyzers:\n")
+		for _, a := range analyzers {
+			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
 	}
-	isAnalyzer := make(map[string]bool)
-	for _, a := range registry.Analyzers() {
-		fs.Bool(a.Name, false, a.Doc)
-		isAnalyzer[a.Name] = true
-	}
-	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
-	chosen := flagSet{}
-	fs.Visit(func(f *flag.Flag) {
-		if isAnalyzer[f.Name] {
-			chosen[f.Name] = f.Value.String() == "true"
-		}
-	})
-	analyzers := selectAnalyzers(chosen)
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		// go vet unit mode: one JSON config describing a single package.
-		n, err := unitcheck.Run(stderr, rest[0], analyzers)
-		if err != nil {
-			fmt.Fprintf(stderr, "chantvet: %v\n", err)
-			return 1
-		}
-		if n > 0 {
-			return 2
-		}
-		return 0
-	}
-
-	// Standalone mode: load the named packages (default ./...) ourselves and
-	// analyze them as one program.
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+
 	pkgs, err := load.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "chantvet: %v\n", err)
 		return 1
 	}
-	findings, err := registry.RunAll(pkgs, analyzers, nil)
+	findings, err := registry.RunAll(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "chantvet: %v\n", err)
 		return 1
 	}
-
-	switch {
-	case *jsonOut:
-		err = render.JSON(stdout, findings)
-	case *sarifOut:
+	if *sarif {
 		err = render.SARIF(stdout, findings, analyzers)
-	default:
+	} else {
 		err = render.Text(stderr, findings)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "chantvet: %v\n", err)
 		return 1
 	}
-
-	if *fix {
-		if err := applyFixes(stderr, findings); err != nil {
-			fmt.Fprintf(stderr, "chantvet: %v\n", err)
-			return 1
-		}
-	}
 	if len(findings) > 0 {
 		return 2
 	}
 	return 0
-}
-
-// applyFixes rewrites the source files with every suggested fix carried by
-// the findings, reporting each touched file.
-func applyFixes(stderr io.Writer, findings []registry.Finding) error {
-	var diags []analysis.Diagnostic
-	nfixes := 0
-	for _, f := range findings {
-		if len(f.SuggestedFixes) > 0 {
-			diags = append(diags, f.Diagnostic)
-			nfixes += len(f.SuggestedFixes)
-		}
-	}
-	if nfixes == 0 {
-		return nil
-	}
-	fixed, err := analysis.ApplyFixes(findings[0].Fset, diags, os.ReadFile)
-	if err != nil {
-		return err
-	}
-	for name, content := range fixed {
-		if err := os.WriteFile(name, content, 0o666); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "chantvet: fixed %s\n", name)
-	}
-	fmt.Fprintf(stderr, "chantvet: applied %d suggested fixes to %d files\n", nfixes, len(fixed))
-	return nil
-}
-
-type flagSet map[string]bool
-
-// selectAnalyzers honors vet's convention: setting any analyzer flag true
-// runs just those analyzers; setting only false flags runs all but those;
-// naming none runs them all.
-func selectAnalyzers(chosen flagSet) []*analysis.Analyzer {
-	all := registry.Analyzers()
-	anyTrue := false
-	for _, v := range chosen {
-		anyTrue = anyTrue || v
-	}
-	var out []*analysis.Analyzer
-	for _, a := range all {
-		v, named := chosen[a.Name]
-		if anyTrue && !v {
-			continue // whitelist mode: only the flags set true
-		}
-		if !anyTrue && named && !v {
-			continue // blacklist mode: all but the flags set false
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// printVersion emits the `-V=full` identification line. The content hash of
-// the executable keys the go command's vet result cache, so rebuilding
-// chantvet invalidates stale results.
-func printVersion() {
-	name := "chantvet"
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, h.Sum(nil)[:16])
-}
-
-// printFlags dumps the flag set in the JSON shape the go command parses.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	for _, a := range registry.Analyzers() {
-		flags = append(flags, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	flags = append(flags, jsonFlag{Name: "json", Bool: true, Usage: "emit findings as JSON"})
-	data, err := json.Marshal(flags)
-	if err != nil {
-		panic(err)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
 }

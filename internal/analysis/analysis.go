@@ -2,17 +2,15 @@
 // golang.org/x/tools/go/analysis: just enough framework to write chantvet's
 // checkers against (the container image carries no module proxy, so the real
 // x/tools package is not available). An Analyzer inspects one type-checked
-// package at a time through a Pass and reports Diagnostics; drivers — the
-// standalone runner in cmd/chantvet, the go vet -vettool protocol shim, and
-// the analysistest harness — supply the Pass.
+// package at a time through a Pass and reports Diagnostics. There is one
+// driver, registry.RunAll, which loads nothing itself: the chantvet command
+// and the analysistest harness both hand it the packages of one load.
 //
-// Beyond the per-package model, the framework carries two interprocedural
-// mechanisms: serializable per-object Facts (see FactStore) that let a pass
-// over one package export conclusions its dependents import, and a shared
-// type-informed call graph (see the callgraph package) that drivers build
-// over every loaded package and hand to each Pass. Analyzers that need a
-// whole-program view after every package has been visited install a Finish
-// hook.
+// Beyond the per-package model the framework carries one interprocedural
+// mechanism: a type-informed call graph (see the callgraph package) built
+// over every loaded package and handed to each Pass. Analyzers that need
+// that whole-program view after every package has been visited install a
+// Finish hook.
 package analysis
 
 import (
@@ -29,16 +27,16 @@ import (
 
 // An Analyzer describes one chantvet check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description printed by chantvet help.
+	// Doc is the one-paragraph description printed by chantvet -h.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 	// Finish, if non-nil, runs once after every loaded package has been
 	// visited, receiving the passes in dependency order. Whole-program
-	// analyzers (ndtaint) do their propagation and reporting here, when the
-	// fact store and call graph cover everything the driver loaded.
+	// analyzers (ndtaint) do their propagation and reporting here, over the
+	// call graph of everything that was loaded.
 	Finish func(passes []*Pass) error
 	// Marker overrides the suppression comment this analyzer honors;
 	// empty means the default "allow-nondet". handleleak, whose findings
@@ -54,28 +52,17 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Module is the path of the module declaring the package, empty for
-	// packages outside any module. Under `go vet -vettool` the analyzers
-	// also run over dependency units (the standard library included) to
-	// produce facts; analyzers whose verdicts must not depend on how much
-	// of the build graph the driver happened to load gate on Module so
-	// both drivers reach the same conclusions.
-	Module string
-
-	// Facts is the run's shared fact store; nil when the driver provides no
-	// fact plumbing (facts exported then are silently dropped).
-	Facts *FactStore
-
-	// Graph is the call graph over every package the driver loaded — the
-	// whole program for standalone runs, the single unit under the go vet
-	// protocol. Nil when the driver builds none.
+	// Graph is the call graph over every package of the load: the whole
+	// module for `chantvet ./...`, only the named sub-tree otherwise.
 	Graph *callgraph.Graph
 
-	// Report receives each diagnostic. Drivers install it; analyzers call
-	// Reportf instead.
+	// Report receives each diagnostic. The driver installs it; analyzers
+	// call Reportf instead.
 	Report func(Diagnostic)
 
-	suppress map[string]map[string]map[int]bool // marker -> filename -> line
+	// suppress indexes the suppression comments: marker -> filename -> line
+	// -> whether the comment stands alone on its line.
+	suppress map[string]map[string]map[int]bool
 }
 
 // A Diagnostic is one finding, attached to a source position.
@@ -83,44 +70,18 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string
-	// SuggestedFixes carries mechanical rewrites that would resolve the
-	// diagnostic, applied by chantvet -fix and verified against .golden
-	// files by the analysistest harness.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one self-contained mechanical rewrite.
-type SuggestedFix struct {
-	// Message describes the rewrite ("insert defer e.ReleaseHandle(h)").
-	Message string
-	// TextEdits are the replacements; they must not overlap.
-	TextEdits []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText. An insertion
-// has Pos == End.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // Reportf reports a diagnostic at pos unless a suppression comment with the
 // analyzer's marker covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFix(pos, nil, format, args...)
-}
-
-// ReportfFix is Reportf carrying suggested fixes.
-func (p *Pass) ReportfFix(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
 	if p.Suppressed(pos) {
 		return
 	}
 	p.Report(Diagnostic{
-		Pos:            pos,
-		Message:        fmt.Sprintf(format, args...),
-		Analyzer:       p.Analyzer.Name,
-		SuggestedFixes: fixes,
+		Pos:      pos,
+		Message:  fmt.Sprintf(format, args...),
+		Analyzer: p.Analyzer.Name,
 	})
 }
 
@@ -148,14 +109,20 @@ func (p *Pass) Suppressed(pos token.Pos) bool {
 // consult a marker other than their reporting default (ndtaint checks
 // allow-nondet at taint sources while reporting elsewhere).
 func (p *Pass) SuppressedBy(pos token.Pos, marker string) bool {
-	lines := p.markerLines(marker)
-	position := p.Fset.Position(pos)
-	fileLines := lines[position.Filename]
-	return fileLines[position.Line] || fileLines[position.Line-1]
+	tf := p.Fset.File(pos)
+	if tf == nil {
+		return false
+	}
+	lines, line := p.markerLines(marker)[tf.Name()], tf.Line(pos)
+	if _, same := lines[line]; same {
+		return true
+	}
+	return lines[line-1] // only a comment alone on its line reaches down
 }
 
 // markerLines lazily indexes, per file, the lines carrying a well-formed
-// suppression comment for marker.
+// suppression comment for marker; the value records whether the comment is
+// the first token on its line (a trailing comment covers its own line only).
 func (p *Pass) markerLines(marker string) map[string]map[int]bool {
 	if p.suppress == nil {
 		p.suppress = make(map[string]map[string]map[int]bool)
@@ -170,18 +137,40 @@ func (p *Pass) markerLines(marker string) map[string]map[int]bool {
 		if tf == nil {
 			continue
 		}
+		var code map[int]bool // built on the first marker comment in the file
 		lines := make(map[int]bool)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if re.MatchString(c.Text) {
-					lines[p.Fset.Position(c.Pos()).Line] = true
+				if !re.MatchString(c.Text) {
+					continue
 				}
+				if code == nil {
+					code = codeLines(tf, f)
+				}
+				line := tf.Line(c.Pos())
+				lines[line] = !code[line]
 			}
 		}
 		byFile[tf.Name()] = lines
 	}
 	p.suppress[marker] = byFile
 	return byFile
+}
+
+// codeLines reports the lines of f on which a syntax node starts or ends,
+// i.e. the lines where a // comment can only be trailing.
+func codeLines(tf *token.File, f *ast.File) map[int]bool {
+	code := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		code[tf.Line(n.Pos())] = true
+		code[tf.Line(n.End()-1)] = true
+		return true
+	})
+	return code
 }
 
 // IsTest reports whether file is a _test.go file. Chantvet's contracts bind

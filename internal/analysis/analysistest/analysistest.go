@@ -5,19 +5,14 @@
 // module — by convention `module chant` with stub internal packages — so
 // import paths in fixtures resolve exactly like the real repository's.
 //
-// Packages named by one Run call are analyzed together, the way the
-// standalone chantvet driver analyzes a tree: one call graph, one fact
-// store, Finish hooks after all packages. Cross-package fixtures (ndtaint's
-// fact propagation) rely on this.
-//
-// RunWithSuggestedFixes additionally applies every suggested fix in memory
-// and compares each rewritten file against a sibling `.golden` file.
+// Packages named by one Run call are analyzed together through
+// registry.RunAll, the same driver the chantvet command uses: one call
+// graph, Finish hooks after all packages. Cross-package fixtures (ndtaint's
+// call chains) rely on this.
 package analysistest
 
 import (
-	"fmt"
 	"go/token"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -52,46 +47,12 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []r
 	if len(pkgs) == 0 {
 		t.Fatalf("fixture %s matched no packages", dir)
 	}
-	findings, err := registry.RunAll(pkgs, []*analysis.Analyzer{a}, nil)
+	findings, err := registry.RunAll(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, dir, err)
 	}
 	check(t, pkgs, findings)
 	return findings
-}
-
-// RunWithSuggestedFixes is Run followed by a golden-file check: every
-// suggested fix is applied in memory and each rewritten file must equal its
-// `.golden` sibling byte for byte.
-func RunWithSuggestedFixes(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) {
-	t.Helper()
-	findings := Run(t, dir, a, patterns...)
-	var diags []analysis.Diagnostic
-	var fset *token.FileSet
-	for _, f := range findings {
-		if len(f.SuggestedFixes) > 0 {
-			diags = append(diags, f.Diagnostic)
-			fset = f.Fset
-		}
-	}
-	if len(diags) == 0 {
-		t.Fatalf("RunWithSuggestedFixes: no diagnostic of %s carried a fix", a.Name)
-	}
-	fixed, err := analysis.ApplyFixes(fset, diags, os.ReadFile)
-	if err != nil {
-		t.Fatalf("applying suggested fixes: %v", err)
-	}
-	for name, content := range fixed {
-		golden, err := os.ReadFile(name + ".golden")
-		if err != nil {
-			t.Errorf("suggested fix rewrote %s but no golden file: %v", name, err)
-			continue
-		}
-		if string(content) != string(golden) {
-			t.Errorf("suggested fixes for %s do not match %s.golden:\n-- got --\n%s\n-- want --\n%s",
-				name, name, content, golden)
-		}
-	}
 }
 
 // check matches findings against the union of every package's `// want`
@@ -186,14 +147,4 @@ func splitPatterns(t *testing.T, pos token.Position, s string) []*regexp.Regexp 
 		t.Fatalf("%s: want comment with no patterns", pos)
 	}
 	return out
-}
-
-// Fprint formats diagnostics the way test failures and the chantvet command
-// print them: file:line:col: analyzer: message.
-func Fprint(pkg *load.Package, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&b, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	return b.String()
 }

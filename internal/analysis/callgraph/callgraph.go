@@ -1,5 +1,5 @@
 // Package callgraph builds a type-informed static call graph across every
-// package a chantvet driver loaded. Edges come from two resolutions:
+// package of one chantvet load. Edges come from two resolutions:
 //
 //   - static calls: the callee *types.Func named directly at the call site
 //     (plain functions, methods on concrete receivers);
@@ -34,14 +34,9 @@ import (
 type Node struct {
 	// ID is the load-stable name: "pkgpath.Func" or "pkgpath.Type.Method".
 	ID string
-	// PkgPath and Key split the ID for fact-store lookups.
-	PkgPath string
-	Key     string
 	// Decl is the function's declaration when it was loaded from source in
 	// this run; nil for externals known only through export data.
 	Decl *ast.FuncDecl
-	// DeclPkg is the loaded package declaring Decl (nil for externals).
-	DeclPkg *load.Package
 	// Edges are the outgoing calls, in call-site order.
 	Edges []Edge
 }
@@ -57,7 +52,7 @@ type Edge struct {
 	Interface bool
 }
 
-// A Graph is the call graph over one driver run's loaded packages.
+// A Graph is the call graph over the packages of one load.
 type Graph struct {
 	nodes map[string]*Node
 	byPkg map[string][]*Node
@@ -69,9 +64,6 @@ func (g *Graph) Node(id string) *Node { return g.nodes[id] }
 // PackageNodes returns the declared functions of one package, in source
 // order.
 func (g *Graph) PackageNodes(pkgPath string) []*Node { return g.byPkg[pkgPath] }
-
-// NodeFor returns the graph node for fn, or nil if fn was never seen.
-func (g *Graph) NodeFor(fn *types.Func) *Node { return g.nodes[typeutil.FuncID(fn)] }
 
 // Build constructs the call graph over pkgs. Test files are excluded, as
 // every chantvet analyzer excludes them.
@@ -122,24 +114,15 @@ func (b *builder) collectImpls(pkgs []*load.Package) {
 	})
 }
 
-// node interns the graph node for id.
-func (b *builder) node(pkgPath, key string) *Node {
-	id := pkgPath + "." + key
+// nodeForFunc interns the node for a resolved *types.Func.
+func (b *builder) nodeForFunc(fn *types.Func) *Node {
+	id := typeutil.FuncID(fn)
 	if n, ok := b.g.nodes[id]; ok {
 		return n
 	}
-	n := &Node{ID: id, PkgPath: pkgPath, Key: key}
+	n := &Node{ID: id}
 	b.g.nodes[id] = n
 	return n
-}
-
-// nodeForFunc interns the node for a resolved *types.Func.
-func (b *builder) nodeForFunc(fn *types.Func) *Node {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
-	}
-	return b.node(pkg, typeutil.ObjectKey(fn))
 }
 
 // addPackage creates declared nodes and their edges for one loaded package.
@@ -159,7 +142,6 @@ func (b *builder) addPackage(pkg *load.Package) {
 			}
 			n := b.nodeForFunc(obj)
 			n.Decl = fd
-			n.DeclPkg = pkg
 			b.g.byPkg[pkg.PkgPath] = append(b.g.byPkg[pkg.PkgPath], n)
 			b.addEdges(pkg, n, fd.Body)
 		}

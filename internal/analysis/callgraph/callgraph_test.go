@@ -94,8 +94,8 @@ func TestPackageNodesSourceOrder(t *testing.T) {
 	}
 	want := []string{"WallNow", "Indirect", "Clean", "Sanctioned"}
 	for i, n := range nodes {
-		if n.Key != want[i] {
-			t.Errorf("PackageNodes[%d] = %s, want %s (source order)", i, n.Key, want[i])
+		if id := "chant/internal/util." + want[i]; n.ID != id {
+			t.Errorf("PackageNodes[%d] = %s, want %s (source order)", i, n.ID, id)
 		}
 	}
 }

@@ -9,14 +9,10 @@
 //
 // Detection lives in the shared nondet package (ndtaint seeds its
 // interprocedural taint from the same scanner); detlint contributes the
-// scope — which packages the contract binds — and, for wall-clock reads
-// with an identifiable scheduler clock in scope, a suggested fix rewriting
-// time.Now() to that clock's Now().
+// scope — which packages the contract binds.
 package detlint
 
 import (
-	"go/ast"
-
 	"chant/internal/analysis"
 	"chant/internal/analysis/nondet"
 )
@@ -64,29 +60,12 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		for _, decl := range file.Decls {
-			report(pass, decl, enclosingFunc(decl))
+			for _, src := range nondet.Scan(pass, decl) {
+				pass.Reportf(src.Pos, "%s in simulation-critical package %s: %s",
+					src.What, pass.Pkg.Path(), src.Why)
+			}
 			checkSpinLoops(pass, decl)
 		}
 	}
 	return nil
-}
-
-// enclosingFunc returns decl as a *ast.FuncDecl when it is one (the clock
-// fix needs the receiver and parameter lists); nil for var/const/type decls.
-func enclosingFunc(decl ast.Decl) *ast.FuncDecl {
-	fd, _ := decl.(*ast.FuncDecl)
-	return fd
-}
-
-// report emits one diagnostic per unsanctioned source under decl, attaching
-// the scheduler-clock rewrite where one is derivable.
-func report(pass *analysis.Pass, decl ast.Decl, fd *ast.FuncDecl) {
-	for _, src := range nondet.Scan(pass, decl) {
-		var fixes []analysis.SuggestedFix
-		if fix := nondet.ClockFix(pass, src, fd); fix != nil {
-			fixes = append(fixes, *fix)
-		}
-		pass.ReportfFix(src.Pos, fixes, "%s in simulation-critical package %s: %s",
-			src.What, pass.Pkg.Path(), src.Why)
-	}
 }

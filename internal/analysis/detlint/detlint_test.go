@@ -10,9 +10,3 @@ import (
 func TestDetlint(t *testing.T) {
 	analysistest.Run(t, "testdata", detlint.Analyzer, "./...")
 }
-
-// TestClockFix applies the scheduler-clock rewrites in memory and compares
-// against the .golden file.
-func TestClockFix(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, "testdata", detlint.Analyzer, "./internal/sim/fixclock")
-}

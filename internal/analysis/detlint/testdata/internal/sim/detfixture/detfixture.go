@@ -97,3 +97,11 @@ func singleSelect(a chan int) int {
 		return 0
 	}
 }
+
+// A trailing marker sanctions its own line only: the read directly below it
+// is still reported.
+func trailingMarker() {
+	a := time.Now() //chant:allow-nondet fixture: covers this line, not the next
+	b := time.Now() // want `time\.Now in simulation-critical package`
+	sink = b.Sub(a)
+}

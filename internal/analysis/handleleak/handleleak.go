@@ -13,9 +13,9 @@
 // into a structure, sending it on a channel, handing it to a goroutine),
 // which moves the obligation to the new owner. A path reaching the exit
 // with ownership still held is reported at the acquisition, naming the line
-// where the leaking path leaves the function, with a suggested fix inserting
-// a deferred release. Functions whose control flow the cfg builder rejects
-// (goto) are skipped, not guessed at.
+// where the leaking path leaves the function and the release call that would
+// end it. Functions whose control flow the cfg builder rejects (goto) are
+// skipped, not guessed at.
 //
 // Sanctioned sites carry //chant:allow-leak <reason>.
 package handleleak
@@ -27,7 +27,6 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"chant/internal/analysis"
 	"chant/internal/analysis/cfg"
@@ -107,7 +106,7 @@ func run(pass *analysis.Pass) error {
 // an acquisition is one statement binding a tracked resource to a local
 // variable.
 type acquisition struct {
-	stmt ast.Node    // the assignment statement
+	stmt ast.Node // the assignment statement
 	call *ast.CallExpr
 	obj  types.Object // the local the resource is bound to
 	name string       // acquirer name ("GetPooledMessage")
@@ -200,7 +199,7 @@ const (
 
 // checkAcquisition walks every path from the acquisition to the function
 // exit; if any path arrives still owning the resource, it reports at the
-// acquisition with a deferred-release suggested fix.
+// acquisition.
 func checkAcquisition(pass *analysis.Pass, fd *ast.FuncDecl, graph *cfg.Graph, acq acquisition) {
 	// Locate the acquisition inside its block.
 	var start *cfg.Block
@@ -289,8 +288,7 @@ func report(pass *analysis.Pass, fd *ast.FuncDecl, acq acquisition, line int) {
 	if line > 0 {
 		where = fmt.Sprintf("at the return on line %d", line)
 	}
-	fix := deferFix(pass, acq, rel)
-	pass.ReportfFix(acq.stmt.Pos(), []analysis.SuggestedFix{fix},
+	pass.Reportf(acq.stmt.Pos(),
 		"%s %s acquired from %s is not released on every path (leaks %s); release it with %s or annotate //chant:allow-leak <reason>",
 		what, acq.obj.Name(), acq.name, where, rel)
 }
@@ -326,21 +324,6 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 		return ""
 	}
 	return b.String()
-}
-
-// deferFix builds the suggested fix inserting `defer <rel>(<var>)` on the
-// line after the acquisition, matching its indentation (tabs, per gofmt).
-func deferFix(pass *analysis.Pass, acq acquisition, rel string) analysis.SuggestedFix {
-	pos := pass.Fset.Position(acq.stmt.Pos())
-	indent := strings.Repeat("\t", pos.Column-1)
-	return analysis.SuggestedFix{
-		Message: fmt.Sprintf("defer %s(%s) after the acquisition", rel, acq.obj.Name()),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     acq.stmt.End(),
-			End:     acq.stmt.End(),
-			NewText: "\n" + indent + fmt.Sprintf("defer %s(%s)", rel, acq.obj.Name()),
-		}},
-	}
 }
 
 // nodeEffect classifies one CFG node's action on the tracked resource.

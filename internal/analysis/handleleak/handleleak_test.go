@@ -17,9 +17,3 @@ func TestHandleleak(t *testing.T) {
 func TestCheckpointFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", handleleak.Analyzer, "./internal/comm/ckptfix")
 }
-
-// TestSuggestedFixes applies the deferred-release fixes in memory and
-// compares against the .golden file.
-func TestSuggestedFixes(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, "testdata", handleleak.Analyzer, "./internal/comm/fixgolden")
-}

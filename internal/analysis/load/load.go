@@ -24,17 +24,9 @@ import (
 // Package is one type-checked target package.
 type Package struct {
 	PkgPath string
-	Dir     string
-	// Imports are the package's direct imports (canonical paths), used by
-	// drivers to schedule passes in dependency order so facts exported by a
-	// dependency's pass are in the store before any dependent's pass runs.
-	Imports []string
-	// Module is the path of the module declaring the package, empty for
-	// packages outside any module (the standard library, under the vet
-	// protocol). Analyzers whose conclusions must not depend on how much
-	// of the build graph a driver loads (ndtaint's nondeterminism-source
-	// seeding) gate on it.
-	Module    string
+	// Imports are the package's direct imports (canonical paths); topoSort
+	// orders packages by them.
+	Imports   []string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -48,8 +40,6 @@ type listPackage struct {
 	Export     string
 	GoFiles    []string
 	Imports    []string
-	Module     *struct{ Path string }
-	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
@@ -86,28 +76,23 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("load: type-checking %s: %w", lp.ImportPath, err)
 		}
-		p := &Package{
+		out = append(out, &Package{
 			PkgPath:   lp.ImportPath,
-			Dir:       lp.Dir,
 			Imports:   lp.Imports,
 			Fset:      fset,
 			Files:     files,
 			Types:     tpkg,
 			TypesInfo: info,
-		}
-		if lp.Module != nil {
-			p.Module = lp.Module.Path
-		}
-		out = append(out, p)
+		})
 	}
-	return TopoSort(out), nil
+	return topoSort(out), nil
 }
 
-// TopoSort orders packages so every package follows the packages it imports
+// topoSort orders packages so every package follows the packages it imports
 // (considering only imports within the slice), with import-path order
 // breaking ties. The result is deterministic for a given input set, which
 // keeps multi-package diagnostic output byte-stable across runs.
-func TopoSort(pkgs []*Package) []*Package {
+func topoSort(pkgs []*Package) []*Package {
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {
 		byPath[p.PkgPath] = p
@@ -190,38 +175,15 @@ func runGoList(dir string, args []string) ([]listPackage, error) {
 	return pkgs, nil
 }
 
-// NewImporter returns a types.Importer that reads gc export data files named
-// by the path -> file map (as produced by `go list -export` or a vet.cfg
-// PackageFile table). An optional importMap translates import paths as
-// written in source to canonical package paths first.
-func NewImporter(fset *token.FileSet, exportFiles map[string]string, importMap map[string]string) types.Importer {
-	return &mapImporter{
-		gc: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exportFiles[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
-		}),
-		importMap: importMap,
-	}
-}
-
+// newImporter returns a types.Importer that reads the gc export data files
+// named by the path -> file map `go list -export` produced (package unsafe
+// the gc importer serves itself).
 func newImporter(fset *token.FileSet, exportFiles map[string]string) types.Importer {
-	return NewImporter(fset, exportFiles, nil)
-}
-
-type mapImporter struct {
-	gc        types.Importer
-	importMap map[string]string
-}
-
-func (m *mapImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := m.importMap[path]; ok {
-		path = mapped
-	}
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return m.gc.Import(path)
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exportFiles[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 }

@@ -13,11 +13,10 @@
 // source and stops the taint before it starts; the same comment at a root
 // call site sanctions that one edge.
 //
-// Cross-package propagation composes through object facts: the pass over a
-// dependency exports a Tainted fact per tainted function, and passes over
-// dependent packages import them — so modular `go vet -vettool` runs reach
-// the same verdicts as the standalone whole-program run, save for interface
-// implementations living in packages outside the unit's import closure.
+// Cross-package chains come from the one call graph alone, so the verdict
+// covers exactly the packages of the load: a callee outside them has no
+// declaration to scan and is taken as clean. `chantvet ./...` loads the
+// whole module; a sub-tree run sees only that sub-tree's sources.
 package ndtaint
 
 import (
@@ -25,7 +24,6 @@ import (
 	"strings"
 
 	"chant/internal/analysis"
-	"chant/internal/analysis/callgraph"
 	"chant/internal/analysis/nondet"
 )
 
@@ -36,7 +34,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "report calls in simulation-critical root packages (internal/sim, " +
 		"internal/faults, internal/comm/simnet, internal/recovery) whose " +
 		"callees transitively reach a nondeterminism source; the call chain " +
-		"is traced across packages via facts and through interface method sets",
+		"is traced across the loaded packages and through interface method sets",
 	Run:    func(*analysis.Pass) error { return nil },
 	Finish: finish,
 }
@@ -66,18 +64,6 @@ func IsRoot(pkgPath string) bool {
 	return false
 }
 
-// Tainted is the object fact exported for every function that reaches a
-// nondeterminism source. Chain holds the call chain of function IDs from
-// the fact's own function (first) down to the function containing the
-// source (last); Source describes the source itself ("time.Now").
-type Tainted struct {
-	Source string   `json:"source"`
-	Chain  []string `json:"chain"`
-}
-
-// AFact marks Tainted as a fact.
-func (*Tainted) AFact() {}
-
 // taint is the in-flight propagation record for one call-graph node.
 type taint struct {
 	source string
@@ -85,54 +71,27 @@ type taint struct {
 }
 
 // finish runs once after every package's pass: it seeds direct sources,
-// propagates taint to a fixpoint over the shared call graph (importing
-// facts for callees outside the loaded set), exports facts for every
-// tainted declared function, and reports tainted call sites in root
-// packages.
+// propagates taint to a fixpoint over the shared call graph, and reports
+// tainted call sites in root packages.
 func finish(passes []*analysis.Pass) error {
-	if len(passes) == 0 || passes[0].Graph == nil {
+	if len(passes) == 0 {
 		return nil
 	}
 	graph := passes[0].Graph
-	facts := passes[0].Facts
-
-	taints := make(map[string]*taint)
 
 	// Seed: direct sources per declared function, honoring source-site
-	// suppression through each package's own pass. Only module packages
-	// seed: the standalone driver never loads the standard library, and
-	// under go vet — where stdlib units do pass through to produce facts —
-	// scanning them would taint half of the stdlib (fmt's printer pool is a
-	// sync.Pool) and diverge from the standalone verdicts.
+	// suppression through each package's own pass.
+	taints := make(map[string]*taint)
 	for _, pass := range passes {
-		if pass.Module == "" {
-			continue
-		}
 		for _, node := range graph.PackageNodes(pass.Pkg.Path()) {
-			srcs := nondet.Scan(pass, node.Decl)
-			if len(srcs) == 0 {
-				continue
+			if srcs := nondet.Scan(pass, node.Decl); len(srcs) > 0 {
+				taints[node.ID] = &taint{source: srcs[0].What, chain: []string{node.ID}}
 			}
-			taints[node.ID] = &taint{source: srcs[0].What, chain: []string{node.ID}}
 		}
 	}
 
 	// Propagate to a fixpoint, visiting packages in dependency order and
 	// functions in source order so the chosen chains are deterministic.
-	lookup := func(e callgraph.Edge) *taint {
-		if t, ok := taints[e.Callee.ID]; ok {
-			return t
-		}
-		if e.Callee.Decl == nil && facts != nil {
-			var fact Tainted
-			if facts.Import(e.Callee.PkgPath, e.Callee.Key, &fact) {
-				t := &taint{source: fact.Source, chain: fact.Chain}
-				taints[e.Callee.ID] = t
-				return t
-			}
-		}
-		return nil
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, pass := range passes {
@@ -141,7 +100,7 @@ func finish(passes []*analysis.Pass) error {
 					continue
 				}
 				for _, edge := range node.Edges {
-					t := lookup(edge)
+					t := taints[edge.Callee.ID]
 					if t == nil {
 						continue
 					}
@@ -156,38 +115,19 @@ func finish(passes []*analysis.Pass) error {
 		}
 	}
 
-	// Export facts for every tainted declared function, so dependent units
-	// in modular (go vet) runs import the conclusion instead of the code.
-	if facts != nil {
-		for _, pass := range passes {
-			for _, node := range graph.PackageNodes(pass.Pkg.Path()) {
-				if t, ok := taints[node.ID]; ok {
-					if err := facts.Export(node.PkgPath, node.Key, &Tainted{Source: t.source, Chain: t.chain}); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-
 	// Report: every call site in a root package whose callee is tainted.
 	// Interface calls fan one site into several edges; report each site
-	// once, for its first tainted resolution.
+	// once, for its first tainted resolution. (A direct source inside the
+	// function is no edge at all: that is detlint's report, not ndtaint's.)
 	for _, pass := range passes {
 		if !IsRoot(pass.Pkg.Path()) {
 			continue
 		}
 		for _, node := range graph.PackageNodes(pass.Pkg.Path()) {
 			reported := make(map[token.Pos]bool)
-			// Skip call sites inside the function when the function itself
-			// is directly tainted at that exact construct: direct sources
-			// are detlint's report, not ndtaint's.
 			for _, edge := range node.Edges {
-				if reported[edge.Site] {
-					continue
-				}
-				t := lookup(edge)
-				if t == nil {
+				t := taints[edge.Callee.ID]
+				if t == nil || reported[edge.Site] {
 					continue
 				}
 				reported[edge.Site] = true

@@ -1,89 +1,14 @@
 package ndtaint_test
 
 import (
-	"strings"
 	"testing"
 
-	"chant/internal/analysis"
 	"chant/internal/analysis/analysistest"
-	"chant/internal/analysis/load"
 	"chant/internal/analysis/ndtaint"
-	"chant/internal/analysis/registry"
 )
 
 // TestNdtaint runs the analyzer whole-program over the fixture module: one
 // call graph, interface resolution across packages, Finish over every pass.
 func TestNdtaint(t *testing.T) {
 	analysistest.Run(t, "testdata", ndtaint.Analyzer, "./...")
-}
-
-// TestFactPropagationAcrossUnits replays the go vet modular discipline: each
-// package is analyzed alone, in dependency order, and the fact store is
-// serialized and re-decoded between units the way .vetx files carry it. The
-// root package never sees util's source code — only its facts — and must
-// still report the tainted static call.
-func TestFactPropagationAcrossUnits(t *testing.T) {
-	pkgs, err := load.Load("testdata", "./...")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	facts := analysis.NewFactStore()
-	var got []string
-	for _, pkg := range pkgs {
-		findings, err := registry.RunAll([]*load.Package{pkg}, []*analysis.Analyzer{ndtaint.Analyzer}, facts)
-		if err != nil {
-			t.Fatalf("unit %s: %v", pkg.PkgPath, err)
-		}
-		for _, f := range findings {
-			got = append(got, f.Message)
-		}
-		// Round-trip the store through its serialized form, as the vet
-		// protocol does between units.
-		data, err := facts.Encode()
-		if err != nil {
-			t.Fatalf("encoding facts after %s: %v", pkg.PkgPath, err)
-		}
-		facts = analysis.NewFactStore()
-		facts.Decode(data)
-	}
-	want := "call into tainted util.Indirect: util.Indirect → util.WallNow reaches time.Now"
-	found := false
-	for _, m := range got {
-		if strings.Contains(m, want) {
-			found = true
-		}
-		if strings.Contains(m, "Sanctioned") {
-			t.Errorf("sanctioned source leaked into a unit-mode diagnostic: %s", m)
-		}
-	}
-	if !found {
-		t.Errorf("unit-mode run did not report the cross-package taint %q; got %d findings:\n%s",
-			want, len(got), strings.Join(got, "\n"))
-	}
-}
-
-// TestTaintedFactExported asserts the analyzer exports Tainted facts for the
-// dependency's functions, keyed so a dependent unit can import them.
-func TestTaintedFactExported(t *testing.T) {
-	pkgs, err := load.Load("testdata", "./internal/util")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	facts := analysis.NewFactStore()
-	if _, err := registry.RunAll(pkgs, []*analysis.Analyzer{ndtaint.Analyzer}, facts); err != nil {
-		t.Fatalf("running: %v", err)
-	}
-	var fact ndtaint.Tainted
-	if !facts.Import("chant/internal/util", "Indirect", &fact) {
-		t.Fatal("no Tainted fact exported for util.Indirect")
-	}
-	if fact.Source != "time.Now" || len(fact.Chain) != 2 {
-		t.Errorf("util.Indirect fact = %+v, want source time.Now with a 2-hop chain", fact)
-	}
-	if facts.Import("chant/internal/util", "Sanctioned", &fact) {
-		t.Error("Tainted fact exported for the sanctioned function")
-	}
-	if facts.Import("chant/internal/util", "Clean", &fact) {
-		t.Error("Tainted fact exported for a deterministic function")
-	}
 }

@@ -18,32 +18,9 @@ import (
 	"chant/internal/analysis"
 )
 
-// Kind classifies a source.
-type Kind int
-
-const (
-	// WallClock is a time-package call whose result or scheduling follows
-	// the wall clock.
-	WallClock Kind = iota
-	// GlobalRand is a draw from math/rand's shared global state.
-	GlobalRand
-	// GoStmt is a raw goroutine spawn.
-	GoStmt
-	// MapRange is iteration over a map with order-sensitive effects.
-	MapRange
-	// Select is a select choosing among two or more ready communications.
-	Select
-	// PoolMethod is sync.Pool.Get or Put.
-	PoolMethod
-)
-
 // A Source is one nondeterminism source surviving suppression filtering.
 type Source struct {
-	Pos  token.Pos
-	Kind Kind
-	// Call is the offending call expression for call-shaped sources
-	// (WallClock, GlobalRand, PoolMethod); nil otherwise.
-	Call *ast.CallExpr
+	Pos token.Pos
 	// What is the leading clause of a diagnostic: "time.Now",
 	// "global rand.Intn", "raw go statement", "select with 2 communication
 	// cases", "range over map with order-sensitive effects", "sync.Pool.Get".
@@ -81,7 +58,6 @@ func Scan(pass *analysis.Pass, root ast.Node) []Source {
 		case *ast.GoStmt:
 			add(Source{
 				Pos:  n.Pos(),
-				Kind: GoStmt,
 				What: "raw go statement",
 				Why:  "goroutine interleaving is nondeterministic",
 			})
@@ -114,8 +90,6 @@ func callSource(pass *analysis.Pass, call *ast.CallExpr) (Source, bool) {
 		if wallClock[fn.Name()] {
 			return Source{
 				Pos:  call.Pos(),
-				Kind: WallClock,
-				Call: call,
 				What: "time." + fn.Name(),
 				Why:  "the wall clock is nondeterministic; use the Host/sim clock",
 			}, true
@@ -123,8 +97,6 @@ func callSource(pass *analysis.Pass, call *ast.CallExpr) (Source, bool) {
 	case "math/rand", "math/rand/v2":
 		return Source{
 			Pos:  call.Pos(),
-			Kind: GlobalRand,
-			Call: call,
 			What: fmt.Sprintf("global %s.%s", fn.Pkg().Name(), fn.Name()),
 			Why:  "shared PRNG state is order-dependent; use sim.RNG with an explicit seed",
 		}, true
@@ -147,8 +119,6 @@ func poolSource(call *ast.CallExpr, method string, named *types.Named) (Source, 
 	}
 	return Source{
 		Pos:  call.Pos(),
-		Kind: PoolMethod,
-		Call: call,
 		What: "sync.Pool." + method,
 		Why:  "pool reuse order is scheduler- and GC-dependent; use a plain freelist, or gate behind Host.Deterministic()",
 	}, true
@@ -186,7 +156,6 @@ func rangeSource(pass *analysis.Pass, rng *ast.RangeStmt) (Source, bool) {
 	}
 	return Source{
 		Pos:  rng.Pos(),
-		Kind: MapRange,
 		What: "range over map with order-sensitive effects",
 		Why:  "map iteration order is randomized; sort the keys first",
 	}, true
@@ -226,93 +195,7 @@ func selectSource(sel *ast.SelectStmt) (Source, bool) {
 	}
 	return Source{
 		Pos:  sel.Pos(),
-		Kind: Select,
 		What: fmt.Sprintf("select with %d communication cases", comm),
 		Why:  "case choice is randomized when several are ready",
 	}, true
-}
-
-// ClockFix builds the mechanical rewrite for a time.Now read when the
-// enclosing function has an obvious scheduler clock in scope: a receiver or
-// parameter (or a field `host` of the receiver) whose type offers a
-// zero-argument Now method — machine.Host and the sim kernel both do. The
-// returned fix replaces the whole call; nil when no clock is identifiable.
-func ClockFix(pass *analysis.Pass, src Source, decl *ast.FuncDecl) *analysis.SuggestedFix {
-	if src.Kind != WallClock || src.Call == nil || decl == nil {
-		return nil
-	}
-	fn := analysis.CalleeFunc(pass.TypesInfo, src.Call)
-	if fn == nil || fn.Name() != "Now" {
-		return nil
-	}
-	clock := clockExpr(pass, decl)
-	if clock == "" {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("replace time.Now with the scheduler clock %s.Now()", clock),
-		TextEdits: []analysis.TextEdit{{
-			Pos:     src.Call.Pos(),
-			End:     src.Call.End(),
-			NewText: clock + ".Now()",
-		}},
-	}
-}
-
-// clockExpr finds the source text of a scheduler-clock expression reachable
-// from decl's receiver and parameters, or "".
-func clockExpr(pass *analysis.Pass, decl *ast.FuncDecl) string {
-	// Receiver and parameters, in declaration order.
-	var fields []*ast.Field
-	if decl.Recv != nil {
-		fields = append(fields, decl.Recv.List...)
-	}
-	if decl.Type.Params != nil {
-		fields = append(fields, decl.Type.Params.List...)
-	}
-	for _, f := range fields {
-		for _, name := range f.Names {
-			obj := pass.TypesInfo.Defs[name]
-			if obj == nil || name.Name == "_" {
-				continue
-			}
-			if hasNowMethod(obj.Type()) {
-				return name.Name
-			}
-			// A receiver carrying a `host` field with a clock covers the
-			// common endpoint/process shape.
-			if field := lookupField(obj.Type(), pass.Pkg, "host"); field != nil && hasNowMethod(field.Type()) {
-				return name.Name + ".host"
-			}
-		}
-	}
-	return ""
-}
-
-// hasNowMethod reports whether t (or *t) has a method Now() with no
-// parameters and one result.
-func hasNowMethod(t types.Type) bool {
-	for _, typ := range []types.Type{t, types.NewPointer(t)} {
-		obj, _, _ := types.LookupFieldOrMethod(typ, true, nil, "Now")
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if ok && sig.Params().Len() == 0 && sig.Results().Len() == 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// lookupField resolves a struct field by name through any pointer; pkg
-// grants access to unexported fields declared in it.
-func lookupField(t types.Type, pkg *types.Package, name string) *types.Var {
-	obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
-	v, ok := obj.(*types.Var)
-	if !ok || !v.IsField() {
-		return nil
-	}
-	return v
 }

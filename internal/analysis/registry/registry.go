@@ -1,10 +1,9 @@
-// Package registry enumerates chantvet's analyzers and runs them over
-// loaded packages. It sits between the analyzers and the drivers (the
-// chantvet command, the go vet unit shim, and the analysistest harness) so
-// each driver shares one definition of "all checks" and one execution
-// discipline: packages visited in dependency order (facts flow forward),
-// a call graph built over everything loaded, and Finish hooks run once at
-// the end for whole-program analyzers.
+// Package registry enumerates chantvet's analyzers and is the one driver
+// that runs them: the chantvet command and the analysistest harness both
+// load packages and call RunAll, so there is one definition of "all checks"
+// and one execution discipline — a call graph built over everything loaded,
+// packages visited in dependency order, and Finish hooks run once at the
+// end for whole-program analyzers.
 package registry
 
 import (
@@ -43,16 +42,14 @@ type Finding struct {
 // Position resolves the finding's location.
 func (f Finding) Position() token.Position { return f.Fset.Position(f.Pos) }
 
-// RunAll applies the analyzers to every package: packages are visited in
-// dependency order (load.Load already topo-sorts; other callers should), a
-// call graph is built over the whole set, each per-package pass shares the
-// given fact store (nil for a private throwaway store), and each analyzer's
-// Finish hook runs once after all packages. Findings come back sorted by
-// (file, line, column, analyzer, message) — a total, deterministic order.
-func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer, facts *analysis.FactStore) ([]Finding, error) {
-	if facts == nil {
-		facts = analysis.NewFactStore()
-	}
+// RunAll applies the analyzers to the packages of one load as one program:
+// a call graph is built over the whole set, packages are visited in the
+// order given (load.Load returns them dependencies first), and each
+// analyzer's Finish hook runs once after all packages. What was not loaded
+// is not seen: over a sub-tree the call graph, and so ndtaint's verdict,
+// covers that sub-tree only. Findings come back sorted by (file, line,
+// column, analyzer, message) — a total, deterministic order.
+func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	graph := callgraph.Build(pkgs)
 
 	var findings []Finding
@@ -66,8 +63,6 @@ func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer, facts *analysi
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				Module:    pkg.Module,
-				Facts:     facts,
 				Graph:     graph,
 				Report: func(d analysis.Diagnostic) {
 					findings = append(findings, Finding{Fset: fset, Diagnostic: d})
@@ -86,13 +81,13 @@ func RunAll(pkgs []*load.Package, analyzers []*analysis.Analyzer, facts *analysi
 			}
 		}
 	}
-	Sort(findings)
+	sortFindings(findings)
 	return findings, nil
 }
 
-// Sort orders findings by position, then analyzer, then message: a total
+// sortFindings orders findings by position, then analyzer, then message: a total
 // order, so equal runs produce byte-identical output.
-func Sort(findings []Finding) {
+func sortFindings(findings []Finding) {
 	sort.SliceStable(findings, func(i, j int) bool {
 		pi, pj := findings[i].Position(), findings[j].Position()
 		if pi.Filename != pj.Filename {
@@ -109,19 +104,4 @@ func Sort(findings []Finding) {
 		}
 		return findings[i].Message < findings[j].Message
 	})
-}
-
-// Run applies the analyzers to one package with a private fact store and no
-// cross-package context, returning bare diagnostics sorted by position. It
-// remains for single-package callers (fixture tests over one package).
-func Run(pkg *load.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	findings, err := RunAll([]*load.Package{pkg}, analyzers, nil)
-	if err != nil {
-		return nil, err
-	}
-	diags := make([]analysis.Diagnostic, len(findings))
-	for i, f := range findings {
-		diags[i] = f.Diagnostic
-	}
-	return diags, nil
 }

@@ -1,9 +1,9 @@
 // Package render serializes chantvet findings: the classic vet-style text
-// lines, a machine-readable JSON array, and a minimal SARIF 2.1.0 log for
-// code-scanning upload in CI. All three formats are deterministic — struct
-// (not map) marshaling plus the registry's total finding order mean two runs
-// over the same tree produce byte-identical output, which the test suite
-// asserts and which keeps CI artifact diffs meaningful.
+// lines and a minimal SARIF 2.1.0 log for code-scanning upload in CI. Both
+// formats are deterministic — struct (not map) marshaling plus the
+// registry's total finding order mean two runs over the same tree produce
+// byte-identical output, which the test suite asserts and which keeps CI
+// artifact diffs meaningful.
 package render
 
 import (
@@ -23,66 +23,6 @@ func Text(w io.Writer, findings []registry.Finding) error {
 		}
 	}
 	return nil
-}
-
-// jsonFinding is one finding in -json output.
-type jsonFinding struct {
-	File     string    `json:"file"`
-	Line     int       `json:"line"`
-	Column   int       `json:"column"`
-	Analyzer string    `json:"analyzer"`
-	Message  string    `json:"message"`
-	Fixes    []jsonFix `json:"suggested_fixes,omitempty"`
-}
-
-type jsonFix struct {
-	Message string     `json:"message"`
-	Edits   []jsonEdit `json:"edits"`
-}
-
-// jsonEdit locates a replacement by file coordinates, end-exclusive.
-type jsonEdit struct {
-	File      string `json:"file"`
-	StartLine int    `json:"start_line"`
-	StartCol  int    `json:"start_column"`
-	EndLine   int    `json:"end_line"`
-	EndCol    int    `json:"end_column"`
-	NewText   string `json:"new_text"`
-}
-
-// JSON writes the findings as an indented JSON array (an empty slice, not
-// null, when there are none).
-func JSON(w io.Writer, findings []registry.Finding) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		pos := f.Position()
-		jf := jsonFinding{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		}
-		for _, fix := range f.SuggestedFixes {
-			jfix := jsonFix{Message: fix.Message, Edits: make([]jsonEdit, 0, len(fix.TextEdits))}
-			for _, e := range fix.TextEdits {
-				start, end := f.Fset.Position(e.Pos), f.Fset.Position(e.End)
-				jfix.Edits = append(jfix.Edits, jsonEdit{
-					File:      start.Filename,
-					StartLine: start.Line,
-					StartCol:  start.Column,
-					EndLine:   end.Line,
-					EndCol:    end.Column,
-					NewText:   e.NewText,
-				})
-			}
-			jf.Fixes = append(jf.Fixes, jfix)
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(out)
 }
 
 // The SARIF types below cover the subset of SARIF 2.1.0 that code-scanning

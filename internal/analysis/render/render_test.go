@@ -20,44 +20,38 @@ func analyze(t *testing.T) []registry.Finding {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	findings, err := registry.RunAll(pkgs, registry.Analyzers(), nil)
+	findings, err := registry.RunAll(pkgs, registry.Analyzers())
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
 	return findings
 }
 
-func renderAll(t *testing.T, findings []registry.Finding) (jsonOut, textOut, sarifOut []byte) {
+func renderAll(t *testing.T, findings []registry.Finding) (textOut, sarifOut []byte) {
 	t.Helper()
-	var j, x, s bytes.Buffer
-	if err := render.JSON(&j, findings); err != nil {
-		t.Fatal(err)
-	}
+	var x, s bytes.Buffer
 	if err := render.Text(&x, findings); err != nil {
 		t.Fatal(err)
 	}
 	if err := render.SARIF(&s, findings, registry.Analyzers()); err != nil {
 		t.Fatal(err)
 	}
-	return j.Bytes(), x.Bytes(), s.Bytes()
+	return x.Bytes(), s.Bytes()
 }
 
 // TestDeterministicOutput asserts two independent end-to-end runs produce
-// byte-identical output in every format. This is the property CI's SARIF
+// byte-identical output in both formats. This is the property CI's SARIF
 // artifact and any diff-based tooling depend on.
 func TestDeterministicOutput(t *testing.T) {
-	j1, x1, s1 := renderAll(t, analyze(t))
-	j2, x2, s2 := renderAll(t, analyze(t))
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("-json output differs across runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", j1, j2)
-	}
+	x1, s1 := renderAll(t, analyze(t))
+	x2, s2 := renderAll(t, analyze(t))
 	if !bytes.Equal(x1, x2) {
 		t.Errorf("text output differs across runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", x1, x2)
 	}
 	if !bytes.Equal(s1, s2) {
 		t.Errorf("SARIF output differs across runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", s1, s2)
 	}
-	if len(j1) == 0 || len(x1) == 0 || len(s1) == 0 {
+	if len(x1) == 0 || len(s1) == 0 {
 		t.Fatal("fixture produced empty output; determinism check is vacuous")
 	}
 }
@@ -82,31 +76,10 @@ func TestFindingsSorted(t *testing.T) {
 	}
 }
 
-// TestJSONShape asserts the -json stream parses and carries the documented
-// fields.
-func TestJSONShape(t *testing.T) {
-	j, _, _ := renderAll(t, analyze(t))
-	var decoded []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(j, &decoded); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v", err)
-	}
-	for i, d := range decoded {
-		if d.File == "" || d.Line == 0 || d.Analyzer == "" || d.Message == "" {
-			t.Errorf("finding %d missing fields: %+v", i, d)
-		}
-	}
-}
-
 // TestSARIFShape asserts the SARIF log has the fixed 2.1.0 skeleton tools
 // like GitHub code scanning require.
 func TestSARIFShape(t *testing.T) {
-	_, _, s := renderAll(t, analyze(t))
+	_, s := renderAll(t, analyze(t))
 	var log struct {
 		Version string `json:"version"`
 		Runs    []struct {

@@ -1,8 +1,8 @@
 // Package typeutil holds the small go/types helpers shared by the analysis
 // framework and the callgraph builder. It is a leaf package (no other
 // analysis package imports flow into it) so that callgraph and the framework
-// proper can both use one definition of callee resolution and object keying
-// without an import cycle.
+// proper can both use one definition of callee resolution and function
+// naming without an import cycle.
 package typeutil
 
 import (
@@ -42,27 +42,18 @@ func RecvNamed(fn *types.Func) *types.Named {
 	return named
 }
 
-// ObjectKey is the package-relative key facts and call-graph nodes use to
-// name an object: "Func" for package-level functions, "Type.Method" for
-// methods (pointerness of the receiver is irrelevant for identity). Keys are
-// stable across loads — the same function type-checked from source and
-// imported from export data produces the same key.
-func ObjectKey(obj types.Object) string {
-	if fn, ok := obj.(*types.Func); ok {
-		if named := RecvNamed(fn); named != nil {
-			return named.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return obj.Name()
-}
-
-// FuncID is the load-stable global name of a function: "pkgpath.Key". Two
-// *types.Func values for the same function — one from source, one from
-// export data — map to the same ID.
+// FuncID is the load-stable global name of a function: "pkgpath.Func" for
+// package-level functions, "pkgpath.Type.Method" for methods (pointerness of
+// the receiver is irrelevant for identity). Two *types.Func values for the
+// same function — one type-checked from source, one imported from export
+// data — map to the same ID.
 func FuncID(fn *types.Func) string {
 	pkg := ""
 	if fn.Pkg() != nil {
 		pkg = fn.Pkg().Path()
 	}
-	return pkg + "." + ObjectKey(fn)
+	if named := RecvNamed(fn); named != nil {
+		return pkg + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	return pkg + "." + fn.Name()
 }

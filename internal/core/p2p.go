@@ -14,6 +14,10 @@ import (
 // and delivery flags.
 const bodyPrefixLen = 16
 
+// maxBodyMsg bounds message size in DeliverBody mode, where the dispatcher
+// must receive into a maximal buffer.
+const maxBodyMsg = 64 << 10
+
 // Send transmits data to the global thread dst with the given user tag
 // (pthread_chanter_send). It is locally blocking: on return, data may be
 // reused by the caller.
@@ -88,9 +92,9 @@ func (p *Process) sendFlags(srcThread int32, dst GlobalID, tag, flags int32, dat
 		}
 		p.ep.SendFlags(dst.Addr(), 0, packTag(dst.Thread, tag), srcThread, flags, data)
 	case DeliverBody:
-		if len(data) > p.cfg.MaxBodyMsg {
+		if len(data) > maxBodyMsg {
 			return fmt.Errorf("core: message of %d bytes exceeds body-mode maximum %d",
-				len(data), p.cfg.MaxBodyMsg)
+				len(data), maxBodyMsg)
 		}
 		// Copy on the sending side "to insert the thread id" — the cost
 		// the paper's header-based designs avoid.
@@ -270,7 +274,7 @@ func (p *Process) startDispatcher() {
 	p.CreateLocal("chant-dispatch", func(t *Thread) {
 		host := p.ep.Host()
 		m := host.Model()
-		buf := make([]byte, p.cfg.MaxBodyMsg+bodyPrefixLen)
+		buf := make([]byte, maxBodyMsg+bodyPrefixLen)
 		spec := comm.MatchSpec{
 			SrcPE:     comm.Any,
 			SrcProc:   comm.Any,

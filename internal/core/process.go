@@ -34,9 +34,6 @@ type Config struct {
 	// MaxRSR bounds the size of a remote service request message
 	// (default 64 KiB).
 	MaxRSR int
-	// MaxBodyMsg bounds message size in DeliverBody mode, where the
-	// dispatcher must receive into a maximal buffer (default 64 KiB).
-	MaxBodyMsg int
 	// IdleBlock parks idle schedulers on host interrupts instead of
 	// busy-polling; real-mode runtimes enable it.
 	IdleBlock bool
@@ -117,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRSR == 0 {
 		c.MaxRSR = 64 << 10
-	}
-	if c.MaxBodyMsg == 0 {
-		c.MaxBodyMsg = 64 << 10
 	}
 	return c
 }
