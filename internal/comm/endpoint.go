@@ -342,24 +342,6 @@ func (e *Endpoint) TimeoutRecv(h *RecvHandle) bool {
 	return true
 }
 
-// TestDeadline is Test with a deadline: past the deadline an incomplete
-// receive is withdrawn and failed with ErrTimeout (completion still wins
-// any race). It reports whether the handle is done — by delivery, failure,
-// or timeout; the handle's Status distinguishes them.
-func (e *Endpoint) TestDeadline(h *RecvHandle, deadline sim.Time) bool {
-	if e.Test(h) {
-		return true
-	}
-	if e.host.Now() < deadline {
-		return false
-	}
-	if !e.TimeoutRecv(h) {
-		// Lost the race: the receive completed while we were timing it out.
-		return e.Test(h)
-	}
-	return true
-}
-
 // MsgwaitTimeout waits for the handle with a deadline, spin-testing rather
 // than parking: each miss charges the modeled msgtest-miss cost, which
 // advances virtual time under simulation, and relaxes the host, which lets

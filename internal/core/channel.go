@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"chant/internal/comm"
+	"chant/internal/wire"
 )
 
 // Channels: a Fortran-M / NewThreads-style port abstraction built on top
@@ -93,54 +93,44 @@ func OpenChannel(t *Thread, capacity, tagBase int32) (Channel, error) {
 	return Channel{Home: p.addr, ID: id, Capacity: capacity, TagBase: tagBase}, nil
 }
 
-// Encode serializes the descriptor for shipping to endpoint threads.
+// Encode serializes the descriptor for shipping to endpoint threads:
+// [home pe i32][home proc i32][id i32][capacity i32][tag base i32].
 func (c Channel) Encode() []byte {
-	out := make([]byte, 20)
-	binary.LittleEndian.PutUint32(out[0:], uint32(c.Home.PE))
-	binary.LittleEndian.PutUint32(out[4:], uint32(c.Home.Proc))
-	binary.LittleEndian.PutUint32(out[8:], uint32(c.ID))
-	binary.LittleEndian.PutUint32(out[12:], uint32(c.Capacity))
-	binary.LittleEndian.PutUint32(out[16:], uint32(c.TagBase))
-	return out
+	e := wire.NewEnc(20)
+	for _, v := range [...]int32{c.Home.PE, c.Home.Proc, c.ID, c.Capacity, c.TagBase} {
+		e.I32(v)
+	}
+	return e.Out()
 }
 
 // DecodeChannel reverses Encode.
 func DecodeChannel(b []byte) (Channel, error) {
-	if len(b) != 20 {
+	d := wire.NewDec(b)
+	c := Channel{Home: comm.Addr{PE: d.I32(), Proc: d.I32()}, ID: d.I32(), Capacity: d.I32(), TagBase: d.I32()}
+	if d.End() != nil {
 		return Channel{}, fmt.Errorf("core: malformed channel descriptor (%d bytes)", len(b))
 	}
-	f := func(i int) int32 { return int32(binary.LittleEndian.Uint32(b[i:])) }
-	return Channel{
-		Home:     comm.Addr{PE: f(0), Proc: f(4)},
-		ID:       f(8),
-		Capacity: f(12),
-		TagBase:  f(16),
-	}, nil
+	return c, nil
+}
+
+// encodeGID frames a lone global id: the broker's bind reply.
+func encodeGID(g GlobalID) []byte {
+	e := wire.NewEnc(12)
+	putGID(&e, g)
+	return e.Out()
 }
 
 // registerChannelHandlers installs the broker's RSR handler.
 func (p *Process) registerChannelHandlers() {
 	p.handlers[hChanBind] = func(ctx *RSRContext) ([]byte, error) {
-		if len(ctx.Req) != 17 {
-			return nil, errors.New("core: malformed channel bind")
-		}
-		id := int32(binary.LittleEndian.Uint32(ctx.Req[0:]))
-		role := ctx.Req[4]
-		holder := GlobalID{
-			PE:     int32(binary.LittleEndian.Uint32(ctx.Req[5:])),
-			Proc:   int32(binary.LittleEndian.Uint32(ctx.Req[9:])),
-			Thread: int32(binary.LittleEndian.Uint32(ctx.Req[13:])),
+		d := wire.NewDec(ctx.Req)
+		id, role, holder := d.I32(), d.U8(), getGID(&d)
+		if d.End() != nil {
+			return nil, fmt.Errorf("%w: channel bind", errMalformed)
 		}
 		st := p.channels[id]
 		if st == nil {
 			return nil, fmt.Errorf("core: no such channel %d at %v", id, p.addr)
-		}
-		reply := func(peer GlobalID) []byte {
-			out := make([]byte, 12)
-			binary.LittleEndian.PutUint32(out[0:], uint32(peer.PE))
-			binary.LittleEndian.PutUint32(out[4:], uint32(peer.Proc))
-			binary.LittleEndian.PutUint32(out[8:], uint32(peer.Thread))
-			return out
 		}
 		switch role {
 		case chRoleRecv:
@@ -153,18 +143,18 @@ func (p *Process) registerChannelHandlers() {
 			st.recv, st.recvOK = holder, true
 			if w := st.waitSend; w != nil {
 				st.waitSend = nil
-				w.Reply(reply(st.recv), nil)
+				w.Reply(encodeGID(st.recv), nil)
 			}
 			if st.sendOK {
-				return reply(st.send), nil
+				return encodeGID(st.send), nil
 			}
-			return reply(GlobalID{}), nil
+			return encodeGID(GlobalID{}), nil
 		case chRoleSend:
 			// The sender must know the receive holder before its first
 			// message; defer until the receiver registers.
 			st.send, st.sendOK = holder, true
 			if st.recvOK {
-				return reply(st.recv), nil
+				return encodeGID(st.recv), nil
 			}
 			ctx.DeferReply()
 			st.waitSend = ctx
@@ -176,28 +166,24 @@ func (p *Process) registerChannelHandlers() {
 }
 
 // bind registers holder for role at the channel's home and returns the
-// peer's identity, blocking until both sides have bound.
-func (c Channel) bind(t *Thread, role byte) (GlobalID, error) {
-	req := make([]byte, 17)
-	binary.LittleEndian.PutUint32(req[0:], uint32(c.ID))
-	req[4] = role
-	me := t.ID()
-	binary.LittleEndian.PutUint32(req[5:], uint32(me.PE))
-	binary.LittleEndian.PutUint32(req[9:], uint32(me.Proc))
-	binary.LittleEndian.PutUint32(req[13:], uint32(me.Thread))
+// peer's identity; a sender's bind blocks until the receiver has bound. The
+// request is [channel id i32][role u8][holder gid], the reply a gid.
+func (c Channel) bind(t *Thread, role byte, holder GlobalID) (GlobalID, error) {
+	req := wire.NewEnc(17)
+	req.I32(c.ID)
+	req.U8(role)
+	putGID(&req, holder)
 	var reply [12]byte
-	n, err := t.Call(c.Home, hChanBind, req, reply[:])
+	n, err := t.Call(c.Home, hChanBind, req.Out(), reply[:])
 	if err != nil {
 		return GlobalID{}, err
 	}
-	if n != 12 {
+	d := wire.NewDec(reply[:n])
+	peer := getGID(&d)
+	if d.End() != nil {
 		return GlobalID{}, fmt.Errorf("core: malformed channel bind reply (%d bytes)", n)
 	}
-	return GlobalID{
-		PE:     int32(binary.LittleEndian.Uint32(reply[0:])),
-		Proc:   int32(binary.LittleEndian.Uint32(reply[4:])),
-		Thread: int32(binary.LittleEndian.Uint32(reply[8:])),
-	}, nil
+	return peer, nil
 }
 
 // SendPort is the sending end of a channel, owned by one thread.
@@ -221,7 +207,7 @@ type RecvPort struct {
 // until the receiver has bound too.
 func (c Channel) BindSend(t *Thread) (*SendPort, error) {
 	t.mustCurrent("BindSend")
-	peer, err := c.bind(t, chRoleSend)
+	peer, err := c.bind(t, chRoleSend, t.ID())
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +219,7 @@ func (c Channel) BindSend(t *Thread) (*SendPort, error) {
 // yet known, its identity is learned from the first message received.
 func (c Channel) BindRecv(t *Thread) (*RecvPort, error) {
 	t.mustCurrent("BindRecv")
-	peer, err := c.bind(t, chRoleRecv)
+	peer, err := c.bind(t, chRoleRecv, t.ID())
 	if err != nil {
 		return nil, err
 	}
@@ -276,22 +262,23 @@ func (s *SendPort) handleControl(known bool) error {
 	if err != nil {
 		return err
 	}
-	if n < 1 {
+	d := wire.NewDec(buf[:n])
+	switch kind := d.U8(); {
+	case d.Err() != nil:
 		return errors.New("core: empty channel control message")
-	}
-	switch buf[0] {
-	case chCtlCredit:
-		if n < 5 {
+	case kind == chCtlCredit: // [kind u8][credits u32]
+		credits := d.U32()
+		if d.Err() != nil {
 			return errors.New("core: malformed credit")
 		}
-		s.credits += int32(binary.LittleEndian.Uint32(buf[1:]))
+		s.credits += int32(credits)
 		return nil
-	case chCtlPause:
+	case kind == chCtlPause: // [kind u8], answered with [unaccounted i32]
 		// Report how many messages are unaccounted for, then wait for the
 		// resume that carries the new receive holder.
-		var rep [4]byte
-		binary.LittleEndian.PutUint32(rep[:], uint32(s.ch.Capacity-s.credits))
-		if err := s.t.Send(s.peer, s.ch.tag(chTagCtlReply), rep[:]); err != nil {
+		rep := wire.NewEnc(4)
+		rep.I32(s.ch.Capacity - s.credits)
+		if err := s.t.Send(s.peer, s.ch.tag(chTagCtlReply), rep.Out()); err != nil {
 			return err
 		}
 		for {
@@ -299,20 +286,16 @@ func (s *SendPort) handleControl(known bool) error {
 			if err != nil {
 				return err
 			}
-			if n >= 13 && buf[0] == chCtlResume {
-				s.peer = GlobalID{
-					PE:     int32(binary.LittleEndian.Uint32(buf[1:])),
-					Proc:   int32(binary.LittleEndian.Uint32(buf[5:])),
-					Thread: int32(binary.LittleEndian.Uint32(buf[9:])),
-				}
-				s.credits = s.ch.Capacity
+			d := wire.NewDec(buf[:n])
+			if kind, holder := d.U8(), getGID(&d); kind == chCtlResume && d.Err() == nil {
+				s.peer, s.credits = holder, s.ch.Capacity
 				return nil
 			}
 			// Credits racing with the handoff are superseded by the
 			// resume's full window; ignore them.
 		}
 	default:
-		return fmt.Errorf("core: unknown channel control kind %d", buf[0])
+		return fmt.Errorf("core: unknown channel control kind %d", kind)
 	}
 }
 
@@ -356,11 +339,11 @@ func (r *RecvPort) grant() error {
 	if r.uncredited == 0 || !r.peerKnown {
 		return nil
 	}
-	msg := make([]byte, 5)
-	msg[0] = chCtlCredit
-	binary.LittleEndian.PutUint32(msg[1:], uint32(r.uncredited))
+	msg := wire.NewEnc(5)
+	msg.U8(chCtlCredit)
+	msg.U32(uint32(r.uncredited))
 	r.uncredited = 0
-	return r.t.Send(r.peer, r.ch.tag(chTagCtl), msg)
+	return r.t.Send(r.peer, r.ch.tag(chTagCtl), msg.Out())
 }
 
 // Handoff transfers the receive port to successor (which must call
@@ -383,10 +366,14 @@ func (r *RecvPort) Handoff(successor GlobalID) error {
 	if err != nil {
 		return err
 	}
-	if n != 4 {
+	// The sender's unaccounted count covers what this port consumed but has
+	// not credited back; the rest is in flight. Both ends of that range are
+	// bounded by the window, so a forged reply cannot size the drain.
+	d := wire.NewDec(rep[:n])
+	outstanding := int32(d.Limit(int(d.U32()), int(r.ch.Capacity))) - r.uncredited
+	if d.End() != nil || outstanding < 0 {
 		return errors.New("core: malformed pause reply")
 	}
-	outstanding := int32(binary.LittleEndian.Uint32(rep[:])) - r.uncredited
 	// Drain in-flight data messages.
 	drained := make([][]byte, 0, outstanding)
 	buf := make([]byte, 64<<10)
@@ -398,23 +385,14 @@ func (r *RecvPort) Handoff(successor GlobalID) error {
 		drained = append(drained, append([]byte(nil), buf[:n]...))
 	}
 	// Re-register the new holder with the broker.
-	req := make([]byte, 17)
-	binary.LittleEndian.PutUint32(req[0:], uint32(r.ch.ID))
-	req[4] = chRoleRecv
-	binary.LittleEndian.PutUint32(req[5:], uint32(successor.PE))
-	binary.LittleEndian.PutUint32(req[9:], uint32(successor.Proc))
-	binary.LittleEndian.PutUint32(req[13:], uint32(successor.Thread))
-	var bindReply [12]byte
-	if _, err := t.Call(r.ch.Home, hChanBind, req, bindReply[:]); err != nil {
+	if _, err := r.ch.bind(t, chRoleRecv, successor); err != nil {
 		return err
 	}
-	// Ship the takeover: sender identity, count, then the drained messages.
-	tk := make([]byte, 16)
-	binary.LittleEndian.PutUint32(tk[0:], uint32(r.peer.PE))
-	binary.LittleEndian.PutUint32(tk[4:], uint32(r.peer.Proc))
-	binary.LittleEndian.PutUint32(tk[8:], uint32(r.peer.Thread))
-	binary.LittleEndian.PutUint32(tk[12:], uint32(len(drained)))
-	if err := t.Send(successor, r.ch.tag(chTagTakeover), tk); err != nil {
+	// Ship the takeover, [sender gid][count u32], then the drained messages.
+	tk := wire.NewEnc(16)
+	putGID(&tk, r.peer)
+	tk.U32(uint32(len(drained)))
+	if err := t.Send(successor, r.ch.tag(chTagTakeover), tk.Out()); err != nil {
 		return err
 	}
 	for _, m := range drained {
@@ -423,12 +401,10 @@ func (r *RecvPort) Handoff(successor GlobalID) error {
 		}
 	}
 	// Resume the sender toward the new holder.
-	rs := make([]byte, 13)
-	rs[0] = chCtlResume
-	binary.LittleEndian.PutUint32(rs[1:], uint32(successor.PE))
-	binary.LittleEndian.PutUint32(rs[5:], uint32(successor.Proc))
-	binary.LittleEndian.PutUint32(rs[9:], uint32(successor.Thread))
-	if err := t.Send(r.peer, r.ch.tag(chTagCtl), rs); err != nil {
+	rs := wire.NewEnc(13) // [kind u8][new holder gid]
+	rs.U8(chCtlResume)
+	putGID(&rs, successor)
+	if err := t.Send(r.peer, r.ch.tag(chTagCtl), rs.Out()); err != nil {
 		return err
 	}
 	r.t = nil // the port is dead in this thread
@@ -444,15 +420,12 @@ func (c Channel) AcceptRecv(t *Thread) (*RecvPort, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if n != 16 {
+	// A handoff drains at most one window, so the window bounds the count.
+	d := wire.NewDec(tk[:n])
+	peer, count := getGID(&d), d.Limit(int(d.U32()), int(c.Capacity))
+	if d.End() != nil {
 		return nil, nil, errors.New("core: malformed channel takeover")
 	}
-	peer := GlobalID{
-		PE:     int32(binary.LittleEndian.Uint32(tk[0:])),
-		Proc:   int32(binary.LittleEndian.Uint32(tk[4:])),
-		Thread: int32(binary.LittleEndian.Uint32(tk[8:])),
-	}
-	count := int(binary.LittleEndian.Uint32(tk[12:]))
 	pending := make([][]byte, 0, count)
 	buf := make([]byte, 64<<10)
 	for i := 0; i < count; i++ {

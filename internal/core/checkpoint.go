@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -13,6 +12,7 @@ import (
 	"chant/internal/sim"
 	"chant/internal/trace"
 	"chant/internal/ult"
+	"chant/internal/wire"
 )
 
 // Coordinated checkpoints and crash recovery. The snapshot protocol is the
@@ -77,11 +77,10 @@ func (t *Thread) Checkpoint() error {
 	if p.snap == nil {
 		return nil // single-process machine: done at capture
 	}
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], id)
+	req := encodeMarker(id)
 	for _, a := range p.peerAddrs() {
 		// Best effort: a dead peer's channel is excused below.
-		_, _ = t.Call(a, hMarker, req[:], nil)
+		_, _ = t.Call(a, hMarker, req, nil)
 	}
 	host := p.ep.Host()
 	miss := host.Model().MsgTestMiss
@@ -211,14 +210,19 @@ func (p *Process) captureCheckpoint() *recovery.Checkpoint {
 	return cp
 }
 
-// recordInFlight logs one arrived RSR request into the open snapshot when
-// its source channel is still recording. Marker and rejoin traffic is
+// encodeMarker frames a marker request: [snapshot id u32].
+func encodeMarker(id uint32) []byte {
+	e := wire.NewEnc(4)
+	e.U32(id)
+	return e.Out()
+}
+
+// recordInFlight logs one arrived RSR request (handler is its decoded id,
+// payload the whole envelope) into the open snapshot when its source
+// channel is still recording. Marker and rejoin traffic is
 // protocol, not application state, and is never logged.
-func (p *Process) recordInFlight(hdr comm.Header, payload []byte) {
-	if p.snap == nil || len(payload) < rsrHeaderLen {
-		return
-	}
-	if id := int32(binary.LittleEndian.Uint32(payload[0:])); id == hMarker || id == hRejoin {
+func (p *Process) recordInFlight(hdr comm.Header, handler int32, payload []byte) {
+	if p.snap == nil || handler == hMarker || handler == hRejoin {
 		return
 	}
 	if p.snap.rec.Record(hdr, payload, p.ep.Host().Now()) {
@@ -230,13 +234,14 @@ func (p *Process) recordInFlight(hdr comm.Header, payload []byte) {
 // handlers on every process.
 func (p *Process) registerRecoveryHandlers() {
 	p.handlers[hMarker] = func(ctx *RSRContext) ([]byte, error) {
-		if len(ctx.Req) < 4 {
-			return nil, errors.New("core: malformed snapshot marker")
+		d := wire.NewDec(ctx.Req)
+		id := d.U32()
+		if d.Err() != nil {
+			return nil, fmt.Errorf("%w: snapshot marker", errMalformed)
 		}
 		if p.cfg.CheckpointStore == nil {
 			return nil, ErrNoCheckpointStore
 		}
-		id := binary.LittleEndian.Uint32(ctx.Req)
 		src := ctx.Src.Addr()
 		if p.snap == nil || p.snap.rec.ID() != id {
 			// First marker of this snapshot: capture here and now, then
@@ -244,7 +249,7 @@ func (p *Process) registerRecoveryHandlers() {
 			// server must keep serving — markers included). A stale snapshot
 			// still open from an abandoned earlier id is superseded.
 			p.beginSnapshot(id)
-			req := append([]byte(nil), ctx.Req[:4]...)
+			req := encodeMarker(id)
 			proxy := p.CreateLocal("ckpt-flood", func(ft *Thread) {
 				for _, a := range p.peerAddrs() {
 					_, _ = ft.Call(a, hMarker, req, nil) // dead peers excused by initiator

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"chant/internal/comm"
 	"chant/internal/ult"
+	"chant/internal/wire"
 )
 
 // Global thread operations (paper Section 3.3): primitives affected by
@@ -61,16 +61,20 @@ func (t *Thread) Create(pe, proc int32, name string, arg []byte, opts CreateOpts
 		}
 		return nt.gid, nil
 	}
-	req := encodeCreate(name, arg, opts)
+	req, err := encodeCreate(name, arg, opts)
+	if err != nil {
+		return GlobalID{}, err
+	}
 	var reply [4]byte
 	n, err := t.Call(dst, hCreate, req, reply[:])
 	if err != nil {
 		return GlobalID{}, err
 	}
-	if n != 4 {
+	d := wire.NewDec(reply[:n])
+	local := d.I32()
+	if d.End() != nil {
 		return GlobalID{}, fmt.Errorf("core: malformed create reply (%d bytes)", n)
 	}
-	local := int32(binary.LittleEndian.Uint32(reply[:]))
 	return GlobalID{PE: pe, Proc: proc, Thread: local}, nil
 }
 
@@ -87,10 +91,8 @@ func (t *Thread) Join(target GlobalID) (any, error) {
 		}
 		return t.JoinLocal(lt)
 	}
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], uint32(target.Thread))
 	reply := make([]byte, t.proc.cfg.MaxRSR)
-	n, err := t.Call(target.Addr(), hJoin, req[:], reply)
+	n, err := t.Call(target.Addr(), hJoin, encodeThreadID(target.Thread), reply)
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +111,7 @@ func (t *Thread) Cancel(target GlobalID) error {
 		t.proc.sched.Cancel(lt.tcb)
 		return nil
 	}
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], uint32(target.Thread))
-	_, err := t.Call(target.Addr(), hCancel, req[:], nil)
+	_, err := t.Call(target.Addr(), hCancel, encodeThreadID(target.Thread), nil)
 	return err
 }
 
@@ -130,9 +130,7 @@ func (t *Thread) DetachGlobal(target GlobalID) error {
 		}
 		return nil
 	}
-	var req [4]byte
-	binary.LittleEndian.PutUint32(req[:], uint32(target.Thread))
-	_, err := t.Call(target.Addr(), hDetach, req[:], nil)
+	_, err := t.Call(target.Addr(), hDetach, encodeThreadID(target.Thread), nil)
 	return err
 }
 
@@ -142,6 +140,20 @@ func (t *Thread) Ping(dst comm.Addr) error {
 	t.mustCurrent("Ping")
 	_, err := t.Call(dst, hPing, nil, nil)
 	return err
+}
+
+// threadReq resolves the [local thread i32] request join, cancel and detach
+// carry: the thread, ErrNoThread if it is gone, or errMalformed.
+func (p *Process) threadReq(ctx *RSRContext) (*Thread, error) {
+	d := wire.NewDec(ctx.Req)
+	local := d.I32()
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%w: thread id of %d bytes", errMalformed, len(ctx.Req))
+	}
+	if lt, ok := p.Lookup(local); ok {
+		return lt, nil
+	}
+	return nil, fmt.Errorf("%w: thread %d", ErrNoThread, local)
 }
 
 // createByName runs the local side of Create.
@@ -173,16 +185,13 @@ func (p *Process) registerBuiltinHandlers() {
 		if err != nil {
 			return nil, err
 		}
-		var reply [4]byte
-		binary.LittleEndian.PutUint32(reply[:], uint32(nt.gid.Thread))
-		return reply[:], nil
+		return encodeThreadID(nt.gid.Thread), nil
 	}
 
 	p.handlers[hJoin] = func(ctx *RSRContext) ([]byte, error) {
-		local := int32(binary.LittleEndian.Uint32(ctx.Req))
-		lt, ok := p.Lookup(local)
-		if !ok {
-			return nil, fmt.Errorf("%w: thread %d", ErrNoThread, local)
+		lt, err := p.threadReq(ctx)
+		if err != nil {
+			return nil, err
 		}
 		// Joining blocks, and the server must keep serving: hand the join
 		// to a proxy thread and defer the reply (paper Section 3.3).
@@ -200,18 +209,19 @@ func (p *Process) registerBuiltinHandlers() {
 	}
 
 	p.handlers[hCancel] = func(ctx *RSRContext) ([]byte, error) {
-		local := int32(binary.LittleEndian.Uint32(ctx.Req))
-		if lt, ok := p.Lookup(local); ok {
+		switch lt, err := p.threadReq(ctx); {
+		case err == nil:
 			p.sched.Cancel(lt.tcb)
+		case !errors.Is(err, ErrNoThread): // cancel of a finished thread is a no-op
+			return nil, err
 		}
 		return nil, nil
 	}
 
 	p.handlers[hDetach] = func(ctx *RSRContext) ([]byte, error) {
-		local := int32(binary.LittleEndian.Uint32(ctx.Req))
-		lt, ok := p.Lookup(local)
-		if !ok {
-			return nil, fmt.Errorf("%w: thread %d", ErrNoThread, local)
+		lt, err := p.threadReq(ctx)
+		if err != nil {
+			return nil, err
 		}
 		lt.tcb.Detach()
 		if lt.tcb.State() == ult.Done {
@@ -223,32 +233,49 @@ func (p *Process) registerBuiltinHandlers() {
 
 // --- wire encodings ---
 
-func encodeCreate(name string, arg []byte, opts CreateOpts) []byte {
-	out := make([]byte, 7+len(name)+len(arg))
-	if opts.Detached {
-		out[0] = 1
+// errMalformed is the error reply to a builtin request that does not decode.
+var errMalformed = errors.New("core: malformed request")
+
+// putGID and getGID are the one encoding of a global thread id:
+// [pe i32][proc i32][thread i32].
+func putGID(e *wire.Enc, g GlobalID) { e.I32(g.PE); e.I32(g.Proc); e.I32(g.Thread) }
+
+func getGID(d *wire.Dec) GlobalID { return GlobalID{PE: d.I32(), Proc: d.I32(), Thread: d.I32()} }
+
+// encodeThreadID frames the [local thread i32] that join, cancel and detach
+// requests and the create reply carry.
+func encodeThreadID(local int32) []byte {
+	e := wire.NewEnc(4)
+	e.I32(local)
+	return e.Out()
+}
+
+// encodeCreate frames [detached u8][priority i32][name str16][arg raw].
+func encodeCreate(name string, arg []byte, opts CreateOpts) ([]byte, error) {
+	e := wire.NewEnc(7 + len(name) + len(arg))
+	e.Bool(opts.Detached)
+	e.I32(int32(opts.Priority))
+	e.Str16(name)
+	e.Raw(arg)
+	if e.Err() != nil {
+		return nil, fmt.Errorf("core: thread function name of %d bytes does not fit a create request", len(name))
 	}
-	binary.LittleEndian.PutUint32(out[1:], uint32(int32(opts.Priority)))
-	binary.LittleEndian.PutUint16(out[5:], uint16(len(name)))
-	copy(out[7:], name)
-	copy(out[7+len(name):], arg)
-	return out
+	return e.Out(), nil
 }
 
 func decodeCreate(req []byte) (name string, arg []byte, opts CreateOpts, err error) {
-	if len(req) < 7 {
-		return "", nil, opts, errors.New("core: malformed create request")
+	d := wire.NewDec(req)
+	opts.Detached = d.Bool()
+	opts.Priority = int(d.I32())
+	name, arg = d.Str16(), d.Rest()
+	if d.Err() != nil {
+		return "", nil, CreateOpts{}, fmt.Errorf("%w: create", errMalformed)
 	}
-	opts.Detached = req[0] == 1
-	opts.Priority = int(int32(binary.LittleEndian.Uint32(req[1:])))
-	nameLen := int(binary.LittleEndian.Uint16(req[5:]))
-	if 7+nameLen > len(req) {
-		return "", nil, opts, errors.New("core: malformed create request name")
-	}
-	return string(req[7 : 7+nameLen]), req[7+nameLen:], opts, nil
+	return name, arg, opts, nil
 }
 
-// Join-value wire format: one kind byte then the payload.
+// Join-value wire format: one kind byte then the payload (raw bytes, raw
+// string, or an i64).
 const (
 	jvNil byte = iota
 	jvBytes
@@ -257,47 +284,45 @@ const (
 )
 
 func encodeJoinValue(v any) []byte {
+	e := wire.NewEnc(9)
 	switch x := v.(type) {
 	case nil:
-		return []byte{jvNil}
+		e.U8(jvNil)
 	case []byte:
-		return append([]byte{jvBytes}, x...)
-	case string:
-		return append([]byte{jvString}, x...)
+		e.U8(jvBytes)
+		e.Raw(x)
 	case int:
-		var out [9]byte
-		out[0] = jvInt64
-		binary.LittleEndian.PutUint64(out[1:], uint64(int64(x)))
-		return out[:]
+		e.U8(jvInt64)
+		e.I64(int64(x))
 	case int64:
-		var out [9]byte
-		out[0] = jvInt64
-		binary.LittleEndian.PutUint64(out[1:], uint64(x))
-		return out[:]
+		e.U8(jvInt64)
+		e.I64(x)
+	case string:
+		e.U8(jvString)
+		e.Raw([]byte(x))
 	default:
-		return append([]byte{jvString}, fmt.Sprint(x)...)
+		e.U8(jvString)
+		e.Raw([]byte(fmt.Sprint(x)))
 	}
+	return e.Out()
 }
 
-func decodeJoinValue(wire []byte) (any, error) {
-	if len(wire) == 0 {
-		return nil, errors.New("core: empty join value")
-	}
-	body := wire[1:]
-	switch wire[0] {
+func decodeJoinValue(b []byte) (any, error) {
+	d := wire.NewDec(b)
+	var v any
+	switch kind := d.U8(); kind {
 	case jvNil:
-		return nil, nil
 	case jvBytes:
-		out := make([]byte, len(body))
-		copy(out, body)
-		return out, nil
+		v = append([]byte{}, d.Rest()...)
 	case jvString:
-		return string(body), nil
+		v = string(d.Rest())
 	case jvInt64:
-		if len(body) != 8 {
-			return nil, errors.New("core: malformed int64 join value")
-		}
-		return int64(binary.LittleEndian.Uint64(body)), nil
+		v = d.I64()
+	default:
+		return nil, fmt.Errorf("%w: join value kind %d", errMalformed, kind)
 	}
-	return nil, errors.New("core: unknown join value kind")
+	if d.End() != nil {
+		return nil, fmt.Errorf("%w: join value of %d bytes", errMalformed, len(b))
+	}
+	return v, nil
 }

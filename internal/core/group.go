@@ -1,8 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+
+	"chant/internal/wire"
 )
 
 // Group is an ordered set of global threads participating in collective
@@ -263,17 +265,19 @@ func (op Int64Op) apply(a, b int64) int64 {
 	panic("core: unknown Int64Op")
 }
 
+// encodeInt64 frames a reduction partial: [value i64], exactly.
 func encodeInt64(v int64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	return b[:]
+	e := wire.NewEnc(8)
+	e.I64(v)
+	return e.Out()
 }
 
 func decodeInt64(b []byte) (int64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("core: malformed int64 partial (%d bytes)", len(b))
+	d := wire.NewDec(b)
+	if v := d.I64(); d.End() == nil {
+		return v, nil
 	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
+	return 0, fmt.Errorf("core: malformed int64 partial (%d bytes)", len(b))
 }
 
 // ReduceInt64 reduces one int64 per member at root. Non-roots receive 0.
@@ -342,46 +346,41 @@ func (g *Group) AllGather(t *Thread, value []byte, maxPartial int) ([][]byte, er
 	if _, err := g.callerRank(t); err != nil {
 		return nil, err
 	}
+	// The pack's lengths are u16. Refuse what cannot fit before any member
+	// communicates: maxPartial and the group are the same everywhere, so
+	// every member fails alike instead of some hanging in the broadcast.
+	if maxPartial > math.MaxUint16 || g.Size() > math.MaxUint16 || len(value) > maxPartial {
+		return nil, fmt.Errorf("core: allgather value of %d bytes (limit %d) in a group of %d does not fit the pack's u16 fields",
+			len(value), maxPartial, g.Size())
+	}
 	gathered, err := g.Gather(t, 0, value, maxPartial)
 	if err != nil {
 		return nil, err
 	}
 	// Pack at the root: [count u16] then per value [len u16][bytes].
+	size := 2 + g.Size()*(2+maxPartial)
 	var packed []byte
 	if gathered != nil {
-		packed = make([]byte, 2, 2+g.Size()*(2+maxPartial))
-		binary.LittleEndian.PutUint16(packed, uint16(len(gathered)))
+		e := wire.NewEnc(size)
+		e.U16(uint16(len(gathered)))
 		for _, v := range gathered {
-			var l [2]byte
-			binary.LittleEndian.PutUint16(l[:], uint16(len(v)))
-			packed = append(packed, l[:]...)
-			packed = append(packed, v...)
+			e.Bytes16(v)
 		}
+		packed = e.Out()
 	} else {
-		packed = make([]byte, 2+g.Size()*(2+maxPartial))
+		packed = make([]byte, size)
 	}
 	n, err := g.Broadcast(t, 0, packed)
 	if err != nil {
 		return nil, err
 	}
-	packed = packed[:n]
-	if len(packed) < 2 {
-		return nil, fmt.Errorf("core: malformed allgather pack")
+	d := wire.NewDec(packed[:n])
+	out := make([][]byte, d.Limit(int(d.U16()), d.Len()/2))
+	for i := range out {
+		out[i] = d.Bytes16()
 	}
-	count := int(binary.LittleEndian.Uint16(packed))
-	out := make([][]byte, 0, count)
-	off := 2
-	for i := 0; i < count; i++ {
-		if off+2 > len(packed) {
-			return nil, fmt.Errorf("core: truncated allgather pack")
-		}
-		l := int(binary.LittleEndian.Uint16(packed[off:]))
-		off += 2
-		if off+l > len(packed) {
-			return nil, fmt.Errorf("core: truncated allgather value")
-		}
-		out = append(out, append([]byte(nil), packed[off:off+l]...))
-		off += l
+	if d.Err() != nil {
+		return nil, fmt.Errorf("core: truncated allgather pack")
 	}
 	return out, nil
 }

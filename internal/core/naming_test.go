@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -90,7 +91,11 @@ func TestCreateCodecRoundtrip(t *testing.T) {
 			name = name[:1000]
 		}
 		opts := CreateOpts{Detached: detached, Priority: int(prio)}
-		gotName, gotArg, gotOpts, err := decodeCreate(encodeCreate(name, arg, opts))
+		req, err := encodeCreate(name, arg, opts)
+		if err != nil {
+			return false
+		}
+		gotName, gotArg, gotOpts, err := decodeCreate(req)
 		if err != nil {
 			return false
 		}
@@ -120,11 +125,15 @@ func TestCreateCodecRejectsMalformed(t *testing.T) {
 		t.Error("short request accepted")
 	}
 	// Name length pointing past the buffer.
-	bad := encodeCreate("abcdef", nil, CreateOpts{})
+	bad, _ := encodeCreate("abcdef", nil, CreateOpts{})
 	bad[5] = 0xFF
 	bad[6] = 0xFF
 	if _, _, _, err := decodeCreate(bad); err == nil {
 		t.Error("oversized name length accepted")
+	}
+	// A name the u16 length cannot carry used to be silently truncated.
+	if _, err := encodeCreate(strings.Repeat("n", 1<<16), nil, CreateOpts{}); err == nil {
+		t.Error("65,536-byte name encoded")
 	}
 }
 
@@ -173,14 +182,16 @@ func TestJoinValueCodec(t *testing.T) {
 }
 
 func TestReplyCodec(t *testing.T) {
-	if data, err := decodeReply(encodeReply(7, []byte("ok"), nil)[rsrReplyPrefix:]); err != nil || string(data) != "ok" {
+	if data, err := decodeReply(encodeReply(7, []byte("ok"), nil)); err != nil || string(data) != "ok" {
 		t.Errorf("success reply: (%q, %v)", data, err)
 	}
-	if _, err := decodeReply(encodeReply(7, nil, errors.New("boom"))[rsrReplyPrefix:]); !errors.Is(err, ErrRemote) {
+	if _, err := decodeReply(encodeReply(7, nil, errors.New("boom"))); !errors.Is(err, ErrRemote) {
 		t.Errorf("error reply: %v", err)
 	}
-	if _, err := decodeReply(nil); !errors.Is(err, ErrRemote) {
-		t.Errorf("empty reply: %v", err)
+	for _, short := range [][]byte{nil, {1, 2, 3}, {7, 0, 0, 0}} { // a reply under 5 bytes used to slice out of range in Call
+		if _, err := decodeReply(short); !errors.Is(err, ErrRemote) {
+			t.Errorf("short reply % x: %v", short, err)
+		}
 	}
 	if wire := encodeReply(0xDEADBEEF, []byte("x"), nil); binary.LittleEndian.Uint32(wire) != 0xDEADBEEF {
 		t.Errorf("reply does not echo the request sequence: % x", wire[:rsrReplyPrefix])

@@ -1,17 +1,18 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"chant/internal/comm"
 	"chant/internal/sim"
 	"chant/internal/ult"
+	"chant/internal/wire"
 )
 
 // bodyPrefixLen is the size of the routing prefix prepended to message
-// bodies in DeliverBody mode: destination thread, source thread, user tag,
-// and delivery flags.
+// bodies in DeliverBody mode: [destination thread i32][source thread i32]
+// [user tag i32][delivery flags i32], written by sendFlags and read by the
+// dispatcher.
 const bodyPrefixLen = 16
 
 // maxBodyMsg bounds message size in DeliverBody mode, where the dispatcher
@@ -99,13 +100,13 @@ func (p *Process) sendFlags(srcThread int32, dst GlobalID, tag, flags int32, dat
 		// Copy on the sending side "to insert the thread id" — the cost
 		// the paper's header-based designs avoid.
 		host.Charge(m.CopyCost(len(data)))
-		wrapped := make([]byte, bodyPrefixLen+len(data))
-		binary.LittleEndian.PutUint32(wrapped[0:], uint32(dst.Thread))
-		binary.LittleEndian.PutUint32(wrapped[4:], uint32(srcThread))
-		binary.LittleEndian.PutUint32(wrapped[8:], uint32(tag))
-		binary.LittleEndian.PutUint32(wrapped[12:], uint32(flags))
-		copy(wrapped[bodyPrefixLen:], data)
-		p.ep.Send(dst.Addr(), 0, tagBodyWire, srcThread, wrapped)
+		wrapped := wire.NewEnc(bodyPrefixLen + len(data))
+		wrapped.I32(dst.Thread)
+		wrapped.I32(srcThread)
+		wrapped.I32(tag)
+		wrapped.I32(flags)
+		wrapped.Raw(data)
+		p.ep.Send(dst.Addr(), 0, tagBodyWire, srcThread, wrapped.Out())
 	}
 	return nil
 }
@@ -288,16 +289,14 @@ func (p *Process) startDispatcher() {
 			n := h.Len()
 			hdr := h.Header()
 			p.ep.ReleaseHandle(h)
-			if n < bodyPrefixLen {
-				continue // malformed; drop
+			d := wire.NewDec(buf[:n])
+			dstThread, srcThread, origTag, origFlags := d.I32(), d.I32(), d.I32(), d.I32()
+			if d.Err() != nil {
+				continue // no routing prefix, so nobody to deliver to: drop
 			}
-			dstThread := int32(binary.LittleEndian.Uint32(buf[0:]))
-			srcThread := int32(binary.LittleEndian.Uint32(buf[4:]))
-			origTag := int32(binary.LittleEndian.Uint32(buf[8:]))
-			origFlags := int32(binary.LittleEndian.Uint32(buf[12:]))
 			// Copy on the receiving side "to extract the thread id".
-			payload := make([]byte, n-bodyPrefixLen)
-			copy(payload, buf[bodyPrefixLen:n])
+			payload := make([]byte, d.Len())
+			copy(payload, d.Rest())
 			host.Charge(m.CopyCost(len(payload)))
 			p.ep.DeliverLocal(&comm.Message{
 				Hdr: comm.Header{

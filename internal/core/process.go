@@ -34,9 +34,6 @@ type Config struct {
 	// MaxRSR bounds the size of a remote service request message
 	// (default 64 KiB).
 	MaxRSR int
-	// IdleBlock parks idle schedulers on host interrupts instead of
-	// busy-polling; real-mode runtimes enable it.
-	IdleBlock bool
 	// MeshWidth, when positive, arranges simulated PEs in a 2D mesh of
 	// that width (the Paragon's topology): messages pay Model.NetPerHop
 	// for each hop beyond the first. Zero models a flat network. Only the
@@ -168,9 +165,11 @@ func newProcess(rt *Runtime, addr comm.Addr, host machine.Host, ctrs *trace.Coun
 		evlog = trace.NewLog(cfg.EventLogSize)
 	}
 	sched := ult.NewSched(host, ctrs, ult.Options{
-		Name:      addr.String(),
-		EventLog:  evlog,
-		IdleBlock: cfg.IdleBlock,
+		Name:     addr.String(),
+		EventLog: evlog,
+		// Real hosts park on interrupts; simulated ones busy-poll, the
+		// paper's interrupt-free behaviour, so poll counts match.
+		IdleBlock: !host.Deterministic(),
 		Tracer:    cfg.Tracer,
 		PE:        addr.PE,
 	})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -9,6 +8,7 @@ import (
 	"chant/internal/sim"
 	"chant/internal/trace"
 	"chant/internal/ult"
+	"chant/internal/wire"
 )
 
 // The remote-service-request layer (paper Section 3.2): messages whose
@@ -146,8 +146,8 @@ var (
 	ErrRSRTimeout = errors.New("core: remote service request timed out")
 )
 
-// rsrHeaderLen is the request envelope: handler id, flags, reply tag,
-// sequence number, sender epoch.
+// rsrHeaderLen is the request envelope sendRSR writes and serveOne reads:
+// [handler i32][flags u8][reply tag i32][seq u32][sender epoch u32].
 const rsrHeaderLen = 17
 
 // rsrReplyPrefix is the reply envelope before the status byte: the echoed
@@ -197,8 +197,8 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 		return 0, err
 	}
 	// The reply carries a sequence + status prefix.
-	wire := make([]byte, len(replyBuf)+rsrReplyPrefix+1+256)
-	h := p.ep.Irecv(spec, wire)
+	rbuf := make([]byte, len(replyBuf)+rsrReplyPrefix+1+256)
+	h := p.ep.Irecv(spec, rbuf)
 
 	if err := p.sendRSR(t.gid.Thread, dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
 		p.ep.CancelRecv(h)
@@ -220,9 +220,9 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 				// A reused reply tag can match a stale reply from an earlier,
 				// abandoned Call; the echoed sequence exposes it. Repost and
 				// keep waiting — the stale bytes are simply overwritten.
-				if h.Len() >= rsrReplyPrefix && binary.LittleEndian.Uint32(wire[0:]) != seq {
+				if d := wire.NewDec(rbuf[:h.Len()]); d.U32() != seq && d.Err() == nil {
 					p.ep.ReleaseHandle(h)
-					h = p.ep.Irecv(spec, wire)
+					h = p.ep.Irecv(spec, rbuf)
 					continue
 				}
 				break
@@ -250,7 +250,7 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 				host.Charge(p.cfg.RSRTimeout)
 				t.Yield()
 				p.ep.ReleaseHandle(h)
-				h = p.ep.Irecv(spec, wire)
+				h = p.ep.Irecv(spec, rbuf)
 				if err := p.sendRSR(t.gid.Thread, dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
 					p.ep.CancelRecv(h)
 					p.ep.ReleaseHandle(h)
@@ -271,7 +271,7 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 				backoff *= 2
 			}
 			p.ep.ReleaseHandle(h)
-			h = p.ep.Irecv(spec, wire)
+			h = p.ep.Irecv(spec, rbuf)
 			if err := p.sendRSR(t.gid.Thread, dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
 				p.ep.CancelRecv(h)
 				p.ep.ReleaseHandle(h)
@@ -280,8 +280,8 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 		}
 	}
 	n := h.Len()
-	p.ep.ReleaseHandle(h) // the reply lives in wire; h never escapes Call
-	data, remoteErr := decodeReply(wire[rsrReplyPrefix:n])
+	p.ep.ReleaseHandle(h) // the reply lives in rbuf; h never escapes Call
+	data, remoteErr := decodeReply(rbuf[:n])
 	if remoteErr != nil {
 		return 0, remoteErr
 	}
@@ -312,14 +312,14 @@ func (t *Thread) Notify(dst comm.Addr, handler int32, req []byte) error {
 // for notifications; calls carry their per-client sequence for idempotent
 // retry.
 func (p *Process) sendRSR(srcThread int32, dst comm.Addr, handler int32, flags byte, replyTag int32, seq uint32, req []byte) error {
-	payload := make([]byte, rsrHeaderLen+len(req))
-	binary.LittleEndian.PutUint32(payload[0:], uint32(handler))
-	payload[4] = flags
-	binary.LittleEndian.PutUint32(payload[5:], uint32(replyTag))
-	binary.LittleEndian.PutUint32(payload[9:], seq)
-	binary.LittleEndian.PutUint32(payload[13:], p.epoch)
-	copy(payload[rsrHeaderLen:], req)
-	return p.send(srcThread, GlobalID{PE: dst.PE, Proc: dst.Proc, Thread: serverLocalID}, tagRSRRequest, payload)
+	e := wire.NewEnc(rsrHeaderLen + len(req))
+	e.I32(handler)
+	e.U8(flags)
+	e.I32(replyTag)
+	e.U32(seq)
+	e.U32(p.epoch)
+	e.Raw(req)
+	return p.send(srcThread, GlobalID{PE: dst.PE, Proc: dst.Proc, Thread: serverLocalID}, tagRSRRequest, e.Out())
 }
 
 // startServer creates the server thread (Figure 7). It must be the first
@@ -356,12 +356,9 @@ func (p *Process) startServer() {
 			p.ep.ReleaseHandle(h)
 			p.serveOne(hdr, buf[:n])
 			if tr != nil {
-				var harg uint64
-				if n >= 4 {
-					harg = uint64(binary.LittleEndian.Uint32(buf[0:]))
-				}
+				d := wire.NewDec(buf[:n])
 				tr.Span(trace.SpanRSRServe, p.addr.PE, serverLocalID,
-					serveBegin, host.Now(), harg)
+					serveBegin, host.Now(), uint64(d.U32()))
 			}
 		}
 	}, ult.SpawnOpts{Daemon: true})
@@ -373,22 +370,24 @@ func (p *Process) startServer() {
 
 // serveOne decodes and dispatches a single request.
 func (p *Process) serveOne(hdr comm.Header, payload []byte) {
-	if len(payload) < rsrHeaderLen {
-		return // malformed; drop
-	}
-	// An open coordinated snapshot logs requests arriving on channels whose
-	// marker has not come yet — the channel's in-flight content.
-	p.recordInFlight(hdr, payload)
+	d := wire.NewDec(payload)
+	id := d.I32()
 	src := GlobalID{PE: hdr.SrcPE, Proc: hdr.SrcProc, Thread: hdr.SrcThread}
 	ctx := &RSRContext{
 		Proc:      p,
 		Src:       src,
-		Req:       payload[rsrHeaderLen:],
-		wantReply: payload[4]&rsrFlagWantReply != 0,
-		replyTag:  int32(binary.LittleEndian.Uint32(payload[5:])),
-		seq:       binary.LittleEndian.Uint32(payload[9:]),
-		epoch:     binary.LittleEndian.Uint32(payload[13:]),
+		wantReply: d.U8()&rsrFlagWantReply != 0,
+		replyTag:  d.I32(),
+		seq:       d.U32(),
+		epoch:     d.U32(),
+		Req:       d.Rest(),
 	}
+	if d.Err() != nil {
+		return // no envelope, so no reply tag to answer on: drop
+	}
+	// An open coordinated snapshot logs requests arriving on channels whose
+	// marker has not come yet — the channel's in-flight content.
+	p.recordInFlight(hdr, id, payload)
 	if ctx.wantReply && ctx.seq != 0 {
 		rec := p.rsrSeen[src]
 		switch admitRSR(rec, ctx.epoch, ctx.seq) {
@@ -411,7 +410,7 @@ func (p *Process) serveOne(hdr comm.Header, payload []byte) {
 		}
 		p.rsrSeen[src] = &rsrDedup{epoch: ctx.epoch, seq: ctx.seq, replyTag: ctx.replyTag}
 	}
-	handler := p.handlers[int32(binary.LittleEndian.Uint32(payload[0:]))]
+	handler := p.handlers[id]
 	if handler == nil {
 		if ctx.wantReply {
 			ctx.Reply(nil, ErrNoHandler)
@@ -424,30 +423,30 @@ func (p *Process) serveOne(hdr comm.Header, payload []byte) {
 	}
 }
 
-// encodeReply frames a reply as [seq][status byte][data | error string].
+// encodeReply frames a reply as [seq u32][status u8][data | error string].
 func encodeReply(seq uint32, data []byte, err error) []byte {
+	status := byte(0)
 	if err != nil {
-		msg := err.Error()
-		out := make([]byte, rsrReplyPrefix+1+len(msg))
-		binary.LittleEndian.PutUint32(out[0:], seq)
-		out[rsrReplyPrefix] = 1
-		copy(out[rsrReplyPrefix+1:], msg)
-		return out
+		status, data = 1, []byte(err.Error())
 	}
-	out := make([]byte, rsrReplyPrefix+1+len(data))
-	binary.LittleEndian.PutUint32(out[0:], seq)
-	copy(out[rsrReplyPrefix+1:], data)
-	return out
+	e := wire.NewEnc(rsrReplyPrefix + 1 + len(data))
+	e.U32(seq)
+	e.U8(status)
+	e.Raw(data)
+	return e.Out()
 }
 
 // decodeReply unframes a reply, converting a remote error string back into
 // an error wrapping ErrRemote.
-func decodeReply(wire []byte) ([]byte, error) {
-	if len(wire) < 1 {
+func decodeReply(reply []byte) ([]byte, error) {
+	d := wire.NewDec(reply)
+	d.U32() // the sequence; Call has already matched it
+	failed, body := d.U8() != 0, d.Rest()
+	if d.Err() != nil {
 		return nil, fmt.Errorf("%w: empty reply", ErrRemote)
 	}
-	if wire[0] != 0 {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, wire[1:])
+	if failed {
+		return nil, fmt.Errorf("%w: %s", ErrRemote, body)
 	}
-	return wire[1:], nil
+	return body, nil
 }

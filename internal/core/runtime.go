@@ -81,10 +81,8 @@ func NewSimRuntime(topo Topology, cfg Config, model *machine.Model) *Runtime {
 }
 
 // NewRealRuntime creates a runtime whose processes execute on goroutines
-// against the wall clock, joined by the in-memory transport. The
-// configuration is forced to IdleBlock so idle schedulers do not spin.
+// against the wall clock, joined by the in-memory transport.
 func NewRealRuntime(topo Topology, cfg Config, model *machine.Model) *Runtime {
-	cfg.IdleBlock = true
 	return newRuntime(topo, cfg, model, true)
 }
 
@@ -94,8 +92,7 @@ func NewRealRuntime(topo Topology, cfg Config, model *machine.Model) *Runtime {
 // the machine must register the same names — then call RunOne with this
 // process's endpoint.
 func NewDistRuntime(topo Topology, cfg Config, model *machine.Model) *Runtime {
-	cfg.IdleBlock = true
-	return newRuntime(topo, cfg, model, true)
+	return NewRealRuntime(topo, cfg, model)
 }
 
 // RunOne runs the single local process of a distributed machine: addr is

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"chant/internal/comm"
 	"chant/internal/ult"
+	"chant/internal/wire"
 )
 
 // Shared data abstractions (paper Sections 1 and 3.2): the intro names
@@ -110,11 +110,14 @@ func (v *SharedVar) Read(t *Thread, buf []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if n < 8 {
+		// The fetch reply is [version i64][value raw].
+		d := wire.NewDec(reply[:n])
+		version, value := d.I64(), d.Rest()
+		if d.Err() != nil {
 			return 0, fmt.Errorf("core: malformed shared fetch reply (%d bytes)", n)
 		}
-		e.version = int64(binary.LittleEndian.Uint64(reply))
-		e.value = append(e.value[:0], reply[8:n]...)
+		e.version = version
+		e.value = append(e.value[:0], value...)
 		e.valid = true
 	}
 	n := copy(buf, e.value)
@@ -131,11 +134,14 @@ func (v *SharedVar) Write(t *Thread, data []byte) error {
 	if v.home == v.p.addr {
 		return v.p.sharedStoreLocal(t, v.name, data, v.p.addr)
 	}
-	req := make([]byte, 2+len(v.name)+len(data))
-	binary.LittleEndian.PutUint16(req, uint16(len(v.name)))
-	copy(req[2:], v.name)
-	copy(req[2+len(v.name):], data)
-	if _, err := t.Call(v.home, hSharedStore, req, nil); err != nil {
+	// The store request is [name str16][data raw].
+	req := wire.NewEnc(2 + len(v.name) + len(data))
+	req.Str16(v.name)
+	req.Raw(data)
+	if req.Err() != nil {
+		return fmt.Errorf("core: shared variable name of %d bytes does not fit a store request", len(v.name))
+	}
+	if _, err := t.Call(v.home, hSharedStore, req.Out(), nil); err != nil {
 		return err
 	}
 	// Our own copy is now stale unless the store handler refreshed us; be
@@ -187,22 +193,18 @@ func (p *Process) registerSharedHandlers() {
 			return nil, fmt.Errorf("%w: %q", ErrNoShared, name)
 		}
 		e.directory[ctx.Src.Addr()] = struct{}{}
-		reply := make([]byte, 8+len(e.value))
-		binary.LittleEndian.PutUint64(reply, uint64(e.version))
-		copy(reply[8:], e.value)
-		return reply, nil
+		reply := wire.NewEnc(8 + len(e.value))
+		reply.I64(e.version)
+		reply.Raw(e.value)
+		return reply.Out(), nil
 	}
 
 	p.handlers[hSharedStore] = func(ctx *RSRContext) ([]byte, error) {
-		if len(ctx.Req) < 2 {
-			return nil, errors.New("core: malformed shared store")
+		d := wire.NewDec(ctx.Req)
+		name, data := d.Str16(), append([]byte(nil), d.Rest()...)
+		if d.Err() != nil {
+			return nil, fmt.Errorf("%w: shared store", errMalformed)
 		}
-		nameLen := int(binary.LittleEndian.Uint16(ctx.Req))
-		if 2+nameLen > len(ctx.Req) {
-			return nil, errors.New("core: malformed shared store name")
-		}
-		name := string(ctx.Req[2 : 2+nameLen])
-		data := append([]byte(nil), ctx.Req[2+nameLen:]...)
 		writer := ctx.Src.Addr()
 		if e := p.shared[name]; e == nil || !e.home {
 			return nil, fmt.Errorf("%w: %q", ErrNoShared, name)

@@ -1,316 +1,196 @@
 package recovery
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"chant/internal/comm"
 	"chant/internal/sim"
 	"chant/internal/trace"
+	"chant/internal/wire"
 )
 
-// The wire format: a 4-byte magic, a format version byte, then every
-// checkpoint field in declaration order as fixed-width little-endian values.
-// Variable-length sections are length-prefixed with uint32 counts. There is
-// no compression and no map in sight: the same Checkpoint value always
-// yields the same bytes, which the determinism test pins.
+// The archive format: a 4-byte magic (the last byte is the format version),
+// then every checkpoint field in declaration order as fixed-width
+// little-endian values. Variable-length sections are length-prefixed with
+// uint32 counts. There is no compression and no map in sight: the same
+// Checkpoint value always yields the same bytes, which the determinism test
+// pins. This file holds only the layout — which field follows which; every
+// primitive read and write, and with it every bounds check, is
+// internal/wire's, and FuzzDecodeCheckpoint holds Decode to "ErrCorrupt or a
+// value that re-encodes to its input".
 
 const codecMagic = "CKP\x01"
 
 // ErrCorrupt reports a checkpoint blob that does not decode.
 var ErrCorrupt = errors.New("recovery: corrupt checkpoint encoding")
 
-type encoder struct{ buf []byte }
+func putAddr(e *wire.Enc, a comm.Addr) { e.I32(a.PE); e.I32(a.Proc) }
 
-func (e *encoder) u8(v byte) { e.buf = append(e.buf, v) }
-func (e *encoder) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	e.buf = append(e.buf, b)
-}
-func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) i32(v int32)   { e.u32(uint32(v)) }
-func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+func getAddr(d *wire.Dec) comm.Addr { return comm.Addr{PE: d.I32(), Proc: d.I32()} }
 
-func (e *encoder) bytes(v []byte) {
-	e.u32(uint32(len(v)))
-	e.buf = append(e.buf, v...)
-}
-func (e *encoder) str(v string) { e.bytes([]byte(v)) }
-
-func (e *encoder) addr(a comm.Addr) { e.i32(a.PE); e.i32(a.Proc) }
-
-func (e *encoder) header(h comm.Header) {
-	e.i32(h.SrcPE)
-	e.i32(h.SrcProc)
-	e.i32(h.SrcThread)
-	e.i32(h.DstPE)
-	e.i32(h.DstProc)
-	e.i32(h.Ctx)
-	e.i32(h.Tag)
-	e.i32(h.Size)
-	e.i32(h.Flags)
-}
-
-func (e *encoder) msg(m CapturedMessage) {
-	e.header(m.Hdr)
-	e.bytes(m.Data)
-	e.i64(int64(m.SentAt))
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.bad || d.off+n > len(d.buf) {
-		d.bad = true
-		return nil
-	}
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (d *decoder) bool() bool { return d.u8() != 0 }
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (d *decoder) i32() int32 { return int32(d.u32()) }
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.bad || n < 0 || d.off+n > len(d.buf) {
-		d.bad = true
-		return nil
-	}
-	if n == 0 { // keep nil/empty round-trip exact
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.take(n))
-	return out
-}
-func (d *decoder) str() string { return string(d.bytes()) }
-
-// count reads a section length, bounding it by the bytes remaining so a
-// corrupt count cannot force a huge allocation.
-func (d *decoder) count(minPer int) int {
-	n := int(d.u32())
-	if d.bad || n < 0 || n*minPer > len(d.buf)-d.off {
-		d.bad = true
-		return 0
-	}
-	return n
-}
-
-func (d *decoder) addr() comm.Addr { return comm.Addr{PE: d.i32(), Proc: d.i32()} }
-
-func (d *decoder) header() comm.Header {
-	return comm.Header{
-		SrcPE:     d.i32(),
-		SrcProc:   d.i32(),
-		SrcThread: d.i32(),
-		DstPE:     d.i32(),
-		DstProc:   d.i32(),
-		Ctx:       d.i32(),
-		Tag:       d.i32(),
-		Size:      d.i32(),
-		Flags:     d.i32(),
+func putHeader(e *wire.Enc, h comm.Header) {
+	for _, v := range [...]int32{h.SrcPE, h.SrcProc, h.SrcThread, h.DstPE, h.DstProc, h.Ctx, h.Tag, h.Size, h.Flags} {
+		e.I32(v)
 	}
 }
 
-func (d *decoder) msg() CapturedMessage {
-	return CapturedMessage{Hdr: d.header(), Data: d.bytes(), SentAt: sim.Time(d.i64())}
+func getHeader(d *wire.Dec) (h comm.Header) {
+	for _, p := range [...]*int32{&h.SrcPE, &h.SrcProc, &h.SrcThread, &h.DstPE, &h.DstProc, &h.Ctx, &h.Tag, &h.Size, &h.Flags} {
+		*p = d.I32()
+	}
+	return h
 }
 
-// encodeSnapshot writes every trace.Snapshot field in declaration order. A
-// reflection test keeps this list complete when counters are added.
-func (e *encoder) snapshot(s trace.Snapshot) {
-	for _, v := range []uint64{
-		s.FullSwitches, s.PartialSwitches, s.Yields, s.YieldsNoSwitch, s.IdleEntries,
-		s.ThreadsCreated,
-		s.Sends, s.Recvs, s.RecvImmediate, s.EarlyArrivals, s.BytesSent,
-		s.MsgTestCalls, s.MsgTestFails, s.TestAnyCalls, s.TestAnyScanned,
-		s.RSRRequests, s.RSRSent,
-		s.NullsSent,
-		s.FaultDrops, s.FaultDups, s.FaultDelays, s.UnexpectedDropped,
-		s.RecvTimeouts, s.PeerDeadRecvs, s.PeersDead,
-		s.RSRRetries, s.RSRTimeouts, s.RSRDupsServed,
-		s.Checkpoints, s.InFlightLogged, s.Restarts,
-		s.InFlightReplayed, s.RejoinsServed, s.PeersRecovered,
-	} {
-		e.u64(v)
-	}
-	e.f64(s.AvgWaiting)
-	e.i64(int64(s.MaxWaiting))
+func putMsg(e *wire.Enc, m CapturedMessage) {
+	putHeader(e, m.Hdr)
+	e.Bytes(m.Data)
+	e.I64(int64(m.SentAt))
 }
 
-func (d *decoder) snapshot() trace.Snapshot {
-	var s trace.Snapshot
-	for _, p := range []*uint64{
-		&s.FullSwitches, &s.PartialSwitches, &s.Yields, &s.YieldsNoSwitch, &s.IdleEntries,
-		&s.ThreadsCreated,
-		&s.Sends, &s.Recvs, &s.RecvImmediate, &s.EarlyArrivals, &s.BytesSent,
-		&s.MsgTestCalls, &s.MsgTestFails, &s.TestAnyCalls, &s.TestAnyScanned,
-		&s.RSRRequests, &s.RSRSent,
-		&s.NullsSent,
-		&s.FaultDrops, &s.FaultDups, &s.FaultDelays, &s.UnexpectedDropped,
-		&s.RecvTimeouts, &s.PeerDeadRecvs, &s.PeersDead,
-		&s.RSRRetries, &s.RSRTimeouts, &s.RSRDupsServed,
-		&s.Checkpoints, &s.InFlightLogged, &s.Restarts,
-		&s.InFlightReplayed, &s.RejoinsServed, &s.PeersRecovered,
-	} {
-		*p = d.u64()
+func getMsg(d *wire.Dec) CapturedMessage {
+	return CapturedMessage{Hdr: getHeader(d), Data: d.Bytes(), SentAt: sim.Time(d.I64())}
+}
+
+// putSnapshot writes every trace.Snapshot field in declaration order: the
+// event counters through trace's one field table, then the two waiting-thread
+// statistics. TestSnapshotCodecComplete keeps it complete.
+func putSnapshot(e *wire.Enc, s trace.Snapshot) {
+	for _, f := range trace.SnapshotFields {
+		if f.Count != nil {
+			e.U64(*f.Count(&s))
+		}
 	}
-	s.AvgWaiting = d.f64()
-	s.MaxWaiting = int(d.i64())
+	e.F64(s.AvgWaiting)
+	e.I64(int64(s.MaxWaiting))
+}
+
+func getSnapshot(d *wire.Dec) (s trace.Snapshot) {
+	for _, f := range trace.SnapshotFields {
+		if f.Count != nil {
+			*f.Count(&s) = d.U64()
+		}
+	}
+	s.AvgWaiting = d.F64()
+	s.MaxWaiting = int(d.I64())
 	return s
 }
 
 // Encode serializes cp to its canonical byte form. Encoding the same value
 // twice yields identical bytes.
 func Encode(cp *Checkpoint) []byte {
-	e := &encoder{buf: make([]byte, 0, 256)}
-	e.buf = append(e.buf, codecMagic...)
-	e.addr(cp.Addr)
-	e.u32(cp.Epoch)
-	e.i64(int64(cp.At))
-	e.u32(uint32(len(cp.Handlers)))
+	e := wire.NewEnc(256)
+	e.Raw([]byte(codecMagic))
+	putAddr(&e, cp.Addr)
+	e.U32(cp.Epoch)
+	e.I64(int64(cp.At))
+	e.U32(uint32(len(cp.Handlers)))
 	for _, id := range cp.Handlers {
-		e.i32(id)
+		e.I32(id)
 	}
-	e.i32(cp.NextReq)
-	e.u32(uint32(len(cp.Dedup)))
+	e.I32(cp.NextReq)
+	e.U32(uint32(len(cp.Dedup)))
 	for _, r := range cp.Dedup {
-		e.i32(r.SrcPE)
-		e.i32(r.SrcProc)
-		e.i32(r.SrcThread)
-		e.u32(r.Epoch)
-		e.u32(r.Seq)
-		e.i32(r.ReplyTag)
-		e.bool(r.HasReply)
-		e.bytes(r.Reply)
+		e.I32(r.SrcPE)
+		e.I32(r.SrcProc)
+		e.I32(r.SrcThread)
+		e.U32(r.Epoch)
+		e.U32(r.Seq)
+		e.I32(r.ReplyTag)
+		e.Bool(r.HasReply)
+		e.Bytes(r.Reply)
 	}
-	e.u32(uint32(len(cp.Shared)))
+	e.U32(uint32(len(cp.Shared)))
 	for _, s := range cp.Shared {
-		e.str(s.Name)
-		e.bytes(s.Value)
-		e.i64(s.Version)
-		e.bool(s.Valid)
-		e.bool(s.Home)
-		e.u32(uint32(len(s.Directory)))
+		e.Str(s.Name)
+		e.Bytes(s.Value)
+		e.I64(s.Version)
+		e.Bool(s.Valid)
+		e.Bool(s.Home)
+		e.U32(uint32(len(s.Directory)))
 		for _, a := range s.Directory {
-			e.addr(a)
+			putAddr(&e, a)
 		}
 	}
-	e.u32(uint32(len(cp.Unexpected)))
+	e.U32(uint32(len(cp.Unexpected)))
 	for _, m := range cp.Unexpected {
-		e.msg(m)
+		putMsg(&e, m)
 	}
-	e.u32(uint32(len(cp.InFlight)))
+	e.U32(uint32(len(cp.InFlight)))
 	for _, m := range cp.InFlight {
-		e.msg(m)
+		putMsg(&e, m)
 	}
-	e.snapshot(cp.Counters)
-	return e.buf
+	putSnapshot(&e, cp.Counters)
+	return e.Out()
 }
 
 // Decode parses a checkpoint from its canonical byte form.
 func Decode(buf []byte) (*Checkpoint, error) {
-	if len(buf) < len(codecMagic) || string(buf[:len(codecMagic)]) != codecMagic {
+	d := wire.NewDec(buf)
+	if string(d.Take(len(codecMagic))) != codecMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	d := &decoder{buf: buf, off: len(codecMagic)}
 	cp := &Checkpoint{}
-	cp.Addr = d.addr()
-	cp.Epoch = d.u32()
-	cp.At = sim.Time(d.i64())
-	if n := d.count(4); n > 0 {
+	cp.Addr = getAddr(&d)
+	cp.Epoch = d.U32()
+	cp.At = sim.Time(d.I64())
+	if n := d.Count(4); n > 0 {
 		cp.Handlers = make([]int32, n)
 		for i := range cp.Handlers {
-			cp.Handlers[i] = d.i32()
+			cp.Handlers[i] = d.I32()
 		}
 	}
-	cp.NextReq = d.i32()
-	if n := d.count(4*4 + 4 + 1 + 4); n > 0 {
+	cp.NextReq = d.I32()
+	if n := d.Count(4*4 + 4 + 1 + 4); n > 0 {
 		cp.Dedup = make([]DedupState, n)
 		for i := range cp.Dedup {
 			r := &cp.Dedup[i]
-			r.SrcPE = d.i32()
-			r.SrcProc = d.i32()
-			r.SrcThread = d.i32()
-			r.Epoch = d.u32()
-			r.Seq = d.u32()
-			r.ReplyTag = d.i32()
-			r.HasReply = d.bool()
-			r.Reply = d.bytes()
+			r.SrcPE = d.I32()
+			r.SrcProc = d.I32()
+			r.SrcThread = d.I32()
+			r.Epoch = d.U32()
+			r.Seq = d.U32()
+			r.ReplyTag = d.I32()
+			r.HasReply = d.Bool()
+			r.Reply = d.Bytes()
 		}
 	}
-	if n := d.count(4 + 4 + 8 + 2 + 4); n > 0 {
+	if n := d.Count(4 + 4 + 8 + 2 + 4); n > 0 {
 		cp.Shared = make([]SharedState, n)
 		for i := range cp.Shared {
 			s := &cp.Shared[i]
-			s.Name = d.str()
-			s.Value = d.bytes()
-			s.Version = d.i64()
-			s.Valid = d.bool()
-			s.Home = d.bool()
-			if m := d.count(8); m > 0 {
+			s.Name = d.Str()
+			s.Value = d.Bytes()
+			s.Version = d.I64()
+			s.Valid = d.Bool()
+			s.Home = d.Bool()
+			if m := d.Count(8); m > 0 {
 				s.Directory = make([]comm.Addr, m)
 				for j := range s.Directory {
-					s.Directory[j] = d.addr()
+					s.Directory[j] = getAddr(&d)
 				}
 			}
 		}
 	}
 	const msgMin = 9*4 + 4 + 8
-	if n := d.count(msgMin); n > 0 {
+	if n := d.Count(msgMin); n > 0 {
 		cp.Unexpected = make([]CapturedMessage, n)
 		for i := range cp.Unexpected {
-			cp.Unexpected[i] = d.msg()
+			cp.Unexpected[i] = getMsg(&d)
 		}
 	}
-	if n := d.count(msgMin); n > 0 {
+	if n := d.Count(msgMin); n > 0 {
 		cp.InFlight = make([]CapturedMessage, n)
 		for i := range cp.InFlight {
-			cp.InFlight[i] = d.msg()
+			cp.InFlight[i] = getMsg(&d)
 		}
 	}
-	cp.Counters = d.snapshot()
-	if d.bad {
-		return nil, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, d.off)
+	cp.Counters = getSnapshot(&d)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("%w: truncated or malformed field", ErrCorrupt)
 	}
-	if d.off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf)-d.off)
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.Len())
 	}
 	return cp, nil
 }

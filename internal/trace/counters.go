@@ -194,44 +194,13 @@ type Snapshot struct {
 // Snap captures the current counter values, computing the waiting-thread
 // average over the window ending at end.
 func (c *Counters) Snap(end sim.Time) Snapshot {
-	return Snapshot{
-		FullSwitches:      c.FullSwitches.Load(),
-		PartialSwitches:   c.PartialSwitches.Load(),
-		Yields:            c.Yields.Load(),
-		YieldsNoSwitch:    c.YieldsNoSwitch.Load(),
-		IdleEntries:       c.IdleEntries.Load(),
-		ThreadsCreated:    c.ThreadsCreated.Load(),
-		Sends:             c.Sends.Load(),
-		Recvs:             c.Recvs.Load(),
-		RecvImmediate:     c.RecvImmediate.Load(),
-		EarlyArrivals:     c.EarlyArrivals.Load(),
-		BytesSent:         c.BytesSent.Load(),
-		MsgTestCalls:      c.MsgTestCalls.Load(),
-		MsgTestFails:      c.MsgTestFails.Load(),
-		TestAnyCalls:      c.TestAnyCalls.Load(),
-		TestAnyScanned:    c.TestAnyScanned.Load(),
-		RSRRequests:       c.RSRRequests.Load(),
-		RSRSent:           c.RSRSent.Load(),
-		NullsSent:         c.NullsSent.Load(),
-		FaultDrops:        c.FaultDrops.Load(),
-		FaultDups:         c.FaultDups.Load(),
-		FaultDelays:       c.FaultDelays.Load(),
-		UnexpectedDropped: c.UnexpectedDropped.Load(),
-		RecvTimeouts:      c.RecvTimeouts.Load(),
-		PeerDeadRecvs:     c.PeerDeadRecvs.Load(),
-		PeersDead:         c.PeersDead.Load(),
-		RSRRetries:        c.RSRRetries.Load(),
-		RSRTimeouts:       c.RSRTimeouts.Load(),
-		RSRDupsServed:     c.RSRDupsServed.Load(),
-		Checkpoints:       c.Checkpoints.Load(),
-		InFlightLogged:    c.InFlightLogged.Load(),
-		Restarts:          c.Restarts.Load(),
-		InFlightReplayed:  c.InFlightReplayed.Load(),
-		RejoinsServed:     c.RejoinsServed.Load(),
-		PeersRecovered:    c.PeersRecovered.Load(),
-		AvgWaiting:        c.AvgWaiting(end),
-		MaxWaiting:        c.MaxWaiting(),
+	s := Snapshot{AvgWaiting: c.AvgWaiting(end), MaxWaiting: c.MaxWaiting()}
+	for _, f := range SnapshotFields {
+		if f.Live != nil {
+			*f.Count(&s) = f.Live(c).Load()
+		}
 	}
+	return s
 }
 
 // Preload adds the event counts of a checkpoint snapshot into c, so a
@@ -241,80 +210,22 @@ func (c *Counters) Snap(end sim.Time) Snapshot {
 // Add). Only the plain accumulators are restorable; the waiting-thread
 // integrator is time-coupled and starts fresh in the new life.
 func (c *Counters) Preload(s Snapshot) {
-	c.FullSwitches.Add(s.FullSwitches)
-	c.PartialSwitches.Add(s.PartialSwitches)
-	c.Yields.Add(s.Yields)
-	c.YieldsNoSwitch.Add(s.YieldsNoSwitch)
-	c.IdleEntries.Add(s.IdleEntries)
-	c.ThreadsCreated.Add(s.ThreadsCreated)
-	c.Sends.Add(s.Sends)
-	c.Recvs.Add(s.Recvs)
-	c.RecvImmediate.Add(s.RecvImmediate)
-	c.EarlyArrivals.Add(s.EarlyArrivals)
-	c.BytesSent.Add(s.BytesSent)
-	c.MsgTestCalls.Add(s.MsgTestCalls)
-	c.MsgTestFails.Add(s.MsgTestFails)
-	c.TestAnyCalls.Add(s.TestAnyCalls)
-	c.TestAnyScanned.Add(s.TestAnyScanned)
-	c.RSRRequests.Add(s.RSRRequests)
-	c.RSRSent.Add(s.RSRSent)
-	c.NullsSent.Add(s.NullsSent)
-	c.FaultDrops.Add(s.FaultDrops)
-	c.FaultDups.Add(s.FaultDups)
-	c.FaultDelays.Add(s.FaultDelays)
-	c.UnexpectedDropped.Add(s.UnexpectedDropped)
-	c.RecvTimeouts.Add(s.RecvTimeouts)
-	c.PeerDeadRecvs.Add(s.PeerDeadRecvs)
-	c.PeersDead.Add(s.PeersDead)
-	c.RSRRetries.Add(s.RSRRetries)
-	c.RSRTimeouts.Add(s.RSRTimeouts)
-	c.RSRDupsServed.Add(s.RSRDupsServed)
-	c.Checkpoints.Add(s.Checkpoints)
-	c.InFlightLogged.Add(s.InFlightLogged)
-	c.Restarts.Add(s.Restarts)
-	c.InFlightReplayed.Add(s.InFlightReplayed)
-	c.RejoinsServed.Add(s.RejoinsServed)
-	c.PeersRecovered.Add(s.PeersRecovered)
+	for _, f := range SnapshotFields {
+		if f.Live != nil {
+			f.Live(c).Add(*f.Count(&s))
+		}
+	}
 }
 
 // Add accumulates other into s field-by-field. Waiting-thread statistics
 // are summed (the paper reports the total average across both processors'
 // thread populations).
 func (s *Snapshot) Add(other Snapshot) {
-	s.FullSwitches += other.FullSwitches
-	s.PartialSwitches += other.PartialSwitches
-	s.Yields += other.Yields
-	s.YieldsNoSwitch += other.YieldsNoSwitch
-	s.IdleEntries += other.IdleEntries
-	s.ThreadsCreated += other.ThreadsCreated
-	s.Sends += other.Sends
-	s.Recvs += other.Recvs
-	s.RecvImmediate += other.RecvImmediate
-	s.EarlyArrivals += other.EarlyArrivals
-	s.BytesSent += other.BytesSent
-	s.MsgTestCalls += other.MsgTestCalls
-	s.MsgTestFails += other.MsgTestFails
-	s.TestAnyCalls += other.TestAnyCalls
-	s.TestAnyScanned += other.TestAnyScanned
-	s.RSRRequests += other.RSRRequests
-	s.RSRSent += other.RSRSent
-	s.NullsSent += other.NullsSent
-	s.FaultDrops += other.FaultDrops
-	s.FaultDups += other.FaultDups
-	s.FaultDelays += other.FaultDelays
-	s.UnexpectedDropped += other.UnexpectedDropped
-	s.RecvTimeouts += other.RecvTimeouts
-	s.PeerDeadRecvs += other.PeerDeadRecvs
-	s.PeersDead += other.PeersDead
-	s.RSRRetries += other.RSRRetries
-	s.RSRTimeouts += other.RSRTimeouts
-	s.RSRDupsServed += other.RSRDupsServed
-	s.Checkpoints += other.Checkpoints
-	s.InFlightLogged += other.InFlightLogged
-	s.Restarts += other.Restarts
-	s.InFlightReplayed += other.InFlightReplayed
-	s.RejoinsServed += other.RejoinsServed
-	s.PeersRecovered += other.PeersRecovered
+	for _, f := range SnapshotFields {
+		if f.Count != nil {
+			*f.Count(s) += *f.Count(&other)
+		}
+	}
 	s.AvgWaiting += other.AvgWaiting
 	if other.MaxWaiting > s.MaxWaiting {
 		s.MaxWaiting = other.MaxWaiting
