@@ -188,6 +188,34 @@ func TestFig13WaitingThreads(t *testing.T) {
 	}
 }
 
+// TestAvgWaitingPinned pins the Figure-13 integral bit for bit on the 12
+// Table-3 cells (beta=100, policies TP/PS/WQ by alpha). No other golden
+// covers it: the waiting-thread integral is fed by the wait bracket's clock
+// reads (beginWait/endWait), which the Time, CtxSw and msgtest columns never
+// see.
+func TestAvgWaitingPinned(t *testing.T) {
+	type pin struct {
+		avgBits uint64
+		max     int
+	}
+	want := map[core.PolicyKind][4]pin{ // alpha = 100, 1000, 10000, 100000
+		core.ThreadPolls:      {{0x401eec00d30c1b7e, 12}, {0x401c3b96b4781806, 12}, {0x400e337df7af28e2, 12}, {0x40337faeb103f618, 12}},
+		core.SchedulerPollsPS: {{0x40281640020d3114, 12}, {0x4025315feaf08aa0, 12}, {0x401340cbf8840e3a, 12}, {0x40338002293a1648, 12}},
+		core.SchedulerPollsWQ: {{0x401170244ed3f04a, 12}, {0x4010cc7b34fe8c55, 12}, {0x4006c82b286713f4, 12}, {0x40338a8e5ff25572, 12}},
+	}
+	s := getSweeps(t)[100]
+	for _, pol := range s.Policies {
+		for i, r := range s.Rows[pol] {
+			w := want[pol][i]
+			if math.Float64bits(r.AvgWaiting) != w.avgBits || r.MaxWaiting != w.max {
+				t.Errorf("%v alpha=%d: avg waiting %v (%#x) max %d, pinned %v (%#x) max %d",
+					pol, s.Alphas[i], r.AvgWaiting, math.Float64bits(r.AvgWaiting), r.MaxWaiting,
+					math.Float64frombits(w.avgBits), w.avgBits, w.max)
+			}
+		}
+	}
+}
+
 func TestAblationTestAny(t *testing.T) {
 	s := RunAblationTestAny()
 	wq := s.Rows[core.SchedulerPollsWQ]

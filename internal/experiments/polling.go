@@ -66,7 +66,8 @@ func (c PollingConfig) withDefaults() PollingConfig {
 
 // PollingRow is one measured cell of Tables 3-5: the columns the paper
 // reports (Time, CtxSw, msgtest) plus the extra observability our runtime
-// provides (partial switches, failed tests, Figure-13 average waiting).
+// provides (partial switches, failed tests, Figure-13 average and peak
+// waiting).
 type PollingRow struct {
 	Policy       core.PolicyKind
 	Alpha        int64
@@ -78,6 +79,7 @@ type PollingRow struct {
 	MsgTestFails uint64
 	TestAnyCalls uint64
 	AvgWaiting   float64
+	MaxWaiting   int
 }
 
 // RunPolling executes one cell of the polling experiment.
@@ -148,6 +150,7 @@ func RunPolling(cfg PollingConfig) PollingRow {
 		MsgTestFails: res.Total.MsgTestFails,
 		TestAnyCalls: res.Total.TestAnyCalls,
 		AvgWaiting:   res.Total.AvgWaiting,
+		MaxWaiting:   res.Total.MaxWaiting,
 	}
 }
 
