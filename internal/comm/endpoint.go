@@ -53,9 +53,12 @@ type Endpoint struct {
 
 	// dead is the set of peers declared failed (by a transport's failure
 	// detector or a simulated crash event). Guarded by deadMu because
-	// detectors may run on transport-side contexts.
+	// detectors may run on transport-side contexts. nDead is its size, kept
+	// under deadMu and read without it: PeerDead, which every pinned Irecv
+	// asks, takes the lock only while some peer is dead.
 	deadMu sync.Mutex
 	dead   map[Addr]bool
+	nDead  atomic.Int32
 
 	// freeHandles recycles receive handles whose owners provably drop them
 	// (the internal blocking-receive paths). Touched only from the
@@ -68,6 +71,7 @@ type Endpoint struct {
 // counting into ctrs, sending through tr.
 func NewEndpoint(addr Addr, host machine.Host, ctrs *trace.Counters, tr Transport) *Endpoint {
 	e := &Endpoint{addr: addr, host: host, ctrs: ctrs, tr: tr, det: host.Deterministic()}
+	e.mb.clock = host
 	if !e.det {
 		e.dtr, _ = tr.(DirectTransport)
 	}
@@ -112,9 +116,10 @@ func (e *Endpoint) MarkPeerDead(peer Addr) {
 		e.dead = make(map[Addr]bool)
 	}
 	e.dead[peer] = true
+	e.nDead.Add(1)
 	e.deadMu.Unlock()
 	e.ctrs.PeersDead.Add(1)
-	if failed := e.mb.failPeer(peer, e.host.Now()); failed > 0 {
+	if failed := e.mb.failPeer(peer); failed > 0 {
 		e.ctrs.PeerDeadRecvs.Add(uint64(failed))
 	}
 	e.host.Interrupt()
@@ -130,6 +135,7 @@ func (e *Endpoint) MarkPeerAlive(peer Addr) bool {
 	was := e.dead[peer]
 	if was {
 		delete(e.dead, peer)
+		e.nDead.Add(-1)
 	}
 	e.deadMu.Unlock()
 	if was {
@@ -141,6 +147,9 @@ func (e *Endpoint) MarkPeerAlive(peer Addr) bool {
 
 // PeerDead reports whether peer has been declared dead.
 func (e *Endpoint) PeerDead(peer Addr) bool {
+	if e.nDead.Load() == 0 {
+		return false
+	}
 	e.deadMu.Lock()
 	defer e.deadMu.Unlock()
 	return e.dead[peer]
@@ -215,24 +224,21 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 func (e *Endpoint) Irecv(spec MatchSpec, buf []byte) *RecvHandle {
 	e.drainIngress() // a ring-resident arrival must be matchable, like any early arrival
 	h := e.newHandle(spec, buf)
-	if spec.SrcPE != Any && spec.SrcProc != Any &&
-		e.PeerDead(Addr{PE: spec.SrcPE, Proc: spec.SrcProc}) {
-		// The only process that could satisfy this receive is dead; unless a
-		// matching message already arrived before the failure, the handle is
-		// born failed rather than left to hang.
-		if e.mb.post(h, e.host.Now()) {
-			e.ctrs.RecvImmediate.Add(1)
-			e.host.Charge(e.host.Model().CopyCost(h.n))
-			return h
+	if e.mb.post(h) {
+		if e.tracer != nil {
+			h.completedAt = e.host.Now() // SpanMatch's begin, its only reader
 		}
-		if e.mb.removeFailed(h, ErrPeerDead, StatusPeerDead, e.host.Now()) {
-			e.ctrs.PeerDeadRecvs.Add(1)
-		}
-		return h
-	}
-	if e.mb.post(h, e.host.Now()) {
 		e.ctrs.RecvImmediate.Add(1)
 		e.host.Charge(e.host.Model().CopyCost(h.n))
+		return h
+	}
+	if spec.SrcPE != Any && spec.SrcProc != Any &&
+		e.PeerDead(Addr{PE: spec.SrcPE, Proc: spec.SrcProc}) &&
+		e.mb.removeFailed(h, ErrPeerDead, StatusPeerDead) {
+		// The only process that could satisfy this receive is dead and no
+		// matching message arrived before the failure: the handle is born
+		// failed rather than left to hang.
+		e.ctrs.PeerDeadRecvs.Add(1)
 	}
 	return h
 }
@@ -335,7 +341,7 @@ func (e *Endpoint) Probe(spec MatchSpec) (Header, bool) {
 // so callers that lose the race still observe the real completion.
 func (e *Endpoint) TimeoutRecv(h *RecvHandle) bool {
 	e.drainIngress() // an already-arrived message must win the race, as it always did
-	if !e.mb.removeFailed(h, ErrTimeout, StatusTimedOut, e.host.Now()) {
+	if !e.mb.removeFailed(h, ErrTimeout, StatusTimedOut) {
 		return false
 	}
 	e.ctrs.RecvTimeouts.Add(1)
@@ -507,7 +513,7 @@ func (e *Endpoint) ReleaseHandle(h *RecvHandle) {
 // paths (drainIngress).
 func (e *Endpoint) DeliverLocal(msg *Message) {
 	if e.det {
-		h, dropped := e.mb.deliver(msg, e.host.Now())
+		h, dropped := e.mb.deliver(msg)
 		if dropped {
 			e.ctrs.UnexpectedDropped.Add(1)
 			return
@@ -533,7 +539,7 @@ func (e *Endpoint) TryDeliverDirect(hdr Header, data []byte) bool {
 	if e.det {
 		return false
 	}
-	if !e.mb.tryDepositDirect(&e.ing, hdr, data, e.host.Now()) {
+	if !e.mb.tryDepositDirect(&e.ing, hdr, data) {
 		return false
 	}
 	e.directDelivered.Add(1)
@@ -558,7 +564,7 @@ func (e *Endpoint) drainIngress() {
 	if e.tracer != nil {
 		drainBegin = e.host.Now()
 	}
-	matched, early, dropped := e.mb.depositBatch(&e.ing, e.host.Now())
+	matched, early, dropped := e.mb.depositBatch(&e.ing)
 	n := matched + early + dropped
 	if n == 0 {
 		return

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"sync"
 	"testing"
 
 	"chant/internal/trace"
@@ -128,6 +129,74 @@ func TestSelectiveRecvLeavesOthersBuffered(t *testing.T) {
 	}
 	if _, unexpected := ep.QueueDepths(); unexpected != 1 {
 		t.Fatalf("other message lost: %d buffered", unexpected)
+	}
+}
+
+// TestPeerDeadFastPath checks the dead-peer count that lets PeerDead, asked
+// on every pinned Irecv, skip its lock while no peer is dead: each dead peer
+// counts once, only the recovery of a dead peer lowers the count, and a
+// detector on another goroutine may flip a peer while the owner keeps
+// posting pinned receives.
+func TestPeerDeadFastPath(t *testing.T) {
+	ep, _ := newRealEndpoint()
+	dead, alive := Addr{PE: 1}, Addr{PE: 2}
+	pinned := func(a Addr) MatchSpec {
+		return MatchSpec{SrcPE: a.PE, SrcProc: a.Proc, SrcThread: Any, Ctx: Any, Tag: Any}
+	}
+
+	ep.MarkPeerDead(dead)
+	ep.MarkPeerDead(dead)
+	if n, c := ep.nDead.Load(), ep.ctrs.PeersDead.Load(); n != 1 || c != 1 {
+		t.Fatalf("double MarkPeerDead: count %d, PeersDead %d; want 1, 1", n, c)
+	}
+	if ep.MarkPeerAlive(alive) || ep.nDead.Load() != 1 {
+		t.Fatalf("MarkPeerAlive of a never-dead peer changed the count to %d", ep.nDead.Load())
+	}
+	if h := ep.Irecv(pinned(dead), nil); !h.Done() || h.Err() != ErrPeerDead {
+		t.Fatalf("pinned receive from a dead peer: done=%v err=%v, want born ErrPeerDead", h.Done(), h.Err())
+	}
+	if !ep.MarkPeerAlive(dead) || ep.nDead.Load() != 0 || ep.PeerDead(dead) {
+		t.Fatalf("after recovery: count %d, PeerDead %v; want 0, false", ep.nDead.Load(), ep.PeerDead(dead))
+	}
+	h := ep.Irecv(pinned(dead), nil)
+	if h.Done() {
+		t.Fatal("pinned receive failed after its peer recovered")
+	}
+	ep.CancelRecv(h)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ep.MarkPeerDead(dead)
+			ep.MarkPeerAlive(dead)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		h := ep.Irecv(pinned(alive), nil)
+		if h.Done() {
+			t.Errorf("receive pinned to a live peer completed: err=%v", h.Err())
+		}
+		ep.CancelRecv(h)
+		ep.ReleaseHandle(h)
+		// Pending or failed, by the detector's timing; never anything else.
+		h = ep.Irecv(pinned(dead), nil)
+		if !ep.CancelRecv(h) && h.Err() != ErrPeerDead {
+			t.Errorf("receive pinned to a flapping peer: done=%v err=%v", h.Done(), h.Err())
+		}
+		ep.ReleaseHandle(h)
+	}
+	close(stop)
+	wg.Wait()
+	if n, d, r := ep.nDead.Load(), ep.ctrs.PeersDead.Load(), ep.ctrs.PeersRecovered.Load(); n != 0 || d != r {
+		t.Fatalf("after balanced flaps: count %d, PeersDead %d, PeersRecovered %d", n, d, r)
 	}
 }
 

@@ -109,8 +109,12 @@ func (h *RecvHandle) Status() Status {
 	return h.status
 }
 
-// CompletedAt reports the virtual time at which the message was deposited.
-// Valid once Done.
+// CompletedAt reports the host time at which the receive completed: the
+// message was deposited, or the receive failed or timed out. Valid once Done
+// for a receive that completed while posted, or for any receive when a
+// tracer is attached; a receive born complete at Irecv (it matched an early
+// arrival) is otherwise not stamped and reports zero, since reading the clock
+// for it would feed nothing.
 func (h *RecvHandle) CompletedAt() sim.Time { return h.completedAt }
 
 // Canceled reports whether the receive was canceled before completing.

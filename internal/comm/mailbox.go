@@ -28,6 +28,10 @@ type mailbox struct {
 	mu  sync.Mutex
 	seq uint64 // arrival stamp shared by posted receives and unexpected messages
 
+	// clock is the endpoint's host clock, read only to stamp a posted receive
+	// as it completes: an operation that completes nothing reads no time.
+	clock interface{ Now() sim.Time }
+
 	// Posted receives: the global arrival-ordered list (failPeer walks it so
 	// failures fire in deterministic post order), exact-spec buckets, and the
 	// wildcard side list (specs with any Any field), each arrival-ordered.
@@ -170,22 +174,22 @@ func (l *msgList) remove(link int, n *msgNode) {
 // the paper's design is built around) and the handle is returned. Otherwise
 // the message joins the unexpected queue — unless the queue is at its cap,
 // in which case the message is dropped and dropped reports true.
-func (mb *mailbox) deliver(msg *Message, at sim.Time) (h *RecvHandle, dropped bool) {
+func (mb *mailbox) deliver(msg *Message) (h *RecvHandle, dropped bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.deliverLocked(msg, at)
+	return mb.deliverLocked(msg)
 }
 
 // deliverLocked is deliver's body; the caller holds mb.mu. Batch deposit
 // (depositBatch) reuses it so a whole ingress burst lands under one lock
 // acquisition.
-func (mb *mailbox) deliverLocked(msg *Message, at sim.Time) (h *RecvHandle, dropped bool) {
+func (mb *mailbox) deliverLocked(msg *Message) (h *RecvHandle, dropped bool) {
 	if best := mb.matchPostedLocked(msg.Hdr); best != nil {
 		h := best.h
 		mb.unlinkPost(best)
 		mb.freePostNode(best)
 		mb.notify(h) // before complete: the notified flag must precede done
-		h.complete(msg, at)
+		h.complete(msg, mb.clock.Now())
 		releaseMessage(msg)
 		return h, false
 	}
@@ -226,13 +230,13 @@ func (mb *mailbox) matchPostedLocked(hdr Header) *postNode {
 // single lock acquisition: each message in the batch runs the ordinary
 // deliverLocked match in arrival order. Real mode only; the caller is the
 // endpoint's own process.
-func (mb *mailbox) depositBatch(q *ingress, at sim.Time) (matched, early, dropped int) {
+func (mb *mailbox) depositBatch(q *ingress) (matched, early, dropped int) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for msg := q.take(); msg != nil; {
 		next := msg.next
 		msg.next = nil
-		h, drop := mb.deliverLocked(msg, at)
+		h, drop := mb.deliverLocked(msg)
 		switch {
 		case drop:
 			dropped++
@@ -258,7 +262,7 @@ func (mb *mailbox) depositBatch(q *ingress, at sim.Time) (matched, early, droppe
 // an empty ring observed here proves no earlier message from this sender is
 // still undeposited. Cross-sender arrival order carries no guarantee in real
 // mode, exactly as with per-message delivery.
-func (mb *mailbox) tryDepositDirect(q *ingress, hdr Header, data []byte, at sim.Time) bool {
+func (mb *mailbox) tryDepositDirect(q *ingress, hdr Header, data []byte) bool {
 	if !mb.mu.TryLock() {
 		return false
 	}
@@ -274,14 +278,15 @@ func (mb *mailbox) tryDepositDirect(q *ingress, hdr Header, data []byte, at sim.
 	mb.unlinkPost(best)
 	mb.freePostNode(best)
 	mb.notify(h) // before complete: the notified flag must precede done
-	h.completeDirect(hdr, data, at)
+	h.completeDirect(hdr, data, mb.clock.Now())
 	return true
 }
 
 // post registers a receive. If an unexpected message already matches, it is
 // consumed and deposited immediately (this is the system-buffer-copy path)
-// and post reports true.
-func (mb *mailbox) post(h *RecvHandle, at sim.Time) (immediate bool) {
+// and post reports true; such a handle is not stamped (its completedAt is
+// zero), since no wait began on it.
+func (mb *mailbox) post(h *RecvHandle) (immediate bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	key, exact := keyOfSpec(h.spec)
@@ -304,7 +309,7 @@ func (mb *mailbox) post(h *RecvHandle, at sim.Time) (immediate bool) {
 		mb.freeMsgNode(n)
 		// No ready-list notification: the poster learns of this completion
 		// from Irecv itself, so no polling list can ever hold the handle.
-		h.complete(msg, at)
+		h.complete(msg, 0)
 		releaseMessage(msg)
 		return true
 	}
@@ -340,7 +345,7 @@ func (mb *mailbox) remove(h *RecvHandle) bool {
 // and status, atomically with respect to delivery: exactly one of delivery
 // and failure wins. It reports false if the handle was no longer posted
 // (it completed, was canceled, or already failed).
-func (mb *mailbox) removeFailed(h *RecvHandle, err error, status Status, at sim.Time) bool {
+func (mb *mailbox) removeFailed(h *RecvHandle, err error, status Status) bool {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	n := h.entry
@@ -350,7 +355,7 @@ func (mb *mailbox) removeFailed(h *RecvHandle, err error, status Status, at sim.
 	mb.unlinkPost(n)
 	mb.freePostNode(n)
 	mb.notify(h)
-	h.fail(err, status, at)
+	h.fail(err, status, mb.clock.Now())
 	return true
 }
 
@@ -359,7 +364,7 @@ func (mb *mailbox) removeFailed(h *RecvHandle, err error, status Status, at sim.
 // and reports how many it failed. Wildcard receives stay posted: some other
 // peer may still satisfy them. The walk follows the global list, so
 // failures fire in deterministic post order.
-func (mb *mailbox) failPeer(peer Addr, at sim.Time) int {
+func (mb *mailbox) failPeer(peer Addr) int {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	failed := 0
@@ -370,7 +375,7 @@ func (mb *mailbox) failPeer(peer Addr, at sim.Time) int {
 			mb.unlinkPost(n)
 			mb.freePostNode(n)
 			mb.notify(h)
-			h.fail(ErrPeerDead, StatusPeerDead, at)
+			h.fail(ErrPeerDead, StatusPeerDead, mb.clock.Now())
 			failed++
 		}
 		n = next

@@ -75,12 +75,12 @@ func msgWith(h Header, payload string) *Message {
 }
 
 func TestMailboxDeliverToPosted(t *testing.T) {
-	var mb mailbox
+	mb := NewMatcher()
 	h := &RecvHandle{spec: MatchAll, buf: make([]byte, 16)}
-	if mb.post(h, 0) {
+	if mb.Post(h, 0) {
 		t.Fatal("post with empty unexpected queue reported immediate")
 	}
-	got, _ := mb.deliver(msgWith(hdr(1, 0, 2, 3), "hello"), 42)
+	got, _ := mb.Deliver(msgWith(hdr(1, 0, 2, 3), "hello"), 42)
 	if got != h {
 		t.Fatal("deliver did not match the posted receive")
 	}
@@ -90,18 +90,18 @@ func TestMailboxDeliverToPosted(t *testing.T) {
 	if h.CompletedAt() != 42 {
 		t.Fatalf("CompletedAt = %v, want 42", h.CompletedAt())
 	}
-	if p, u := mb.depths(); p != 0 || u != 0 {
+	if p, u := mb.Depths(); p != 0 || u != 0 {
 		t.Fatalf("queues not empty: posted=%d unexpected=%d", p, u)
 	}
 }
 
 func TestMailboxEarlyArrivalThenPost(t *testing.T) {
-	var mb mailbox
-	if got, _ := mb.deliver(msgWith(hdr(1, 0, 2, 3), "early"), 0); got != nil {
+	mb := NewMatcher()
+	if got, _ := mb.Deliver(msgWith(hdr(1, 0, 2, 3), "early"), 0); got != nil {
 		t.Fatal("deliver with no posted receive should buffer")
 	}
 	h := &RecvHandle{spec: MatchSpec{SrcPE: 1, SrcProc: 0, Ctx: 2, Tag: 3}, buf: make([]byte, 16)}
-	if !mb.post(h, 5) {
+	if !mb.Post(h, 5) {
 		t.Fatal("post should consume the buffered message")
 	}
 	if string(h.buf[:h.Len()]) != "early" {
@@ -110,37 +110,37 @@ func TestMailboxEarlyArrivalThenPost(t *testing.T) {
 }
 
 func TestMailboxFIFOAmongUnexpected(t *testing.T) {
-	var mb mailbox
-	mb.deliver(msgWith(hdr(1, 0, 2, 3), "first"), 0)
-	mb.deliver(msgWith(hdr(1, 0, 2, 3), "second"), 1)
+	mb := NewMatcher()
+	mb.Deliver(msgWith(hdr(1, 0, 2, 3), "first"), 0)
+	mb.Deliver(msgWith(hdr(1, 0, 2, 3), "second"), 1)
 	h1 := &RecvHandle{spec: MatchAll, buf: make([]byte, 16)}
 	h2 := &RecvHandle{spec: MatchAll, buf: make([]byte, 16)}
-	mb.post(h1, 2)
-	mb.post(h2, 2)
+	mb.Post(h1, 2)
+	mb.Post(h2, 2)
 	if string(h1.buf[:h1.Len()]) != "first" || string(h2.buf[:h2.Len()]) != "second" {
 		t.Fatalf("FIFO violated: %q then %q", h1.buf[:h1.Len()], h2.buf[:h2.Len()])
 	}
 }
 
 func TestMailboxFIFOAmongPosted(t *testing.T) {
-	var mb mailbox
+	mb := NewMatcher()
 	h1 := &RecvHandle{spec: MatchAll, buf: make([]byte, 16)}
 	h2 := &RecvHandle{spec: MatchAll, buf: make([]byte, 16)}
-	mb.post(h1, 0)
-	mb.post(h2, 0)
-	mb.deliver(msgWith(hdr(1, 0, 2, 3), "x"), 1)
+	mb.Post(h1, 0)
+	mb.Post(h2, 0)
+	mb.Deliver(msgWith(hdr(1, 0, 2, 3), "x"), 1)
 	if !h1.Done() || h2.Done() {
 		t.Fatal("oldest posted receive must match first")
 	}
 }
 
 func TestMailboxSelectiveMatch(t *testing.T) {
-	var mb mailbox
+	mb := NewMatcher()
 	hTag7 := &RecvHandle{spec: MatchSpec{SrcPE: Any, SrcProc: Any, Ctx: Any, Tag: 7}, buf: make([]byte, 8)}
 	hTag9 := &RecvHandle{spec: MatchSpec{SrcPE: Any, SrcProc: Any, Ctx: Any, Tag: 9}, buf: make([]byte, 8)}
-	mb.post(hTag7, 0)
-	mb.post(hTag9, 0)
-	mb.deliver(msgWith(hdr(0, 0, 0, 9), "nine"), 1)
+	mb.Post(hTag7, 0)
+	mb.Post(hTag9, 0)
+	mb.Deliver(msgWith(hdr(0, 0, 0, 9), "nine"), 1)
 	if hTag7.Done() {
 		t.Fatal("tag-7 receive stole a tag-9 message")
 	}
@@ -150,29 +150,29 @@ func TestMailboxSelectiveMatch(t *testing.T) {
 }
 
 func TestMailboxRemove(t *testing.T) {
-	var mb mailbox
+	mb := NewMatcher()
 	h := &RecvHandle{spec: MatchAll, buf: make([]byte, 8)}
-	mb.post(h, 0)
-	if !mb.remove(h) {
+	mb.Post(h, 0)
+	if !mb.Remove(h) {
 		t.Fatal("remove of pending receive failed")
 	}
 	if !h.Canceled() {
 		t.Fatal("handle not marked canceled")
 	}
-	if mb.remove(h) {
+	if mb.Remove(h) {
 		t.Fatal("second remove should report not-pending")
 	}
 	// A message arriving afterwards must be buffered, not matched.
-	if got, _ := mb.deliver(msgWith(hdr(0, 0, 0, 0), "x"), 1); got != nil {
+	if got, _ := mb.Deliver(msgWith(hdr(0, 0, 0, 0), "x"), 1); got != nil {
 		t.Fatal("canceled receive still matched")
 	}
 }
 
 func TestTruncation(t *testing.T) {
-	var mb mailbox
+	mb := NewMatcher()
 	h := &RecvHandle{spec: MatchAll, buf: make([]byte, 3)}
-	mb.post(h, 0)
-	mb.deliver(msgWith(hdr(0, 0, 0, 0), "toolong"), 1)
+	mb.Post(h, 0)
+	mb.Deliver(msgWith(hdr(0, 0, 0, 0), "toolong"), 1)
 	if h.Err() != ErrTruncated {
 		t.Fatalf("err = %v, want ErrTruncated", h.Err())
 	}
@@ -182,16 +182,16 @@ func TestTruncation(t *testing.T) {
 }
 
 func TestFindUnexpected(t *testing.T) {
-	var mb mailbox
-	mb.deliver(msgWith(hdr(3, 1, 5, 7), "x"), 0)
-	if _, ok := mb.findUnexpected(MatchSpec{SrcPE: 3, SrcProc: 1, Ctx: 5, Tag: 7}); !ok {
+	mb := NewMatcher()
+	mb.Deliver(msgWith(hdr(3, 1, 5, 7), "x"), 0)
+	if _, ok := mb.FindUnexpected(MatchSpec{SrcPE: 3, SrcProc: 1, Ctx: 5, Tag: 7}); !ok {
 		t.Fatal("probe missed a buffered message")
 	}
-	if _, ok := mb.findUnexpected(MatchSpec{SrcPE: 4, SrcProc: Any, Ctx: Any, Tag: Any}); ok {
+	if _, ok := mb.FindUnexpected(MatchSpec{SrcPE: 4, SrcProc: Any, Ctx: Any, Tag: Any}); ok {
 		t.Fatal("probe matched the wrong source")
 	}
 	// Probe must not consume.
-	if _, u := mb.depths(); u != 1 {
+	if _, u := mb.Depths(); u != 1 {
 		t.Fatal("probe consumed the message")
 	}
 }
@@ -200,16 +200,16 @@ func TestFindUnexpected(t *testing.T) {
 // of posts and deliveries with compatible specs.
 func TestMailboxConservationProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		var mb mailbox
+		mb := NewMatcher()
 		var handles []*RecvHandle
 		delivered := 0
 		for _, isPost := range ops {
 			if isPost {
 				h := &RecvHandle{spec: MatchAll, buf: make([]byte, 8)}
-				mb.post(h, 0)
+				mb.Post(h, 0)
 				handles = append(handles, h)
 			} else {
-				mb.deliver(msgWith(hdr(0, 0, 0, 0), "m"), 0)
+				mb.Deliver(msgWith(hdr(0, 0, 0, 0), "m"), 0)
 				delivered++
 			}
 		}
@@ -219,7 +219,7 @@ func TestMailboxConservationProperty(t *testing.T) {
 				completed++
 			}
 		}
-		posted, unexpected := mb.depths()
+		posted, unexpected := mb.Depths()
 		// Every delivered message either completed a handle or waits.
 		if completed+unexpected != delivered {
 			return false

@@ -3,12 +3,21 @@
 // into the destination endpoint's mailbox. It provides the same interface
 // and matching semantics as the simulated and TCP transports, so programs
 // written against the Chant API run unchanged in all three.
+//
+// Routing state — each address's endpoint and whether it is closed — is an
+// immutable snapshot behind one atomic pointer. A send loads it once and
+// looks both peers up in it, with no lock; the rare writers (NewEndpoint,
+// ClosePeer, ReopenPeer) serialize on a mutex, copy the table, change the
+// copy and publish it. A send racing a writer sees either the old table or
+// the new one, never a mix.
 package memnet
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"chant/internal/comm"
 	"chant/internal/machine"
@@ -19,87 +28,83 @@ import (
 // program. Unlike simnet, endpoints may be registered concurrently and
 // delivery happens immediately (the wall clock is the only latency).
 type Network struct {
-	mu     sync.RWMutex
-	eps    map[comm.Addr]*comm.Endpoint
-	closed map[comm.Addr]bool
+	mu     sync.Mutex // serializes the writers of routes
+	routes atomic.Pointer[routeTable]
+}
+
+// routeTable is one published routing snapshot; it is never modified once
+// stored. An address may be closed before its endpoint registers.
+type routeTable map[comm.Addr]route
+
+type route struct {
+	ep     *comm.Endpoint
+	closed bool
 }
 
 // New creates an empty in-memory network.
 func New() *Network {
-	return &Network{eps: make(map[comm.Addr]*comm.Endpoint)}
+	n := &Network{}
+	n.routes.Store(&routeTable{})
+	return n
+}
+
+// publish stores a copy of the route table with addr's route set to r and
+// returns it. The caller holds mu.
+func (n *Network) publish(addr comm.Addr, r route) routeTable {
+	next := maps.Clone(*n.routes.Load())
+	next[addr] = r
+	n.routes.Store(&next)
+	return next
 }
 
 // NewEndpoint attaches process addr to the network.
 func (n *Network) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Counters) *comm.Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.eps[addr]; dup {
+	r := (*n.routes.Load())[addr]
+	if r.ep != nil {
 		panic(fmt.Sprintf("memnet: duplicate endpoint %v", addr))
 	}
-	ep := comm.NewEndpoint(addr, host, ctrs, n)
-	n.eps[addr] = ep
-	return ep
+	r.ep = comm.NewEndpoint(addr, host, ctrs, n)
+	n.publish(addr, r)
+	return r.ep
 }
 
 // Endpoint looks up the endpoint registered for addr, or nil.
 func (n *Network) Endpoint(addr comm.Addr) *comm.Endpoint {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.eps[addr]
+	return (*n.routes.Load())[addr].ep
 }
 
 // ClosePeer declares process addr failed: its messages stop flowing (sends
 // to and from it are silently discarded) and every other endpoint marks it
 // dead, failing receives pinned to it. This models an abruptly-killed OS
 // process for the in-memory machine. Idempotent.
-func (n *Network) ClosePeer(addr comm.Addr) {
-	n.mu.Lock()
-	if n.closed[addr] {
-		n.mu.Unlock()
-		return
-	}
-	if n.closed == nil {
-		n.closed = make(map[comm.Addr]bool)
-	}
-	n.closed[addr] = true
-	others := make([]*comm.Endpoint, 0, len(n.eps))
-	for a, ep := range n.eps {
-		if a != addr {
-			others = append(others, ep)
-		}
-	}
-	n.mu.Unlock()
-	// Notify survivors in address order so failure fan-out is deterministic.
-	sort.Slice(others, func(i, j int) bool {
-		ai, aj := others[i].Addr(), others[j].Addr()
-		if ai.PE != aj.PE {
-			return ai.PE < aj.PE
-		}
-		return ai.Proc < aj.Proc
-	})
-	for _, ep := range others {
-		ep.MarkPeerDead(addr)
-	}
-}
+func (n *Network) ClosePeer(addr comm.Addr) { n.setClosed(addr, true) }
 
 // ReopenPeer reverses ClosePeer once addr's process has restarted: its
 // messages flow again and every other endpoint clears its dead mark for it
 // (the rejoin handshake above re-synchronizes protocol state). Idempotent.
-func (n *Network) ReopenPeer(addr comm.Addr) {
+func (n *Network) ReopenPeer(addr comm.Addr) { n.setClosed(addr, false) }
+
+// setClosed sets addr's closed mark and, if that changed it, tells every
+// other endpoint — in address order, so failure and recovery fan-out is
+// deterministic — that addr died or came back.
+func (n *Network) setClosed(addr comm.Addr, closed bool) {
 	n.mu.Lock()
-	if !n.closed[addr] {
+	r := (*n.routes.Load())[addr]
+	if r.closed == closed {
 		n.mu.Unlock()
 		return
 	}
-	delete(n.closed, addr)
-	others := make([]*comm.Endpoint, 0, len(n.eps))
-	for a, ep := range n.eps {
-		if a != addr {
-			others = append(others, ep)
+	r.closed = closed
+	rt := n.publish(addr, r)
+	n.mu.Unlock()
+	others := make([]*comm.Endpoint, 0, len(rt))
+	for a, r := range rt {
+		if a != addr && r.ep != nil {
+			others = append(others, r.ep)
 		}
 	}
-	n.mu.Unlock()
-	// Notify survivors in address order so recovery fan-out is deterministic.
 	sort.Slice(others, func(i, j int) bool {
 		ai, aj := others[i].Addr(), others[j].Addr()
 		if ai.PE != aj.PE {
@@ -108,33 +113,31 @@ func (n *Network) ReopenPeer(addr comm.Addr) {
 		return ai.Proc < aj.Proc
 	})
 	for _, ep := range others {
-		ep.MarkPeerAlive(addr)
+		if closed {
+			ep.MarkPeerDead(addr)
+		} else {
+			ep.MarkPeerAlive(addr)
+		}
 	}
-}
-
-// peerClosed reports whether addr has been closed.
-func (n *Network) peerClosed(addr comm.Addr) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.closed[addr]
 }
 
 // Deliver implements comm.Transport with immediate synchronous delivery.
 // Messages to or from a closed peer are discarded: a dead process neither
 // sends nor receives.
 func (n *Network) Deliver(msg *comm.Message) {
-	if n.peerClosed(msg.Hdr.Dst()) || n.peerClosed(msg.Hdr.Src()) {
-		if sep := n.Endpoint(msg.Hdr.Src()); sep != nil {
-			sep.Counters().FaultDrops.Add(1)
+	rt := *n.routes.Load()
+	dst, src := rt[msg.Hdr.Dst()], rt[msg.Hdr.Src()]
+	if dst.closed || src.closed {
+		if src.ep != nil {
+			src.ep.Counters().FaultDrops.Add(1)
 		}
 		comm.ReleaseMessage(msg)
 		return
 	}
-	ep := n.Endpoint(msg.Hdr.Dst())
-	if ep == nil {
+	if dst.ep == nil {
 		panic(fmt.Sprintf("memnet: send to unknown process %v", msg.Hdr.Dst()))
 	}
-	ep.DeliverLocal(msg)
+	dst.ep.DeliverLocal(msg)
 }
 
 // TryDeliverDirect implements comm.DirectTransport: every memnet destination
@@ -144,9 +147,7 @@ func (n *Network) Deliver(msg *comm.Message) {
 // match) sends the caller down the ordinary Deliver path, which also owns
 // all fault accounting.
 func (n *Network) TryDeliverDirect(hdr comm.Header, data []byte) bool {
-	if n.peerClosed(hdr.Dst()) || n.peerClosed(hdr.Src()) {
-		return false
-	}
-	ep := n.Endpoint(hdr.Dst())
-	return ep != nil && ep.TryDeliverDirect(hdr, data)
+	rt := *n.routes.Load()
+	dst := rt[hdr.Dst()]
+	return dst.ep != nil && !dst.closed && !rt[hdr.Src()].closed && dst.ep.TryDeliverDirect(hdr, data)
 }

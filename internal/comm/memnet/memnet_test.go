@@ -3,6 +3,7 @@ package memnet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -220,6 +221,77 @@ func TestMemnetMsgwaitTimeout(t *testing.T) {
 	}
 	if string(buf[:h2.Len()]) != "last words" {
 		t.Errorf("got %q", buf[:h2.Len()])
+	}
+}
+
+// TestMemnetRouteTableRace sends through both delivery entry points while
+// another goroutine closes and reopens the destination and a late endpoint
+// registers, all against the published route snapshots: every message either
+// reaches the destination or is counted as a fault drop, exactly once, and
+// nothing panics.
+func TestMemnetRouteTableRace(t *testing.T) {
+	net, a, b := newPairNet(t)
+	const senders, perSender, flaps, posted = 4, 500, 200, 256
+	hdr := comm.Header{SrcPE: a.Addr().PE, SrcProc: a.Addr().Proc, DstPE: b.Addr().PE, DstProc: b.Addr().Proc, Tag: 1, Size: 4}
+	data := []byte("ping")
+	// Receives posted up front give TryDeliverDirect something to match.
+	var handles []*comm.RecvHandle
+	for i := 0; i < posted; i++ {
+		handles = append(handles, b.Irecv(comm.MatchAll, make([]byte, 4)))
+	}
+
+	// Every goroutine yields after each step, as Endpoint.Send relaxes after
+	// each send, so the three kinds interleave even at one P.
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				if !net.TryDeliverDirect(hdr, data) {
+					msg := comm.GetPooledMessage(len(data))
+					copy(msg.Data, data)
+					msg.Hdr = hdr
+					net.Deliver(msg)
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < flaps; i++ {
+			net.ClosePeer(b.Addr())
+			runtime.Gosched()
+			net.ReopenPeer(b.Addr())
+			runtime.Gosched()
+		}
+	}()
+	late := comm.Addr{PE: 2, Proc: 0}
+	var lateEP *comm.Endpoint
+	go func() {
+		defer wg.Done()
+		lateEP = net.NewEndpoint(late, machine.NewRealHost(machine.Modern()), &trace.Counters{})
+	}()
+	wg.Wait()
+
+	_, unexpected := b.QueueDepths() // drains the ring into the mailbox
+	delivered := unexpected
+	for _, h := range handles {
+		if h.Done() {
+			delivered++
+		}
+	}
+	drops := a.Counters().FaultDrops.Load()
+	if sent := uint64(senders * perSender); uint64(delivered)+drops != sent {
+		t.Errorf("sent %d, delivered %d + fault drops %d = %d", sent, delivered, drops, uint64(delivered)+drops)
+	}
+	if d, r := a.Counters().PeersDead.Load(), a.Counters().PeersRecovered.Load(); d != flaps || r != flaps {
+		t.Errorf("PeersDead %d, PeersRecovered %d; want %d each", d, r, flaps)
+	}
+	if net.Endpoint(late) != lateEP || net.Endpoint(b.Addr()) != b || a.PeerDead(b.Addr()) {
+		t.Error("route table lost an endpoint or a reopen")
 	}
 }
 

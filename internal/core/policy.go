@@ -97,17 +97,18 @@ func newPolicy(kind PolicyKind, sched *ult.Sched, ep *comm.Endpoint) policy {
 // allocation per blocking receive). The wait ends when the request stops
 // being outstanding — the message's arrival time — not when the thread
 // resumes, matching the paper's "threads waiting on outstanding receive
-// requests".
+// requests". A done handle's completion stamp is never later than now, so
+// only a wait unwound by cancellation reads the clock to end.
 func beginWait(ep *comm.Endpoint) {
 	ep.Counters().WaitBegin(ep.Host().Now())
 }
 
 func endWait(ep *comm.Endpoint, h *comm.RecvHandle) {
-	at := ep.Host().Now()
-	if h.Done() && h.CompletedAt() < at {
-		at = h.CompletedAt()
+	if h.Done() {
+		ep.Counters().WaitEndAt(h.CompletedAt())
+		return
 	}
-	ep.Counters().WaitEndAt(at)
+	ep.Counters().WaitEndAt(ep.Host().Now())
 }
 
 // tpPolicy is Thread polls (Figure 5): test, and while incomplete, yield
