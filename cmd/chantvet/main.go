@@ -1,12 +1,16 @@
 // Command chantvet checks the Chant codebase against the runtime's unwritten
-// contracts: scheduler-context-only calls (schedctx), determinism of the
-// simulation-critical packages (detlint), instrumentation/lock discipline
-// (ctrlock), nondeterminism reachable from simulation-critical roots
-// (ndtaint, interprocedural over the call graph), and must-release of pooled
-// messages and receive handles (handleleak). See each analyzer's package
-// documentation for what it reports and DESIGN.md's "Correctness tooling"
-// section for the conventions (including the //chant:allow-nondet and
-// //chant:allow-leak suppression comments).
+// contracts with three analyzers: determinism, bounded spins and lock and
+// stale-slot leaks in the simulation-critical packages (detlint),
+// nondeterminism reachable from simulation-critical roots (ndtaint,
+// interprocedural over the call graph), and must-release of pooled messages
+// and receive handles (handleleak). What the type system, go vet or the
+// chantdebug runtime checks already enforce is left to them: calls into a
+// scheduler from outside its domain trip the owner token, counter fields are
+// add-only by type, and by-value copies of trace.Counters/trace.Log are go
+// vet's copylocks findings. See each analyzer's package documentation for
+// what it reports and DESIGN.md's "Correctness tooling" section for the
+// conventions (including the //chant:allow-nondet and //chant:allow-leak
+// suppression comments).
 //
 // There is one way to run it, from the module root:
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -23,11 +24,18 @@ func chantvet(t *testing.T, dir string, args ...string) (code int, stdout, stder
 }
 
 // TestTreeIsClean is the self-check CI's chantvet-self job also makes: every
-// analyzer over the whole module, no finding.
+// analyzer over the whole module, no finding. It also runs go vet's copylocks
+// pass, which go test's own vet subset leaves out: a by-value copy of
+// trace.Counters or trace.Log (each holds atomics or a mutex) forks the
+// instrument, and copylocks is the check that reports it.
 func TestTreeIsClean(t *testing.T) {
 	code, stdout, stderr := chantvet(t, "../..", "./...")
 	if code != 0 || stdout != "" || stderr != "" {
 		t.Errorf("chantvet ./... over the module: exit %d, want 0 and no output\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	// chantvet's t.Chdir left the test in the module root.
+	if out, err := exec.Command("go", "vet", "-copylocks", "./...").CombinedOutput(); err != nil || len(out) != 0 {
+		t.Errorf("go vet -copylocks ./... over the module: %v, want success and no output\n%s", err, out)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"chant/internal/analysis/callgraph"
-	"chant/internal/analysis/typeutil"
 )
 
 // An Analyzer describes one chantvet check.
@@ -181,29 +180,10 @@ func (p *Pass) IsTest(file *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(file.Package).Filename, "_test.go")
 }
 
-// PathMatches reports whether a package path is, or ends with, the given
-// repo-relative path (e.g. "internal/ult" matches both "chant/internal/ult"
-// and a test fixture module's "internal/ult").
-func PathMatches(pkgPath, want string) bool {
-	return pkgPath == want || strings.HasSuffix(pkgPath, "/"+want)
-}
-
 // PathContains reports whether the repo-relative path want appears as a
-// segment run anywhere in pkgPath ("internal/comm" matches
-// "chant/internal/comm/tcpnet").
+// segment run anywhere in pkgPath: "internal/comm" matches
+// "chant/internal/comm", "chant/internal/comm/tcpnet" and a test fixture
+// module's "internal/comm".
 func PathContains(pkgPath, want string) bool {
 	return strings.Contains("/"+pkgPath+"/", "/"+want+"/")
-}
-
-// CalleeFunc resolves the *types.Func a call expression invokes, or nil for
-// calls through non-selector expressions, function-typed values, and
-// built-ins.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	return typeutil.CalleeFunc(info, call)
-}
-
-// RecvNamed reports the receiver's named type for a method, unwrapping any
-// pointer, or nil for plain functions.
-func RecvNamed(fn *types.Func) *types.Named {
-	return typeutil.RecvNamed(fn)
 }

@@ -9,7 +9,9 @@
 //
 // Detection lives in the shared nondet package (ndtaint seeds its
 // interprocedural taint from the same scanner); detlint contributes the
-// scope — which packages the contract binds.
+// scope — which packages the contract binds — and, over the same packages,
+// the unbounded-spin check (spinloop.go) and the lock and stale-slot leak
+// checks (leaks.go).
 package detlint
 
 import (
@@ -21,8 +23,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
 	Doc: "report nondeterminism sources (wall clock, global math/rand, raw " +
-		"goroutines, effectful map iteration, multi-case select) and " +
-		"unbounded atomic spin loops in Chant's simulation-critical " +
+		"goroutines, effectful map iteration, multi-case select), " +
+		"unbounded atomic spin loops, lock calls with no matching unlock " +
+		"in the same function, and append-based compact deletes on " +
+		"reference-element slices in Chant's simulation-critical " +
 		"packages; suppress legitimate sites with a " +
 		"//chant:allow-nondet <reason> comment",
 	Run: run,
@@ -39,12 +43,13 @@ var scope = []string{
 	"internal/machine",
 	"internal/faults",
 	"internal/experiments",
+	"internal/trace", // the event log and counters the goldens hash
 }
 
-// InScope reports whether a package path is simulation-critical.
-func InScope(pkgPath string) bool {
+// inScope reports whether a package path is simulation-critical.
+func inScope(pkgPath string) bool {
 	for _, s := range scope {
-		if analysis.PathContains(pkgPath, s) || analysis.PathMatches(pkgPath, s) {
+		if analysis.PathContains(pkgPath, s) {
 			return true
 		}
 	}
@@ -52,7 +57,7 @@ func InScope(pkgPath string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	if !InScope(pass.Pkg.Path()) {
+	if !inScope(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -65,6 +70,7 @@ func run(pass *analysis.Pass) error {
 					src.What, pass.Pkg.Path(), src.Why)
 			}
 			checkSpinLoops(pass, decl)
+			checkLeaks(pass, decl)
 		}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"chant/internal/analysis"
+	"chant/internal/analysis/typeutil"
 )
 
 // parkCalls lists method names that surrender the processor: a loop that
@@ -76,7 +77,7 @@ func isUnboundedSpin(pass *analysis.Pass, loop *ast.ForStmt) bool {
 		if !ok {
 			return true
 		}
-		fn := analysis.CalleeFunc(pass.TypesInfo, call)
+		fn := typeutil.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			pure = false // dynamic or unresolvable call: assume it can block
 			return false

@@ -1,41 +1,13 @@
-// Package ctrfixture seeds instrumentation and locking violations for the
-// ctrlock analyzer inside a runtime package path (internal/core/...).
-package ctrfixture
+// Package leakfixture seeds lock-leak and stale-slot shapes for detlint's
+// leak checks inside a runtime package path (internal/core/...), next to
+// the balanced and sanctioned shapes that must stay silent.
+package leakfixture
 
 import (
 	"sync"
 
-	"chant/internal/trace"
 	"chant/internal/ult"
 )
-
-// copies exercises the by-value instrument checks.
-func copies(c *trace.Counters, l *trace.Log) {
-	bad := *c // want `trace\.Counters copied by value`
-	_ = bad
-	badLog := *l // want `trace\.Log copied by value`
-	_ = badLog
-	snap := c.Snap() // ok: Snapshot is the sanctioned plain-value copy
-	_ = snap
-	good := c // ok: pointer copy
-	_ = good
-}
-
-func byValueParam(c trace.Counters) { // want `trace\.Counters passed by value as a parameter`
-	_ = c.Sends.Load()
-}
-
-func byValueResult() trace.Log { // want `trace\.Log passed by value as a result`
-	return trace.Log{}
-}
-
-// stores exercises the add-only counter check.
-func stores(c *trace.Counters) {
-	c.Sends.Store(0)       // want `Store on a trace\.Counters field`
-	c.FullSwitches.Swap(7) // want `Swap on a trace\.Counters field`
-	c.Sends.Add(1)         // ok: counters are add-only accumulators
-	_ = c.Sends.Load()
-}
 
 // leakSync exercises the sync.Mutex balance check.
 func leakSync(mu *sync.Mutex, cond bool) {
@@ -50,9 +22,11 @@ func leakUlt(m *ult.Mutex) {
 	m.Lock() // want `m\.Lock has no matching unlock in leakUlt`
 }
 
+type peer struct{ id int }
+
 // compactDeletes exercises the stale-tail check: append-based removal on a
 // reference-element slice strands the removed pointer in the old last slot.
-func compactDeletes(ptrs []*trace.Counters, ints []int, i int) ([]*trace.Counters, []int) {
+func compactDeletes(ptrs []*peer, ints []int, i int) ([]*peer, []int) {
 	ptrs = append(ptrs[:i], ptrs[i+1:]...) // want `append-based compact delete on ptrs strands a live reference`
 	ints = append(ints[:i], ints[i+1:]...) // ok: value elements hold nothing
 	return ptrs, ints
@@ -67,7 +41,7 @@ func compactDeleteStruct(xs []withRef, i int) []withRef {
 
 // compactDeleteFixed is the sanctioned removal shape: shift, zero the
 // vacated slot, truncate.
-func compactDeleteFixed(ptrs []*trace.Counters, i int) []*trace.Counters {
+func compactDeleteFixed(ptrs []*peer, i int) []*peer {
 	copy(ptrs[i:], ptrs[i+1:])
 	ptrs[len(ptrs)-1] = nil
 	return ptrs[:len(ptrs)-1]

@@ -39,6 +39,12 @@ func rawGoroutine(events chan<- int) {
 	}()
 }
 
+// timerCallback: the callback runs on a runtime timer goroutine, outside
+// every scheduler, so the launch site is reported like a raw go statement.
+func timerCallback(events chan<- int) {
+	time.AfterFunc(time.Millisecond, func() { events <- 1 }) // want `time\.AfterFunc in simulation-critical package`
+}
+
 func mapOrder(counts map[string]int, emit func(string)) []string {
 	for name := range counts { // want `range over map with order-sensitive effects .* sort the keys first`
 		emit(name)

@@ -30,6 +30,7 @@ import (
 
 	"chant/internal/analysis"
 	"chant/internal/analysis/cfg"
+	"chant/internal/analysis/typeutil"
 )
 
 // Marker is the suppression marker: //chant:allow-leak <reason>.
@@ -162,7 +163,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // acquirer classifies call as a resource acquisition, returning the acquirer
 // name and resource kind.
 func acquirer(pass *analysis.Pass, call *ast.CallExpr) (string, kind, bool) {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
+	fn := typeutil.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return "", 0, false
 	}
@@ -173,7 +174,7 @@ func acquirer(pass *analysis.Pass, call *ast.CallExpr) (string, kind, bool) {
 	if k == handle {
 		inScope := false
 		for _, p := range handlePkgs {
-			if analysis.PathContains(pass.Pkg.Path(), p) || analysis.PathMatches(pass.Pkg.Path(), p) {
+			if analysis.PathContains(pass.Pkg.Path(), p) {
 				inScope = true
 			}
 		}

@@ -57,7 +57,7 @@ var roots = []string{
 // IsRoot reports whether a package path is a simulation-critical root.
 func IsRoot(pkgPath string) bool {
 	for _, r := range roots {
-		if analysis.PathContains(pkgPath, r) || analysis.PathMatches(pkgPath, r) {
+		if analysis.PathContains(pkgPath, r) {
 			return true
 		}
 	}

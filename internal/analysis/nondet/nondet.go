@@ -16,6 +16,7 @@ import (
 	"go/types"
 
 	"chant/internal/analysis"
+	"chant/internal/analysis/typeutil"
 )
 
 // A Source is one nondeterminism source surviving suppression filtering.
@@ -78,11 +79,11 @@ func Scan(pass *analysis.Pass, root ast.Node) []Source {
 // callSource classifies wall-clock reads, global math/rand draws, and
 // sync.Pool traffic.
 func callSource(pass *analysis.Pass, call *ast.CallExpr) (Source, bool) {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
+	fn := typeutil.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return Source{}, false
 	}
-	if named := analysis.RecvNamed(fn); named != nil {
+	if named := typeutil.RecvNamed(fn); named != nil {
 		return poolSource(call, fn.Name(), named)
 	}
 	switch fn.Pkg().Path() {

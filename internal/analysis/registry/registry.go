@@ -12,20 +12,16 @@ import (
 
 	"chant/internal/analysis"
 	"chant/internal/analysis/callgraph"
-	"chant/internal/analysis/ctrlock"
 	"chant/internal/analysis/detlint"
 	"chant/internal/analysis/handleleak"
 	"chant/internal/analysis/load"
 	"chant/internal/analysis/ndtaint"
-	"chant/internal/analysis/schedctx"
 )
 
 // Analyzers returns every chantvet analyzer, in reporting order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		schedctx.Analyzer,
 		detlint.Analyzer,
-		ctrlock.Analyzer,
 		ndtaint.Analyzer,
 		handleleak.Analyzer,
 	}

@@ -12,56 +12,68 @@ import (
 	"chant/internal/sim"
 )
 
+// Counter is an add-only event count, safe for concurrent use. It has no
+// Store, Swap or CompareAndSwap, so no caller can discard an Add racing in
+// from another goroutine; like the atomic it wraps, it must not be copied
+// after first use (go vet's copylocks reports a copy).
+type Counter struct{ v atomic.Uint64 }
+
+// Add adds delta to the count.
+func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
+
+// Load reports the current count.
+func (c *Counter) Load() uint64 { return c.v.Load() }
+
 // Counters accumulates event counts for one process. All counter fields are
 // safe for concurrent update (real-mode transports may deliver from another
 // process's goroutine); the waiting-thread integrator is guarded by its own
 // mutex.
 type Counters struct {
 	// Scheduler events.
-	FullSwitches    atomic.Uint64 // complete context switches (restore of a different thread)
-	PartialSwitches atomic.Uint64 // TCB inspections without a restore (Scheduler polls (PS))
-	Yields          atomic.Uint64 // yield calls, total
-	YieldsNoSwitch  atomic.Uint64 // yields that returned immediately (no other ready thread)
-	IdleEntries     atomic.Uint64 // times the scheduler found nothing runnable
-	ThreadsCreated  atomic.Uint64
+	FullSwitches    Counter // complete context switches (restore of a different thread)
+	PartialSwitches Counter // TCB inspections without a restore (Scheduler polls (PS))
+	Yields          Counter // yield calls, total
+	YieldsNoSwitch  Counter // yields that returned immediately (no other ready thread)
+	IdleEntries     Counter // times the scheduler found nothing runnable
+	ThreadsCreated  Counter
 
 	// Communication events.
-	Sends          atomic.Uint64
-	Recvs          atomic.Uint64 // completed receives
-	RecvImmediate  atomic.Uint64 // receives that matched an already-arrived message at post time
-	EarlyArrivals  atomic.Uint64 // messages buffered in the unexpected queue (extra copy)
-	BytesSent      atomic.Uint64
-	MsgTestCalls   atomic.Uint64 // msgtest attempts (paper Tables 3-5, "msgtest" column)
-	MsgTestFails   atomic.Uint64 // msgtest attempts that found the operation incomplete (Figure 12)
-	TestAnyCalls   atomic.Uint64
-	TestAnyScanned atomic.Uint64 // outstanding requests examined across all testany calls
+	Sends          Counter
+	Recvs          Counter // completed receives
+	RecvImmediate  Counter // receives that matched an already-arrived message at post time
+	EarlyArrivals  Counter // messages buffered in the unexpected queue (extra copy)
+	BytesSent      Counter
+	MsgTestCalls   Counter // msgtest attempts (paper Tables 3-5, "msgtest" column)
+	MsgTestFails   Counter // msgtest attempts that found the operation incomplete (Figure 12)
+	TestAnyCalls   Counter
+	TestAnyScanned Counter // outstanding requests examined across all testany calls
 
 	// Remote service requests.
-	RSRRequests atomic.Uint64 // requests served by this process's server thread
-	RSRSent     atomic.Uint64 // requests issued from this process
+	RSRRequests Counter // requests served by this process's server thread
+	RSRSent     Counter // requests issued from this process
 
 	// Conservative simulation (the pdes null-message protocol).
-	NullsSent atomic.Uint64 // CMB null messages emitted by LPs on this process
+	NullsSent Counter // CMB null messages emitted by LPs on this process
 
 	// Robustness events (fault injection, failure detection, recovery).
-	FaultDrops        atomic.Uint64 // outbound messages dropped by the fault plane
-	FaultDups         atomic.Uint64 // outbound messages duplicated by the fault plane
-	FaultDelays       atomic.Uint64 // outbound messages delayed/stalled by the fault plane
-	UnexpectedDropped atomic.Uint64 // messages dropped at the unexpected-queue cap
-	RecvTimeouts      atomic.Uint64 // receives abandoned by a deadline wait
-	PeerDeadRecvs     atomic.Uint64 // receives failed because their peer was declared dead
-	PeersDead         atomic.Uint64 // peers this process declared dead
-	RSRRetries        atomic.Uint64 // RSR call attempts beyond the first
-	RSRTimeouts       atomic.Uint64 // RSR calls that exhausted their retry budget
-	RSRDupsServed     atomic.Uint64 // duplicate RSR requests answered from the dedup cache
+	FaultDrops        Counter // outbound messages dropped by the fault plane
+	FaultDups         Counter // outbound messages duplicated by the fault plane
+	FaultDelays       Counter // outbound messages delayed/stalled by the fault plane
+	UnexpectedDropped Counter // messages dropped at the unexpected-queue cap
+	RecvTimeouts      Counter // receives abandoned by a deadline wait
+	PeerDeadRecvs     Counter // receives failed because their peer was declared dead
+	PeersDead         Counter // peers this process declared dead
+	RSRRetries        Counter // RSR call attempts beyond the first
+	RSRTimeouts       Counter // RSR calls that exhausted their retry budget
+	RSRDupsServed     Counter // duplicate RSR requests answered from the dedup cache
 
 	// Recovery events (coordinated checkpoints and PE restart).
-	Checkpoints      atomic.Uint64 // coordinated snapshots this process finalized
-	InFlightLogged   atomic.Uint64 // in-flight messages recorded between marker arrivals
-	Restarts         atomic.Uint64 // times this process was restored from a checkpoint
-	InFlightReplayed atomic.Uint64 // logged messages re-delivered after a restore
-	RejoinsServed    atomic.Uint64 // rejoin announcements served from restarted peers
-	PeersRecovered   atomic.Uint64 // peers this process moved from dead back to alive
+	Checkpoints      Counter // coordinated snapshots this process finalized
+	InFlightLogged   Counter // in-flight messages recorded between marker arrivals
+	Restarts         Counter // times this process was restored from a checkpoint
+	InFlightReplayed Counter // logged messages re-delivered after a restore
+	RejoinsServed    Counter // rejoin announcements served from restarted peers
+	PeersRecovered   Counter // peers this process moved from dead back to alive
 
 	wait waitingIntegrator
 }

@@ -12,49 +12,64 @@ import (
 	"chant/internal/trace"
 )
 
-// TestOwnerRejectsForeignGoroutine proves the chantdebug owner token: a raw
-// goroutine calling into a running scheduler — the exact misuse the
-// schedctx analyzer flags statically — panics at the call site instead of
-// corrupting the ready queue.
-func TestOwnerRejectsForeignGoroutine(t *testing.T) {
-	s := newTestSched()
-	got := make(chan any, 1)
-	err := s.Run(func() {
-		done := make(chan struct{})
-		go func() {
-			defer func() { got <- recover(); close(done) }()
-			s.Spawn("intruder", func() {})
-		}()
-		<-done
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestOwnerRejectsForeignCall proves the chantdebug owner token on every
+// scheduler-context-only entry of the thread package: a raw goroutine (or a
+// timer callback, which is one) calling into a running scheduler panics at
+// the call site instead of corrupting the ready queue, a wait list or
+// thread-local storage. Each row makes one such call while main, holding
+// the token, waits for it.
+func TestOwnerRejectsForeignCall(t *testing.T) {
+	type domain struct {
+		s    *Sched
+		main *TCB
+		mu   *Mutex
+		cond *Cond
+		key  *Key
 	}
-	r := <-got
-	if r == nil || !strings.Contains(fmt.Sprint(r), "outside the scheduling domain") {
-		t.Fatalf("foreign Spawn did not trip the owner token; recovered %v", r)
+	rows := []struct {
+		entry string
+		call  func(d domain)
+	}{
+		{"Sched.Spawn", func(d domain) { d.s.Spawn("intruder", func() {}) }},
+		{"Sched.SpawnWith", func(d domain) { d.s.SpawnWith("intruder", func() {}, SpawnOpts{}) }},
+		{"Sched.Yield", func(d domain) { d.s.Yield() }},
+		{"Sched.Block", func(d domain) { d.s.Block() }},
+		{"Sched.Unblock", func(d domain) { d.s.Unblock(d.main) }},
+		{"Sched.Exit", func(d domain) { d.s.Exit(nil) }},
+		{"Sched.Cancel", func(d domain) { d.s.Cancel(d.main) }},
+		{"Sched.Join", func(d domain) { d.s.Join(d.main) }},
+		{"Mutex.Lock", func(d domain) { d.mu.Lock() }},
+		{"Mutex.TryLock", func(d domain) { d.mu.TryLock() }},
+		{"Mutex.Unlock", func(d domain) { d.mu.Unlock() }},
+		{"Cond.Wait", func(d domain) { d.cond.Wait() }},
+		{"Cond.Signal", func(d domain) { d.cond.Signal() }},
+		{"Cond.Broadcast", func(d domain) { d.cond.Broadcast() }},
+		{"TCB.SetLocal", func(d domain) { d.main.SetLocal(d.key, 1) }},
+		{"TCB.Local", func(d domain) { d.main.Local(d.key) }},
+		{"TCB.SetPriority", func(d domain) { d.main.SetPriority(7) }},
 	}
-}
-
-// TestOwnerRejectsForeignBlockingCall covers the blocking entry points,
-// which go through mustCurrent's Assert.
-func TestOwnerRejectsForeignBlockingCall(t *testing.T) {
-	s := newTestSched()
-	got := make(chan any, 1)
-	err := s.Run(func() {
-		done := make(chan struct{})
-		go func() {
-			defer func() { got <- recover(); close(done) }()
-			s.Yield()
-		}()
-		<-done
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := <-got
-	if r == nil || !strings.Contains(fmt.Sprint(r), "outside the scheduling domain") {
-		t.Fatalf("foreign Yield did not trip the owner token; recovered %v", r)
+	for _, row := range rows {
+		t.Run(row.entry, func(t *testing.T) {
+			s := newTestSched()
+			got := make(chan any, 1)
+			err := s.Run(func() {
+				mu := NewMutex(s)
+				d := domain{s: s, main: s.Current(), mu: mu, cond: NewCond(mu), key: NewKey("k", nil)}
+				done := make(chan struct{})
+				go func() {
+					defer func() { got <- recover(); close(done) }()
+					row.call(d)
+				}()
+				<-done
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := <-got
+			if r == nil || !strings.Contains(fmt.Sprint(r), "outside the scheduling domain") {
+				t.Fatalf("foreign %s did not trip the owner token; recovered %v", row.entry, r)
+			}
+		})
 	}
 }
 

@@ -22,6 +22,7 @@ func (k *Key) Name() string { return k.name }
 // SetLocal associates value with key for thread t
 // (pthread_setspecific). A nil value deletes the association.
 func (t *TCB) SetLocal(key *Key, value any) {
+	t.assertOwner("TCB.SetLocal")
 	if value == nil {
 		if _, had := t.locals[key]; had {
 			delete(t.locals, key)
@@ -55,6 +56,7 @@ func removeKey(list *[]*Key, key *Key) {
 // Local reports the value associated with key for thread t, or nil
 // (pthread_getspecific).
 func (t *TCB) Local(key *Key) any {
+	t.assertOwner("TCB.Local")
 	return t.locals[key]
 }
 

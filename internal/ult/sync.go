@@ -1,5 +1,7 @@
 package ult
 
+import "chant/internal/check"
+
 // Mutex is a mutual-exclusion lock among threads of one scheduler
 // (the "Lock (e.g., mutex)" capability of the paper's Figure 2). Waiters
 // queue FIFO and ownership is handed directly to the oldest waiter on
@@ -104,6 +106,9 @@ func (c *Cond) Wait() {
 
 // Signal wakes the oldest waiter, if any.
 func (c *Cond) Signal() {
+	if check.Enabled {
+		c.m.s.owner.Assert("Cond.Signal")
+	}
 	if len(c.waiters) == 0 {
 		return
 	}
@@ -114,6 +119,9 @@ func (c *Cond) Signal() {
 
 // Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
+	if check.Enabled {
+		c.m.s.owner.Assert("Cond.Broadcast")
+	}
 	for _, t := range c.waiters {
 		c.m.s.Unblock(t)
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 
+	"chant/internal/check"
 	"chant/internal/sim"
 )
 
@@ -150,6 +151,14 @@ type TCB struct {
 	localOrder []*Key
 }
 
+// assertOwner panics, in chantdebug builds, unless the caller runs inside
+// t's scheduling domain. A TCB from NewBenchTCB has no scheduler to check.
+func (t *TCB) assertOwner(op string) {
+	if check.Enabled && t.sched != nil {
+		t.sched.owner.Assert(op)
+	}
+}
+
 // SetOnCancel registers cleanup to run if this thread is canceled while
 // waiting; blocking primitives install it before parking and clear it
 // after. Passing nil clears it.
@@ -176,6 +185,7 @@ func (t *TCB) Priority() int { return t.prio }
 // enqueue-order rank, so the next pick sees the change exactly as the old
 // pick-time linear scan did.
 func (t *TCB) SetPriority(p int) {
+	t.assertOwner("TCB.SetPriority")
 	if p == t.prio {
 		return
 	}
