@@ -92,8 +92,8 @@ func BenchmarkHotPathPingPong(b *testing.B) {
 
 // benchMultiProducer floods one receiving PE from `senders` peer PEs, with
 // credit-window flow control bounding the in-flight backlog. One op is one
-// round: the receiver absorbing one message from every sender, through the
-// MPSC ingress ring's batched drain under multi-producer contention.
+// round: the receiver absorbing one message from every sender, with the
+// senders contending for its mailbox lock.
 func benchMultiProducer(b *testing.B, senders int) {
 	const window = 32
 	rt := core.NewRealRuntime(core.Topology{PEs: senders + 1, ProcsPerPE: 1},
@@ -147,8 +147,8 @@ func benchMultiProducer(b *testing.B, senders int) {
 	}
 }
 
-// BenchmarkRealMultiProducer measures the batched ingress drain while 2 and
-// 4 producer PEs flood one receiver.
+// BenchmarkRealMultiProducer measures many-to-one fan-in while 2 and 4
+// producer PEs flood one receiver.
 func BenchmarkRealMultiProducer(b *testing.B) {
 	for _, senders := range []int{2, 4} {
 		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {

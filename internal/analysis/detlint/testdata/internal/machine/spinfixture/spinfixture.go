@@ -92,8 +92,8 @@ func sanctioned(flag *atomic.Bool) {
 	}
 }
 
-// walkList has no atomic traffic at all: a pointer-chasing loop (the
-// ingress ring's LIFO reversal) is plain computation, not a spin.
+// walkList has no atomic traffic at all: a pointer-chasing loop (a
+// linked-list walk) is plain computation, not a spin.
 type node struct{ next *node }
 
 func walkList(head *node) int {

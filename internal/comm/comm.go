@@ -79,14 +79,9 @@ type Message struct {
 	Data   []byte
 	SentAt sim.Time
 
-	// pooled marks a message drawn from the real-transport recycling pool
-	// (pool.go); the mailbox returns it there after its terminal copy.
+	// pooled marks a message drawn from the recycling pool (pool.go); the
+	// mailbox returns it there after its terminal copy.
 	pooled bool
-
-	// next links the message into its destination endpoint's real-mode
-	// ingress ring (ingress.go) while in flight there. Producers publish it
-	// via the ring's atomic head; after take, the draining consumer owns it.
-	next *Message
 }
 
 // MatchSpec selects which messages a receive accepts. Any field may be the
@@ -175,9 +170,9 @@ type Transport interface {
 // hdr, the payload is copied straight from data into the waiting thread's
 // buffer — no pooled Message, no intermediate copy — and the call reports
 // true. On false the sender falls back to the ordinary Deliver path; data is
-// only read during the call and is never retained. Real mode only: under a
-// deterministic host the fast path is disabled so simulated delivery stays
-// bit-identical.
+// only read during the call and is never retained. simnet does not offer
+// it: a simulated message always arrives as a scheduled event, never from
+// the sender's own context.
 type DirectTransport interface {
 	TryDeliverDirect(hdr Header, data []byte) bool
 }

@@ -1,0 +1,182 @@
+package comm
+
+import (
+	"bytes"
+	"runtime"
+	"sync"
+	"testing"
+
+	"chant/internal/machine"
+	"chant/internal/sim"
+	"chant/internal/trace"
+)
+
+// realFakeHost is a manual-clock Host reporting Deterministic()==false, so
+// endpoint unit tests can exercise the real-mode data plane (arrival from
+// other goroutines, the zero-copy direct path) without a wall-clock
+// runtime.
+type realFakeHost struct {
+	model *machine.Model
+	now   sim.Time
+
+	// relaxes counts Relax calls; like Relax itself it belongs to the
+	// endpoint's own context, so it needs no lock.
+	relaxes int
+
+	mu         sync.Mutex
+	interrupts int
+}
+
+func newRealFakeHost() *realFakeHost { return &realFakeHost{model: machine.Modern()} }
+
+func (h *realFakeHost) Now() sim.Time         { return h.now }
+func (h *realFakeHost) Charge(d sim.Duration) {}
+func (h *realFakeHost) Compute(units int64)   {}
+func (h *realFakeHost) Relax()                { h.relaxes++ }
+func (h *realFakeHost) Idle()                 { panic("realFakeHost cannot idle") }
+func (h *realFakeHost) Interrupt() {
+	h.mu.Lock()
+	h.interrupts++
+	h.mu.Unlock()
+}
+func (h *realFakeHost) Interrupts() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.interrupts
+}
+func (h *realFakeHost) Model() *machine.Model { return h.model }
+func (h *realFakeHost) Deterministic() bool   { return false }
+
+func newRealEndpoint() (*Endpoint, *realFakeHost) {
+	host := newRealFakeHost()
+	var ctrs trace.Counters
+	ep := NewEndpoint(Addr{PE: 0, Proc: 0}, host, &ctrs, &captureTransport{})
+	return ep, host
+}
+
+func hdrFrom(srcPE, tag int32) Header {
+	return Header{SrcPE: srcPE, SrcProc: 0, SrcThread: 0, DstPE: 0, DstProc: 0, Ctx: 0, Tag: tag}
+}
+
+// TestDirectDeliverZeroCopy checks the matched-receive fast path: with a
+// posted receive, TryDeliverDirect completes it from the caller's buffer
+// without any Message, and the stats record the direct delivery.
+func TestDirectDeliverZeroCopy(t *testing.T) {
+	ep, host := newRealEndpoint()
+	buf := make([]byte, 16)
+	h := ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 7}, buf)
+	payload := []byte("hello")
+	if !ep.TryDeliverDirect(hdrFrom(1, 7), payload) {
+		t.Fatal("direct delivery declined with a matching receive posted")
+	}
+	if !h.Done() {
+		t.Fatal("handle not done after direct delivery")
+	}
+	if !bytes.Equal(buf[:h.Len()], payload) {
+		t.Fatalf("deposited %q, want %q", buf[:h.Len()], payload)
+	}
+	if _, _, direct := ep.IngressStats(); direct != 1 {
+		t.Fatalf("direct count %d, want 1", direct)
+	}
+	if host.Interrupts() != 1 {
+		t.Fatalf("interrupts %d, want 1", host.Interrupts())
+	}
+	// Without a matching posted receive the fast path declines — the message
+	// must take the ordinary path so it can join the unexpected queue.
+	if ep.TryDeliverDirect(hdrFrom(1, 99), payload) {
+		t.Fatal("direct delivery accepted with no matching receive")
+	}
+}
+
+// TestDirectRespectsArrivalOrder checks non-overtaking across the two
+// delivery paths: a producer sends each message direct when a matching
+// receive is posted and through DeliverLocal otherwise, the way memnet's
+// sends do, while the consumer posts one tag-wildcard receive at a time. A
+// queued message is in the mailbox before the producer's next attempt, so
+// the receives must see the tags in send order.
+func TestDirectRespectsArrivalOrder(t *testing.T) {
+	ep, _ := newRealEndpoint()
+	const n = 2000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int32(0); i < n; i++ {
+			hdr := hdrFrom(1, i)
+			if !ep.TryDeliverDirect(hdr, []byte("x")) {
+				ep.DeliverLocal(&Message{Hdr: hdr, Data: []byte("x")})
+			}
+		}
+	}()
+	buf := make([]byte, 1)
+	for i := int32(0); i < n; i++ {
+		h := ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: Any}, buf)
+		for !h.Done() {
+			runtime.Gosched()
+		}
+		if tag := h.Header().Tag; tag != i {
+			t.Fatalf("receive %d got tag %d: a message overtook an earlier one", i, tag)
+		}
+		ep.ReleaseHandle(h)
+	}
+	wg.Wait()
+}
+
+// TestUnexpectedCapBoundsStalledReceiver checks that a capped unexpected
+// queue bounds a real-mode endpoint's arrivals as they arrive, not at the
+// receiver's next operation: two producers deliver ten messages, no
+// receive-side call runs, and four are queued and six dropped already.
+func TestUnexpectedCapBoundsStalledReceiver(t *testing.T) {
+	ep, host := newRealEndpoint()
+	ep.SetUnexpectedCap(4)
+	var wg sync.WaitGroup
+	for src := int32(1); src <= 2; src++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int32(0); i < 5; i++ {
+				ep.DeliverLocal(&Message{Hdr: hdrFrom(src, i), Data: []byte("x")})
+			}
+		}()
+	}
+	wg.Wait()
+	ctrs := ep.Counters()
+	if got := ctrs.UnexpectedDropped.Load(); got != 6 {
+		t.Fatalf("UnexpectedDropped = %d before any receive-side call, want 6", got)
+	}
+	if got := ctrs.EarlyArrivals.Load(); got != 4 {
+		t.Errorf("EarlyArrivals = %d, want 4 (only queued arrivals count)", got)
+	}
+	if got := host.Interrupts(); got != 4 {
+		t.Errorf("interrupts = %d, want 4 (one per queued arrival, none per drop)", got)
+	}
+	if _, unexp := ep.QueueDepths(); unexp != 4 {
+		t.Errorf("unexpected queue holds %d, want the cap of 4", unexp)
+	}
+}
+
+// TestDirectTruncationAndSyncFlag checks that the zero-copy deposit keeps
+// complete()'s semantics: truncation to the posted buffer is reported, and
+// the FlagSync acknowledgement latch still works.
+func TestDirectTruncationAndSyncFlag(t *testing.T) {
+	ep, _ := newRealEndpoint()
+	buf := make([]byte, 3)
+	h := ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 7}, buf)
+	hdr := hdrFrom(1, 7)
+	hdr.Flags = FlagSync
+	if !ep.TryDeliverDirect(hdr, []byte("hello")) {
+		t.Fatal("direct delivery declined")
+	}
+	if h.Err() != ErrTruncated {
+		t.Fatalf("err %v, want ErrTruncated", h.Err())
+	}
+	if string(buf) != "hel" {
+		t.Fatalf("buffer %q, want %q", buf, "hel")
+	}
+	if !h.NeedsSyncAck() {
+		t.Fatal("sync send not flagged for acknowledgement")
+	}
+	if h.NeedsSyncAck() {
+		t.Fatal("sync ack latch fired twice")
+	}
+}

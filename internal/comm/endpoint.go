@@ -25,30 +25,20 @@ type Endpoint struct {
 	tr   Transport
 	mb   mailbox
 
-	// tracer, when non-nil, receives endpoint spans (sends, ingress
-	// drains, direct deliveries, match-to-observe latency). Each emission
-	// site gates on the nil check before reading any clock, so an untraced
-	// endpoint pays one compare per operation.
+	// tracer, when non-nil, receives endpoint spans (sends, direct
+	// deliveries, match-to-observe latency). Each emission site gates on the
+	// nil check before reading any clock, so an untraced endpoint pays one
+	// compare per operation.
 	tracer *trace.Tracer
-
-	// det caches host.Deterministic() (immutable per host). Deterministic
-	// endpoints keep the synchronous per-message delivery path so every
-	// simulated event stream stays bit-identical; everything below exists for
-	// real mode only.
-	det bool
 
 	// dtr is tr's zero-copy extension when it offers one, cached so the send
 	// hot path pays one nil check instead of a type assertion per message.
+	// simnet is not a DirectTransport, so it is nil under simulation.
 	dtr DirectTransport
 
-	// ing is the real-mode MPSC ingress ring: transports enqueue arrivals
-	// here and the owning process drains them in batches (see ingress.go).
-	ing ingress
-
-	// Ingress instrumentation (real mode only; deliberately kept out of
-	// trace.Counters so no simulated snapshot or chaos hash can see it).
-	ingressBatches  atomic.Uint64
-	ingressMessages atomic.Uint64
+	// Delivery instrumentation for IngressStats, deliberately kept out of
+	// trace.Counters so no simulated snapshot or chaos hash can see it.
+	delivered       atomic.Uint64
 	directDelivered atomic.Uint64
 
 	// dead is the set of peers declared failed (by a transport's failure
@@ -70,11 +60,9 @@ type Endpoint struct {
 // NewEndpoint creates an endpoint for process addr, charging host and
 // counting into ctrs, sending through tr.
 func NewEndpoint(addr Addr, host machine.Host, ctrs *trace.Counters, tr Transport) *Endpoint {
-	e := &Endpoint{addr: addr, host: host, ctrs: ctrs, tr: tr, det: host.Deterministic()}
+	e := &Endpoint{addr: addr, host: host, ctrs: ctrs, tr: tr}
 	e.mb.clock = host
-	if !e.det {
-		e.dtr, _ = tr.(DirectTransport)
-	}
+	e.dtr, _ = tr.(DirectTransport)
 	return e
 }
 
@@ -186,23 +174,14 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 	if e.dtr != nil && e.dtr.TryDeliverDirect(hdr, data) {
 		// Zero-copy matched receive: the payload went straight from the
 		// caller's buffer into the waiting thread's buffer — no pooled
-		// Message was ever built. Real mode only (dtr is nil under a
-		// deterministic host).
+		// Message was ever built.
 		if e.tracer != nil {
 			e.tracer.Span(trace.SpanSend, e.addr.PE, srcThread, sendBegin, e.host.Now(), uint64(len(data)))
 		}
 		e.host.Relax()
 		return
 	}
-	var msg *Message
-	if e.det {
-		// Simulated transports may hold a message indefinitely or re-deliver
-		// it under fault-injected duplication, and pool reuse order is
-		// scheduling-dependent: simulation always sends fresh messages.
-		msg = &Message{Data: make([]byte, len(data))}
-	} else {
-		msg = GetPooledMessage(len(data))
-	}
+	msg := GetPooledMessage(len(data))
 	copy(msg.Data, data)
 	msg.Hdr = hdr
 	msg.SentAt = e.host.Now()
@@ -222,7 +201,6 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 // system buffer is charged (this is the extra copy a pre-posted receive
 // avoids).
 func (e *Endpoint) Irecv(spec MatchSpec, buf []byte) *RecvHandle {
-	e.drainIngress() // a ring-resident arrival must be matchable, like any early arrival
 	h := e.newHandle(spec, buf)
 	if e.mb.post(h) {
 		if e.tracer != nil {
@@ -250,7 +228,6 @@ func (e *Endpoint) Irecv(spec MatchSpec, buf []byte) *RecvHandle {
 // Test (Thread polls, the PS partial switch, the deadline waits) from
 // holding a core its peer needs.
 func (e *Endpoint) Test(h *RecvHandle) bool {
-	e.drainIngress()
 	e.ctrs.MsgTestCalls.Add(1)
 	m := e.host.Model()
 	if !h.done.Load() {
@@ -270,7 +247,6 @@ func (e *Endpoint) Test(h *RecvHandle) bool {
 // each request individually, which is exactly the paper's Section 4.2
 // hypothesis about the Scheduler-polls (WQ) algorithm under MPI.
 func (e *Endpoint) TestAny(hs []*RecvHandle) int {
-	e.drainIngress()
 	e.ctrs.TestAnyCalls.Add(1)
 	e.ctrs.TestAnyScanned.Add(uint64(len(hs)))
 	m := e.host.Model()
@@ -292,10 +268,6 @@ func (e *Endpoint) TestAny(hs []*RecvHandle) int {
 func (e *Endpoint) Recv(spec MatchSpec, buf []byte) (int, Header, error) {
 	h := e.Irecv(spec, buf)
 	for !h.done.Load() {
-		e.drainIngress()
-		if h.done.Load() {
-			break
-		}
 		e.host.Idle()
 	}
 	e.observeCompletion(h)
@@ -311,10 +283,6 @@ func (e *Endpoint) Recv(spec MatchSpec, buf []byte) (int, Header, error) {
 // level).
 func (e *Endpoint) Wait(h *RecvHandle) {
 	for !h.done.Load() {
-		e.drainIngress()
-		if h.done.Load() {
-			break
-		}
 		e.host.Idle()
 	}
 	e.observeCompletion(h)
@@ -323,7 +291,6 @@ func (e *Endpoint) Wait(h *RecvHandle) {
 // Probe reports whether an unexpected message matching spec has arrived,
 // without consuming it.
 func (e *Endpoint) Probe(spec MatchSpec) (Header, bool) {
-	e.drainIngress()
 	hdr, ok := e.mb.findUnexpected(spec)
 	m := e.host.Model()
 	if ok {
@@ -340,7 +307,6 @@ func (e *Endpoint) Probe(spec MatchSpec) (Header, bool) {
 // handle untouched — if the receive already completed (or was canceled),
 // so callers that lose the race still observe the real completion.
 func (e *Endpoint) TimeoutRecv(h *RecvHandle) bool {
-	e.drainIngress() // an already-arrived message must win the race, as it always did
 	if !e.mb.removeFailed(h, ErrTimeout, StatusTimedOut) {
 		return false
 	}
@@ -375,14 +341,12 @@ func (e *Endpoint) MsgwaitTimeout(h *RecvHandle, deadline sim.Time) error {
 // whether it was still pending. Used when a thread blocked in a receive is
 // canceled.
 func (e *Endpoint) CancelRecv(h *RecvHandle) bool {
-	e.drainIngress()
 	return e.mb.remove(h)
 }
 
 // QueueDepths reports the current posted-receive and unexpected-message
 // queue lengths, for tests and diagnostics.
 func (e *Endpoint) QueueDepths() (posted, unexpected int) {
-	e.drainIngress()
 	return e.mb.depths()
 }
 
@@ -391,7 +355,6 @@ func (e *Endpoint) QueueDepths() (posted, unexpected int) {
 // through this. The visitor must copy data it keeps (the buffers belong to
 // the mailbox) and must not re-enter the endpoint.
 func (e *Endpoint) UnexpectedSnapshot(visit func(hdr Header, data []byte, sentAt sim.Time)) {
-	e.drainIngress() // checkpoint capture must see ring-resident in-flight messages
 	e.mb.snapshotUnexpected(visit)
 }
 
@@ -432,7 +395,6 @@ func (e *Endpoint) TrackCompletions() { e.mb.track() }
 // the drain is what makes them safe to reuse, so it recycles them. Must be
 // called from the endpoint's process context.
 func (e *Endpoint) DrainCompletions(buf []*RecvHandle) []*RecvHandle {
-	e.drainIngress()
 	buf, e.freeHandles = e.mb.drainCompleted(buf, e.freeHandles)
 	return buf
 }
@@ -452,7 +414,8 @@ func (e *Endpoint) ChargeTestAny(n int) {
 // misses unsuccessful msgtest calls in one bulk charge. Only valid on
 // non-deterministic hosts: under simulation each charge is a yield point
 // whose position affects what later tests observe, so the per-call Test
-// sequence must be preserved there.
+// sequence must be preserved there. The chantdebug assertion below guards
+// the Tables 3–5 WQ rows, which pin that sequence.
 func (e *Endpoint) ChargeTestBatch(hits, misses int) {
 	if check.Enabled && e.host.Deterministic() {
 		check.Failf("comm: ChargeTestBatch on a deterministic host: batching charges reorders simulation yield points")
@@ -503,43 +466,33 @@ func (e *Endpoint) ReleaseHandle(h *RecvHandle) {
 // DeliverLocal is the transport-side delivery entry point. Safe to call
 // from any context (another process's goroutine, a simulator event).
 //
-// Deterministic endpoints match msg synchronously in the mailbox, count an
-// early arrival when no receive was posted, and interrupt the host — the
-// per-message path every simulated event stream was pinned against. Real
-// endpoints instead push onto the MPSC ingress ring: no mailbox lock, and an
-// interrupt only on the ring's empty-to-nonempty edge, so a burst costs one
-// wakeup and (at the consumer) one lock acquisition instead of one per
-// message. The owning process drains the ring from its polling and wait
-// paths (drainIngress).
+// Every host takes the same path: msg is matched synchronously under the
+// mailbox lock, an early arrival is counted when no receive was posted (or a
+// drop when the unexpected queue is at its cap), and the host is
+// interrupted. A stalled receiver's arrivals are therefore bounded the
+// moment they arrive, and a message is in the mailbox before the
+// transport's Deliver returns.
 func (e *Endpoint) DeliverLocal(msg *Message) {
-	if e.det {
-		h, dropped := e.mb.deliver(msg)
-		if dropped {
-			e.ctrs.UnexpectedDropped.Add(1)
-			return
-		}
-		if h == nil {
-			e.ctrs.EarlyArrivals.Add(1)
-		}
-		e.host.Interrupt()
+	e.delivered.Add(1)
+	h, dropped := e.mb.deliver(msg)
+	if dropped {
+		e.ctrs.UnexpectedDropped.Add(1)
 		return
 	}
-	if e.ing.push(msg) {
-		e.host.Interrupt()
+	if h == nil {
+		e.ctrs.EarlyArrivals.Add(1)
 	}
+	e.host.Interrupt()
 }
 
 // TryDeliverDirect attempts the zero-copy matched-receive fast path on this
-// endpoint: if the mailbox lock is free, the ingress ring is empty (nothing
-// to overtake), and a posted receive matches hdr, the payload is copied
-// straight from data into the waiting thread's buffer and the host is
-// interrupted. data is only read during the call. Safe to call from any
-// context; always false on deterministic endpoints.
+// endpoint: if the mailbox lock is free and a posted receive matches hdr,
+// the payload is copied straight from data into the waiting thread's buffer
+// and the host is interrupted. data is only read during the call. Safe to
+// call from any context. Only a DirectTransport calls it, and simnet is
+// not one.
 func (e *Endpoint) TryDeliverDirect(hdr Header, data []byte) bool {
-	if e.det {
-		return false
-	}
-	if !e.mb.tryDepositDirect(&e.ing, hdr, data) {
+	if !e.mb.tryDepositDirect(hdr, data) {
 		return false
 	}
 	e.directDelivered.Add(1)
@@ -551,41 +504,13 @@ func (e *Endpoint) TryDeliverDirect(hdr Header, data []byte) bool {
 	return true
 }
 
-// drainIngress deposits the ingress ring's backlog into the mailbox in one
-// batch. Called from the endpoint's own process context at every point that
-// observes receive state (tests, waits, probes, snapshots); a no-op on
-// deterministic endpoints and when the ring is empty, so polling hot paths
-// pay a single atomic load.
-func (e *Endpoint) drainIngress() {
-	if e.det || e.ing.empty() {
-		return
-	}
-	var drainBegin sim.Time
-	if e.tracer != nil {
-		drainBegin = e.host.Now()
-	}
-	matched, early, dropped := e.mb.depositBatch(&e.ing)
-	n := matched + early + dropped
-	if n == 0 {
-		return
-	}
-	e.ingressBatches.Add(1)
-	e.ingressMessages.Add(uint64(n))
-	if e.tracer != nil {
-		e.tracer.Span(trace.SpanIngressDrain, e.addr.PE, trace.EndpointTID,
-			drainBegin, e.host.Now(), uint64(n))
-	}
-	if early > 0 {
-		e.ctrs.EarlyArrivals.Add(uint64(early))
-	}
-	if dropped > 0 {
-		e.ctrs.UnexpectedDropped.Add(uint64(dropped))
-	}
-}
-
-// IngressStats reports how many ring drains ran, how many messages they
-// deposited, and how many sends completed via the zero-copy direct path.
-// Always zero on deterministic endpoints.
+// IngressStats reports how many messages DeliverLocal deposited, as batches
+// and as messages, and how many sends completed via the zero-copy direct
+// path. Every delivery is deposited on arrival, a batch of one, so batches
+// always equals messages. It is kept only because the benchmark
+// (benchmark/) names it: its comm.ingress_avg_batch reads 1 and
+// comm.direct_share stays meaningful.
 func (e *Endpoint) IngressStats() (batches, messages, direct uint64) {
-	return e.ingressBatches.Load(), e.ingressMessages.Load(), e.directDelivered.Load()
+	n := e.delivered.Load()
+	return n, n, e.directDelivered.Load()
 }

@@ -177,13 +177,6 @@ func (l *msgList) remove(link int, n *msgNode) {
 func (mb *mailbox) deliver(msg *Message) (h *RecvHandle, dropped bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	return mb.deliverLocked(msg)
-}
-
-// deliverLocked is deliver's body; the caller holds mb.mu. Batch deposit
-// (depositBatch) reuses it so a whole ingress burst lands under one lock
-// acquisition.
-func (mb *mailbox) deliverLocked(msg *Message) (h *RecvHandle, dropped bool) {
 	if best := mb.matchPostedLocked(msg.Hdr); best != nil {
 		h := best.h
 		mb.unlinkPost(best)
@@ -226,50 +219,22 @@ func (mb *mailbox) matchPostedLocked(hdr Header) *postNode {
 	return best
 }
 
-// depositBatch drains the endpoint's ingress ring into the mailbox under a
-// single lock acquisition: each message in the batch runs the ordinary
-// deliverLocked match in arrival order. Real mode only; the caller is the
-// endpoint's own process.
-func (mb *mailbox) depositBatch(q *ingress) (matched, early, dropped int) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for msg := q.take(); msg != nil; {
-		next := msg.next
-		msg.next = nil
-		h, drop := mb.deliverLocked(msg)
-		switch {
-		case drop:
-			dropped++
-		case h != nil:
-			matched++
-		default:
-			early++
-		}
-		msg = next
-	}
-	return matched, early, dropped
-}
-
 // tryDepositDirect is the zero-copy matched-receive fast path: called on the
 // sending goroutine with the sender's buffer, it completes a posted receive
 // by copying data straight into the waiting thread's buffer — no pooled
 // Message, no intermediate copy. It declines (reporting false) whenever the
-// slow path must run: the lock is contended, the ingress ring holds earlier
-// arrivals the deposit must not overtake, or no posted receive matches.
+// slow path must run: the lock is contended or no posted receive matches.
 //
-// Ordering: the ring is only emptied by take() under this same lock, and a
-// producer's own pushes are program-ordered before its direct attempt — so
-// an empty ring observed here proves no earlier message from this sender is
-// still undeposited. Cross-sender arrival order carries no guarantee in real
-// mode, exactly as with per-message delivery.
-func (mb *mailbox) tryDepositDirect(q *ingress, hdr Header, data []byte) bool {
+// Ordering: deliver deposits under this same lock before the transport's
+// Deliver returns, so a sender's earlier message is already matched or
+// queued by the time its next one gets here, and the direct deposit cannot
+// overtake it. Cross-sender arrival order carries no guarantee in real
+// mode.
+func (mb *mailbox) tryDepositDirect(hdr Header, data []byte) bool {
 	if !mb.mu.TryLock() {
 		return false
 	}
 	defer mb.mu.Unlock()
-	if !q.empty() {
-		return false
-	}
 	best := mb.matchPostedLocked(hdr)
 	if best == nil {
 		return false

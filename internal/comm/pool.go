@@ -2,35 +2,38 @@ package comm
 
 import "sync"
 
-// Message recycling for the real (wall-clock) transports. On memnet and
-// tcpnet every send and every arrival allocated a fresh Message plus
-// payload buffer; at ping-pong rates that garbage dominates the profile.
-// Messages drawn from the pool carry pooled=true and are returned at their
-// terminal-copy point — the mailbox releases them after depositing into the
-// user buffer (match, immediate post, or drop-at-cap), and tcpnet releases
-// its send-side message after serializing the frame.
+// Message recycling for every transport. Each send and each tcpnet arrival
+// used to allocate a fresh Message plus payload buffer; at ping-pong rates
+// that garbage dominates the profile. Messages drawn from the pool carry
+// pooled=true and are returned at their terminal-copy point — the mailbox
+// releases them after depositing into the user buffer (match, immediate
+// post, or drop-at-cap), and tcpnet releases its send-side message after
+// serializing the frame.
 //
-// sync.Pool reuse order is scheduling-dependent, so pooling is strictly a
-// real-mode optimization: SendFlags only draws from the pool when the host
-// is non-deterministic, simulated transports may re-deliver the same
-// *Message under fault-injected duplication, and releaseMessage is a no-op
-// for the unpooled messages simulation uses. The determinism witness
-// (TestChaosSoak) and detlint's sync.Pool check hold this line.
+// sync.Pool reuse order is scheduling-dependent, and simulation draws from
+// the pool too. That is safe because pool identity never reaches an event:
+// GetPooledMessage sizes Data and the sender overwrites all of it, Hdr and
+// SentAt, before the message is submitted, so a recycled message is
+// indistinguishable from a fresh one. What the pool does demand is that no
+// one keeps a message's buffer past its release: simnet's fault-injected
+// duplicate therefore copies the payload instead of sharing it
+// (TestSimnetDuplicateSurvivesRelease). The determinism witnesses
+// (TestChaosSoak, the polling invariance goldens) hold this line.
 
-//chant:allow-nondet message pool serves real transports only; sim messages never enter it
+//chant:allow-nondet pool identity never reaches an event: every field is overwritten before use
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
 // getMessage draws a recycled message, marked for release at its
 // terminal-copy point.
 func getMessage() *Message {
-	//chant:allow-nondet message pool serves real transports only
+	//chant:allow-nondet reuse order is invisible: the caller overwrites every field
 	m := msgPool.Get().(*Message)
 	m.pooled = true
 	return m
 }
 
 // releaseMessage returns a pooled message for reuse; a no-op for messages
-// allocated outside the pool (everything simulation sends).
+// allocated outside the pool (checkpoint restores, simnet duplicates).
 func releaseMessage(m *Message) {
 	if !m.pooled {
 		return
@@ -39,8 +42,7 @@ func releaseMessage(m *Message) {
 	m.Hdr = Header{}
 	m.Data = m.Data[:0]
 	m.SentAt = 0
-	m.next = nil
-	//chant:allow-nondet message pool serves real transports only
+	//chant:allow-nondet the released buffer has no other holder, so its next owner sees no trace of it
 	msgPool.Put(m)
 }
 
@@ -54,8 +56,8 @@ func (m *Message) sizeData(n int) {
 }
 
 // GetPooledMessage returns a recycled message with Data sized to n bytes,
-// for a real transport's receive path; the mailbox releases it after the
-// deposit copy.
+// for a send or a transport's receive path; the mailbox releases it after
+// the deposit copy.
 func GetPooledMessage(n int) *Message {
 	m := getMessage()
 	m.sizeData(n)

@@ -143,7 +143,9 @@ func (n *Network) Deliver(msg *comm.Message) {
 			if ctrs != nil {
 				ctrs.FaultDups.Add(1)
 			}
-			dup := &comm.Message{Hdr: msg.Hdr, Data: msg.Data, SentAt: msg.SentAt}
+			// The copy owns its payload: the original is pooled, and the
+			// mailbox recycles its buffer once it is deposited.
+			dup := &comm.Message{Hdr: msg.Hdr, Data: append([]byte(nil), msg.Data...), SentAt: msg.SentAt}
 			n.schedule(latency+d.DupDelay, ep, dup)
 		}
 	}

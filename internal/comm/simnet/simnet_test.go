@@ -318,6 +318,52 @@ func TestSimnetFaultPlanDuplicates(t *testing.T) {
 	}
 }
 
+// TestSimnetDuplicateSurvivesRelease checks that a fault-injected duplicate
+// owns its payload. The original is a pooled message: the mailbox recycles
+// it once it is deposited, and whoever draws its buffer from the pool next
+// writes over it. The duplicate arrives later and must still carry the
+// bytes that were sent.
+func TestSimnetDuplicateSurvivesRelease(t *testing.T) {
+	model := machine.Paragon1994()
+	r, start := newRig(t, 2, model)
+	r.net.Faults = faults.New(faults.Config{
+		Default: faults.LinkRates{DupProb: 1, DelayMax: 100 * sim.Microsecond},
+	}, 11)
+	var orig *comm.Message
+	var sent, second []byte
+	start(
+		func(ep *comm.Endpoint) {
+			ep.Host().Charge(10 * sim.Microsecond) // the receiver attaches first
+			orig = comm.GetPooledMessage(4)
+			copy(orig.Data, "twin")
+			sent = orig.Data
+			orig.Hdr = comm.Header{SrcPE: 0, DstPE: 1, Tag: 7, Size: 4}
+			orig.SentAt = ep.Host().Now()
+			r.net.Deliver(orig)
+		},
+		func(ep *comm.Endpoint) {
+			buf := make([]byte, 8)
+			if _, _, err := ep.Recv(comm.MatchAll, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if len(orig.Data) != 0 {
+				t.Error("the original was not released at its deposit; the test is vacuous")
+			}
+			copy(sent, "gone") // the buffer's next owner
+			n, _, err := ep.Recv(comm.MatchAll, buf)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			second = append([]byte(nil), buf[:n]...)
+		},
+	)
+	if string(second) != "twin" {
+		t.Fatalf("duplicate carried %q, want %q: it shared the released original's buffer", second, "twin")
+	}
+}
+
 func TestSimnetFaultPlanPartition(t *testing.T) {
 	model := machine.Paragon1994()
 	r, start := newRig(t, 2, model)

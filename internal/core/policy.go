@@ -80,6 +80,8 @@ func newPolicy(kind PolicyKind, sched *ult.Sched, ep *comm.Endpoint) policy {
 		// The completion ready-list replaces scanning in every mode except
 		// WQ-under-simulation, where the exact per-entry msgtest sequence
 		// (each a yield point) must be preserved for bit-identical runs.
+		// Host fork: it protects the Tables 3–5 WQ rows and the WQ cells of
+		// TestAvgWaitingPinned (DESIGN.md "Host forks").
 		p.tracking = p.useTestAny || !p.det
 		if p.tracking {
 			ep.TrackCompletions()
@@ -341,7 +343,7 @@ func (p *wqPolicy) preSchedule() {
 	switch {
 	case p.useTestAny:
 		p.scanAny()
-	case p.det:
+	case p.det: // host fork: the Tables 3–5 WQ rows, TestAvgWaitingPinned's WQ cells
 		p.scanExact()
 	default:
 		p.scanBatch()

@@ -9,57 +9,13 @@ import (
 	"chant/internal/machine"
 )
 
-// The real-mode data plane (MPSC ingress ring, batched drain, zero-copy
-// direct receive) is real-mode-only mechanism: the deterministic simulation
-// must deliver through the original synchronous path, or the polling and
-// chaos goldens above would silently re-pin. These tests witness the
-// isolation from both sides.
-
-// TestSimPathsNeverTouchIngressRing runs a cross-PE workload on the
-// simulated machine and asserts no endpoint's ingress ring or direct path
-// ever fired: the deterministic delivery path must be byte-identical to the
-// pre-ring implementation.
-func TestSimPathsNeverTouchIngressRing(t *testing.T) {
-	topo := core.Topology{PEs: 2, ProcsPerPE: 1}
-	rt := core.NewSimRuntime(topo, core.Config{Policy: core.SchedulerPollsPS},
-		machine.Paragon1994())
-	const rounds = 100
-	_, err := rt.Run(map[comm.Addr]core.MainFunc{
-		{PE: 0, Proc: 0}: func(th *core.Thread) {
-			peer := core.GlobalID{PE: 1, Proc: 0, Thread: 0}
-			buf, out := make([]byte, 32), make([]byte, 32)
-			for i := 0; i < rounds; i++ {
-				th.Send(peer, 1, out)
-				th.Recv(peer, 1, buf)
-			}
-		},
-		{PE: 1, Proc: 0}: func(th *core.Thread) {
-			peer := core.GlobalID{PE: 0, Proc: 0, Thread: 0}
-			buf, out := make([]byte, 32), make([]byte, 32)
-			for i := 0; i < rounds; i++ {
-				th.Recv(peer, 1, buf)
-				th.Send(peer, 1, out)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, addr := range topo.Addrs() {
-		batches, msgs, direct := rt.Process(addr).Endpoint().IngressStats()
-		if batches != 0 || msgs != 0 || direct != 0 {
-			t.Errorf("sim endpoint %v touched the real-mode data plane: %d batches, %d ring messages, %d direct",
-				addr, batches, msgs, direct)
-		}
-	}
-}
-
 // TestRealRingFanIn runs a 3-sender fan-in through the real-mode data plane
-// (ingress ring and zero-copy direct path; the ring is a mechanism change,
-// not a semantics change): per-sender FIFO must hold at the receiver, the
-// order-insensitive checksum of everything received must equal its closed
-// form in senders × perSender, and the ingress stats must show the data
-// plane actually carried the messages.
+// (synchronous deposit under the mailbox lock and the zero-copy direct path,
+// the one delivery path every host shares): per-sender FIFO must hold at the
+// receiver, the order-insensitive checksum of everything received must equal
+// its closed form in senders × perSender, and the delivery stats must show
+// the data plane actually carried the messages. The name is kept from the
+// ingress ring this test used to cover.
 func TestRealRingFanIn(t *testing.T) {
 	const senders, perSender, window = 3, 200, 32
 	const seqWeight = 2654435761
@@ -136,6 +92,6 @@ func TestRealRingFanIn(t *testing.T) {
 		t.Errorf("checksum %#x, want %#x", checksum, want)
 	}
 	if planeMsgs == 0 {
-		t.Error("no message used the ring or direct path; the test is vacuous")
+		t.Error("no message was delivered or deposited direct; the test is vacuous")
 	}
 }

@@ -43,7 +43,7 @@ type Host interface {
 	// Deterministic reports whether this host's runs must be bit-for-bit
 	// repeatable (the discrete-event simulator) or merely correct (the wall
 	// clock). Optimizations whose effects depend on scheduling order —
-	// allocation pooling, batched cost charging — are gated off when true.
+	// batched cost charging, blocking idle — are gated off when true.
 	Deterministic() bool
 }
 
@@ -79,8 +79,8 @@ func (h *SimHost) Deterministic() bool { return true }
 // spins for the requested work, Relax yields the OS thread so processing
 // elements that share a core take turns at message boundaries, and
 // Idle/Interrupt combine a bounded spin phase with a condition-variable
-// park, so a wakeup that lands within microseconds — the common case on the
-// batched ingress path — is caught without a futex round trip, while a
+// park, so a wakeup that lands within microseconds — the common case for a
+// message round trip — is caught without a futex round trip, while a
 // genuinely idle processor still sleeps instead of burning CPU.
 type RealHost struct {
 	model *Model

@@ -1,7 +1,7 @@
 // The span model: where Counters answer "how many", spans answer "when and
 // for how long". A Span is a closed [Begin, End] interval scoped to a thread
-// (scheduler occupancy, blocked intervals), an endpoint (sends, ingress
-// drains, direct deliveries, match-to-observe latency), or an RSR call
+// (scheduler occupancy, blocked intervals), an endpoint (sends, direct
+// deliveries, match-to-observe latency), or an RSR call
 // (client issue-to-reply, server dispatch), plus the recovery brackets
 // (checkpoint capture, restore). Timestamps are machine.Host.Now values, so
 // spans carry virtual time under the simulation kernel and wall time since
@@ -33,7 +33,10 @@ const (
 	// SpanMatch measures delivery-to-observation latency: a receive
 	// completing in the mailbox until the waiting thread sees it.
 	SpanMatch
-	// SpanIngressDrain brackets one batched drain of the MPSC ingress ring.
+	// SpanIngressDrain bracketed one batched drain of the ingress ring the
+	// endpoint no longer has; nothing emits it. It is kept only because the
+	// benchmark (benchmark/) names it, as span.ingress_drain_us_per_op,
+	// which now reads 0.
 	SpanIngressDrain
 	// SpanDirectDeliver marks a zero-copy delivery straight into a posted
 	// receive's buffer (instantaneous: Begin == End).
