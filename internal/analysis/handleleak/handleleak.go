@@ -75,7 +75,7 @@ var acquirers = map[string]kind{
 var consumers = map[kind]map[string]bool{
 	message: {
 		"ReleaseMessage": true, "releaseMessage": true,
-		"Deliver": true, "DeliverLocal": true, "deliver": true,
+		"Deliver": true, "DeliverLocal": true, "arrive": true,
 		"append": true,
 	},
 	handle: {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"chant/internal/machine"
 	"chant/internal/sim"
 )
 
@@ -163,16 +164,18 @@ type Transport interface {
 	Deliver(msg *Message)
 }
 
-// DirectTransport is the optional zero-copy extension of Transport. A
+// DirectTransport is the optional borrowed-buffer extension of Transport. A
 // transport that can reach the destination endpoint synchronously from the
-// sending goroutine (memnet always; tcpnet for loopback destinations) offers
-// TryDeliverDirect: if a posted receive at the destination already matches
-// hdr, the payload is copied straight from data into the waiting thread's
-// buffer — no pooled Message, no intermediate copy — and the call reports
-// true. On false the sender falls back to the ordinary Deliver path; data is
-// only read during the call and is never retained. simnet does not offer
-// it: a simulated message always arrives as a scheduled event, never from
-// the sender's own context.
+// sending goroutine (memnet while both peers are open; tcpnet for loopback
+// destinations) offers DeliverFrom: it hands hdr and the sender's own data
+// to the destination's Endpoint.DeliverFrom, which deposits into a matching
+// posted receive or queues a pooled copy stamped with from's clock, and it
+// reports true. It reports false, and touches nothing, when the destination
+// is not reachable that way; the sender then builds a pooled Message for the
+// ordinary Deliver path, which owns all fault accounting. data is only read
+// during the call and is never retained. simnet does not offer it: a
+// simulated message always arrives as a scheduled event, never from the
+// sender's own context.
 type DirectTransport interface {
-	TryDeliverDirect(hdr Header, data []byte) bool
+	DeliverFrom(hdr Header, data []byte, from machine.Host) bool
 }

@@ -58,42 +58,57 @@ func hdrFrom(srcPE, tag int32) Header {
 	return Header{SrcPE: srcPE, SrcProc: 0, SrcThread: 0, DstPE: 0, DstProc: 0, Ctx: 0, Tag: tag}
 }
 
-// TestDirectDeliverZeroCopy checks the matched-receive fast path: with a
-// posted receive, TryDeliverDirect completes it from the caller's buffer
-// without any Message, and the stats record the direct delivery.
+// TestDirectDeliverZeroCopy checks the borrowed-buffer arrival: with a
+// posted receive, DeliverFrom completes it from the caller's buffer without
+// any Message, and the stats record the direct delivery; with none, it
+// queues a copy stamped with the sender's clock that no later write to the
+// caller's buffer can reach.
 func TestDirectDeliverZeroCopy(t *testing.T) {
 	ep, host := newRealEndpoint()
 	buf := make([]byte, 16)
 	h := ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 7}, buf)
 	payload := []byte("hello")
-	if !ep.TryDeliverDirect(hdrFrom(1, 7), payload) {
-		t.Fatal("direct delivery declined with a matching receive posted")
-	}
+	ep.DeliverFrom(hdrFrom(1, 7), payload, nil)
 	if !h.Done() {
 		t.Fatal("handle not done after direct delivery")
 	}
 	if !bytes.Equal(buf[:h.Len()], payload) {
 		t.Fatalf("deposited %q, want %q", buf[:h.Len()], payload)
 	}
-	if _, _, direct := ep.IngressStats(); direct != 1 {
-		t.Fatalf("direct count %d, want 1", direct)
+	if _, msgs, direct := ep.IngressStats(); direct != 1 || msgs != 0 {
+		t.Fatalf("direct %d, messages %d; want 1, 0", direct, msgs)
 	}
 	if host.Interrupts() != 1 {
 		t.Fatalf("interrupts %d, want 1", host.Interrupts())
 	}
-	// Without a matching posted receive the fast path declines — the message
-	// must take the ordinary path so it can join the unexpected queue.
-	if ep.TryDeliverDirect(hdrFrom(1, 99), payload) {
-		t.Fatal("direct delivery accepted with no matching receive")
+
+	// Without a matching posted receive the arrival is queued as a copy.
+	sender := newRealFakeHost()
+	sender.now = 42
+	ep.DeliverFrom(hdrFrom(1, 99), payload, sender)
+	copy(payload, "XXXXX")
+	if _, msgs, direct := ep.IngressStats(); direct != 1 || msgs != 1 {
+		t.Fatalf("direct %d, messages %d; want 1, 1", direct, msgs)
+	}
+	var sentAt sim.Time
+	ep.UnexpectedSnapshot(func(_ Header, data []byte, at sim.Time) {
+		sentAt = at
+		if string(data) != "hello" {
+			t.Errorf("queued copy reads %q, want %q", data, "hello")
+		}
+	})
+	if sentAt != 42 {
+		t.Errorf("queued copy stamped %v, want the sender's clock 42", sentAt)
 	}
 }
 
-// TestDirectRespectsArrivalOrder checks non-overtaking across the two
-// delivery paths: a producer sends each message direct when a matching
-// receive is posted and through DeliverLocal otherwise, the way memnet's
-// sends do, while the consumer posts one tag-wildcard receive at a time. A
-// queued message is in the mailbox before the producer's next attempt, so
-// the receives must see the tags in send order.
+// TestDirectRespectsArrivalOrder checks non-overtaking across both arrival
+// forms: a producer alternates borrowed-buffer arrivals (DeliverFrom, the
+// way memnet's sends arrive) with owned messages (DeliverLocal), while the
+// consumer posts one tag-wildcard receive at a time, so each form sometimes
+// finds the receive posted and sometimes queues. An arrival is in the
+// mailbox before the producer's next one, so the receives must see the tags
+// in send order.
 func TestDirectRespectsArrivalOrder(t *testing.T) {
 	ep, _ := newRealEndpoint()
 	const n = 2000
@@ -103,7 +118,9 @@ func TestDirectRespectsArrivalOrder(t *testing.T) {
 		defer wg.Done()
 		for i := int32(0); i < n; i++ {
 			hdr := hdrFrom(1, i)
-			if !ep.TryDeliverDirect(hdr, []byte("x")) {
+			if i%2 == 0 {
+				ep.DeliverFrom(hdr, []byte("x"), nil)
+			} else {
 				ep.DeliverLocal(&Message{Hdr: hdr, Data: []byte("x")})
 			}
 		}
@@ -164,9 +181,7 @@ func TestDirectTruncationAndSyncFlag(t *testing.T) {
 	h := ep.Irecv(MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 7}, buf)
 	hdr := hdrFrom(1, 7)
 	hdr.Flags = FlagSync
-	if !ep.TryDeliverDirect(hdr, []byte("hello")) {
-		t.Fatal("direct delivery declined")
-	}
+	ep.DeliverFrom(hdr, []byte("hello"), nil)
 	if h.Err() != ErrTruncated {
 		t.Fatalf("err %v, want ErrTruncated", h.Err())
 	}

@@ -15,9 +15,10 @@ import (
 // record events in its Counters, so higher layers (and the experiment
 // harness) see NX-like cost behaviour regardless of transport.
 //
-// Methods other than DeliverLocal must be called from the endpoint's own
-// process context (its scheduler or one of its threads). DeliverLocal is
-// the transport-side entry point and is safe to call from any context.
+// Methods other than DeliverLocal and DeliverFrom must be called from the
+// endpoint's own process context (its scheduler or one of its threads).
+// Those two are the transport-side entry points and are safe to call from
+// any context.
 type Endpoint struct {
 	addr Addr
 	host machine.Host
@@ -31,9 +32,10 @@ type Endpoint struct {
 	// compare per operation.
 	tracer *trace.Tracer
 
-	// dtr is tr's zero-copy extension when it offers one, cached so the send
-	// hot path pays one nil check instead of a type assertion per message.
-	// simnet is not a DirectTransport, so it is nil under simulation.
+	// dtr is tr's borrowed-buffer extension when it offers one, cached so the
+	// send hot path pays one nil check instead of a type assertion per
+	// message. simnet is not a DirectTransport, so it is nil under
+	// simulation.
 	dtr DirectTransport
 
 	// Delivery instrumentation for IngressStats, deliberately kept out of
@@ -171,26 +173,21 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 		Size:      int32(len(data)),
 		Flags:     flags,
 	}
-	if e.dtr != nil && e.dtr.TryDeliverDirect(hdr, data) {
-		// Zero-copy matched receive: the payload went straight from the
-		// caller's buffer into the waiting thread's buffer — no pooled
-		// Message was ever built.
-		if e.tracer != nil {
-			e.tracer.Span(trace.SpanSend, e.addr.PE, srcThread, sendBegin, e.host.Now(), uint64(len(data)))
-		}
-		e.host.Relax()
-		return
+	// A reachable DirectTransport destination takes the arrival from the
+	// caller's buffer, copying it once: into a posted receive, or into a
+	// pooled Message only if it must be queued.
+	if e.dtr == nil || !e.dtr.DeliverFrom(hdr, data, e.host) {
+		msg := GetPooledMessage(len(data))
+		copy(msg.Data, data)
+		msg.Hdr = hdr
+		msg.SentAt = e.host.Now()
+		e.tr.Deliver(msg)
 	}
-	msg := GetPooledMessage(len(data))
-	copy(msg.Data, data)
-	msg.Hdr = hdr
-	msg.SentAt = e.host.Now()
-	e.tr.Deliver(msg)
 	if e.tracer != nil {
 		e.tracer.Span(trace.SpanSend, e.addr.PE, srcThread, sendBegin, e.host.Now(), uint64(len(data)))
 	}
-	// One unconditional hand-off per send, on this exit and the direct one:
-	// the receiver now has work, and a data-independent yield keeps PEs that
+	// One unconditional hand-off per send, whichever path delivered it: the
+	// receiver now has work, and a data-independent yield keeps PEs that
 	// share a core in step.
 	e.host.Relax()
 }
@@ -463,18 +460,43 @@ func (e *Endpoint) ReleaseHandle(h *RecvHandle) {
 	e.freeHandles = append(e.freeHandles, h)
 }
 
-// DeliverLocal is the transport-side delivery entry point. Safe to call
-// from any context (another process's goroutine, a simulator event).
-//
-// Every host takes the same path: msg is matched synchronously under the
+// DeliverLocal is the transport-side delivery entry point for a message the
+// transport owns: the mailbox releases msg once it is deposited or dropped,
+// or keeps it on the unexpected queue. Safe to call from any context
+// (another process's goroutine, a simulator event).
+func (e *Endpoint) DeliverLocal(msg *Message) {
+	e.arrive(msg.Hdr, msg.Data, msg, nil)
+}
+
+// DeliverFrom is the transport-side delivery entry point for a borrowed
+// buffer: the sender's own data, or a TCP frame still in the read buffer.
+// A matching posted receive gets the payload straight from data, with no
+// pooled Message and no intermediate copy; an arrival that must queue is
+// copied into a pooled Message stamped with from's clock (nil leaves
+// SentAt zero). data is only read during the call. Safe to call from any
+// context.
+func (e *Endpoint) DeliverFrom(hdr Header, data []byte, from machine.Host) {
+	e.arrive(hdr, data, nil, from)
+}
+
+// arrive runs the mailbox's one arrival body and does its accounting. Every
+// host takes this path: the arrival is matched synchronously under the
 // mailbox lock, an early arrival is counted when no receive was posted (or a
 // drop when the unexpected queue is at its cap), and the host is
 // interrupted. A stalled receiver's arrivals are therefore bounded the
 // moment they arrive, and a message is in the mailbox before the
-// transport's Deliver returns.
-func (e *Endpoint) DeliverLocal(msg *Message) {
-	e.delivered.Add(1)
-	h, dropped := e.mb.deliver(msg)
+// transport's delivery call returns.
+func (e *Endpoint) arrive(hdr Header, data []byte, msg *Message, from machine.Host) {
+	h, dropped := e.mb.arrive(hdr, data, msg, from)
+	if h != nil && msg == nil {
+		e.directDelivered.Add(1)
+		if e.tracer != nil {
+			now := e.host.Now()
+			e.tracer.Span(trace.SpanDirectDeliver, e.addr.PE, trace.EndpointTID, now, now, uint64(len(data)))
+		}
+	} else {
+		e.delivered.Add(1)
+	}
 	if dropped {
 		e.ctrs.UnexpectedDropped.Add(1)
 		return
@@ -485,31 +507,13 @@ func (e *Endpoint) DeliverLocal(msg *Message) {
 	e.host.Interrupt()
 }
 
-// TryDeliverDirect attempts the zero-copy matched-receive fast path on this
-// endpoint: if the mailbox lock is free and a posted receive matches hdr,
-// the payload is copied straight from data into the waiting thread's buffer
-// and the host is interrupted. data is only read during the call. Safe to
-// call from any context. Only a DirectTransport calls it, and simnet is
-// not one.
-func (e *Endpoint) TryDeliverDirect(hdr Header, data []byte) bool {
-	if !e.mb.tryDepositDirect(hdr, data) {
-		return false
-	}
-	e.directDelivered.Add(1)
-	if e.tracer != nil {
-		now := e.host.Now()
-		e.tracer.Span(trace.SpanDirectDeliver, e.addr.PE, trace.EndpointTID, now, now, uint64(len(data)))
-	}
-	e.host.Interrupt()
-	return true
-}
-
-// IngressStats reports how many messages DeliverLocal deposited, as batches
-// and as messages, and how many sends completed via the zero-copy direct
-// path. Every delivery is deposited on arrival, a batch of one, so batches
-// always equals messages. It is kept only because the benchmark
-// (benchmark/) names it: its comm.ingress_avg_batch reads 1 and
-// comm.direct_share stays meaningful.
+// IngressStats reports how many arrivals were not deposited straight from
+// a borrowed buffer, as batches and as messages, and how many were (the
+// zero-copy direct path). Every arrival is handled on arrival, a batch of
+// one, so batches always equals messages, and on memnet direct + messages
+// counts every send. It is kept only because the benchmark (benchmark/)
+// names it: its comm.ingress_avg_batch reads 1 and comm.direct_share stays
+// meaningful.
 func (e *Endpoint) IngressStats() (batches, messages, direct uint64) {
 	n := e.delivered.Load()
 	return n, n, e.directDelivered.Load()

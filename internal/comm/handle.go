@@ -126,10 +126,10 @@ func (h *RecvHandle) complete(msg *Message, at sim.Time) {
 	h.completeDirect(msg.Hdr, msg.Data, at)
 }
 
-// completeDirect deposits a payload given as a raw header+bytes pair — the
-// zero-copy fast path hands the sender's own buffer here, so no Message is
-// ever materialized. data is only read during the call. The caller must hold
-// the owning mailbox's lock.
+// completeDirect deposits a payload given as a raw header+bytes pair — an
+// owned message's, or, on the zero-copy path, the sender's own buffer, for
+// which no Message is ever materialized. data is only read during the call.
+// The caller must hold the owning mailbox's lock.
 func (h *RecvHandle) completeDirect(hdr Header, data []byte, at sim.Time) {
 	h.n = copy(h.buf, data)
 	if len(data) > len(h.buf) {

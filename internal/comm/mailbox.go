@@ -3,6 +3,7 @@ package comm
 import (
 	"sync"
 
+	"chant/internal/machine"
 	"chant/internal/sim"
 )
 
@@ -24,6 +25,8 @@ import (
 // scan, which is exactly the element the old linear sweep would have
 // stopped at. RefMatcher (refmatch_test.go) preserves the linear algorithm as
 // the reference model for the differential property test and benchmarks.
+//
+// Every arrival, whatever its host or transport, runs one body, arrive.
 type mailbox struct {
 	mu  sync.Mutex
 	seq uint64 // arrival stamp shared by posted receives and unexpected messages
@@ -35,16 +38,16 @@ type mailbox struct {
 	// Posted receives: the global arrival-ordered list (failPeer walks it so
 	// failures fire in deterministic post order), exact-spec buckets, and the
 	// wildcard side list (specs with any Any field), each arrival-ordered.
-	postAll   postList
-	postExact map[matchKey]*postList
-	postWild  postList
+	postAll   list[*RecvHandle]
+	postExact buckets[*RecvHandle]
+	postWild  list[*RecvHandle]
 	nPosted   int
 
 	// Unexpected messages: headers are always fully concrete, so every
 	// message lives in an exact bucket plus the global arrival-ordered list
 	// (which wildcard receives and findUnexpected scan).
-	umAll   msgList
-	umExact map[matchKey]*msgList
+	umAll   list[*Message]
+	umExact buckets[*Message]
 	nUnexp  int
 
 	// unexpectedCap, when positive, bounds the unexpected queue: arrivals
@@ -63,14 +66,9 @@ type mailbox struct {
 	tracking  bool
 	completed []*RecvHandle
 
-	// Node and bucket freelists (plain, under mu — deterministic, unlike
-	// sync.Pool). Buckets are recycled because the exact-match maps delete
-	// a bucket the moment it empties: without reuse, every post of a
-	// fully-pinned receive allocates a fresh bucket on the hot path.
-	freePost      *postNode
-	freeMsg       *msgNode
-	freePostLists []*postList
-	freeMsgLists  []*msgList
+	// Node freelists (plain, under mu — deterministic, unlike sync.Pool).
+	freePost *postNode
+	freeMsg  *msgNode
 }
 
 // matchKey is the exact-match signature: the five header fields a MatchSpec
@@ -100,18 +98,26 @@ const (
 	lLink = 1 // exact-key bucket, or the wildcard side list
 )
 
-type postNode struct {
-	h    *RecvHandle
-	seq  uint64
-	wild bool
-	key  matchKey // valid when !wild
-	prev [2]*postNode
-	next [2]*postNode
+// node is one mailbox entry: a posted receive (postNode) or an unexpected
+// message (msgNode).
+type node[T any] struct {
+	val T
+	seq uint64
+	// bucket is the exact-key bucket the node is linked into, so unlinking
+	// needs no map lookup; nil for a wildcard receive on postWild.
+	bucket *list[T]
+	prev   [2]*node[T]
+	next   [2]*node[T]
 }
 
-type postList struct{ head, tail *postNode }
+type (
+	postNode = node[*RecvHandle]
+	msgNode  = node[*Message]
+)
 
-func (l *postList) pushBack(link int, n *postNode) {
+type list[T any] struct{ head, tail *node[T] }
+
+func (l *list[T]) pushBack(link int, n *node[T]) {
 	n.prev[link], n.next[link] = l.tail, nil
 	if l.tail != nil {
 		l.tail.next[link] = n
@@ -121,7 +127,7 @@ func (l *postList) pushBack(link int, n *postNode) {
 	l.tail = n
 }
 
-func (l *postList) remove(link int, n *postNode) {
+func (l *list[T]) remove(link int, n *node[T]) {
 	if n.prev[link] != nil {
 		n.prev[link].next[link] = n.next[link]
 	} else {
@@ -135,116 +141,163 @@ func (l *postList) remove(link int, n *postNode) {
 	n.prev[link], n.next[link] = nil, nil
 }
 
-type msgNode struct {
-	msg  *Message
-	seq  uint64
-	key  matchKey
-	prev [2]*msgNode
-	next [2]*msgNode
+// buckets is one side's exact-key index. A bucket that empties stays in the
+// map, so a key that recurs — every message of a steady exchange — costs one
+// lookup and no insert or delete. empty counts the retained empty buckets;
+// once they outnumber max(minSweep, live buckets), one sweep deletes them
+// all. A sweep visits at most twice the empties it removes, so its cost is
+// O(1) amortized per emptying, and under a stream of distinct keys the map
+// stays within live + max(minSweep, live) entries.
+type buckets[T any] struct {
+	m     map[matchKey]*list[T]
+	empty int
 }
 
-type msgList struct{ head, tail *msgNode }
+// minSweep is the number of empty buckets a side may retain regardless of
+// how few are live.
+const minSweep = 64
 
-func (l *msgList) pushBack(link int, n *msgNode) {
-	n.prev[link], n.next[link] = l.tail, nil
-	if l.tail != nil {
-		l.tail.next[link] = n
-	} else {
-		l.head = n
+// front reports the oldest node under key, or nil. With no live bucket it
+// skips the lookup: an arrival at a mailbox whose only posted receives are
+// wildcards pays no map access on the posted side.
+func (b *buckets[T]) front(key matchKey) *node[T] {
+	if len(b.m) == b.empty {
+		return nil
 	}
-	l.tail = n
+	if l := b.m[key]; l != nil {
+		return l.head
+	}
+	return nil
 }
 
-func (l *msgList) remove(link int, n *msgNode) {
-	if n.prev[link] != nil {
-		n.prev[link].next[link] = n.next[link]
-	} else {
-		l.head = n.next[link]
+// push appends n to key's bucket, creating the bucket only if the key has
+// none, retained or live.
+func (b *buckets[T]) push(key matchKey, n *node[T]) {
+	l := b.m[key]
+	switch {
+	case l == nil:
+		l = &list[T]{}
+		if b.m == nil {
+			b.m = make(map[matchKey]*list[T])
+		}
+		b.m[key] = l
+	case l.head == nil:
+		b.empty--
 	}
-	if n.next[link] != nil {
-		n.next[link].prev[link] = n.prev[link]
-	} else {
-		l.tail = n.prev[link]
-	}
-	n.prev[link], n.next[link] = nil, nil
+	l.pushBack(lLink, n)
+	n.bucket = l
 }
 
-// deliver matches msg against posted receives. If a receive matches, the
-// payload is deposited directly into its user buffer (the no-extra-copy path
-// the paper's design is built around) and the handle is returned. Otherwise
-// the message joins the unexpected queue — unless the queue is at its cap,
-// in which case the message is dropped and dropped reports true.
-func (mb *mailbox) deliver(msg *Message) (h *RecvHandle, dropped bool) {
+// remove unlinks n from its bucket, sweeping the empty buckets when they
+// outnumber the bound.
+func (b *buckets[T]) remove(n *node[T]) {
+	l := n.bucket
+	l.remove(lLink, n)
+	if l.head != nil {
+		return
+	}
+	b.empty++
+	if b.empty <= max(minSweep, len(b.m)-b.empty) {
+		return
+	}
+	for k, l := range b.m {
+		if l.head == nil {
+			delete(b.m, k)
+		}
+	}
+	b.empty = 0
+}
+
+// arrive is the mailbox's one arrival body, for every host and transport.
+// Under one lock it does exactly one of three things:
+//
+//   - It deposits the payload into the oldest posted receive matching hdr
+//     and returns its handle. The payload is copied from data, which is
+//     msg.Data for an owned message and the sender's own buffer when msg is
+//     nil — the zero-copy matched receive: no pooled Message, no
+//     intermediate copy.
+//   - At the SetUnexpectedCap bound it drops the arrival and reports
+//     dropped.
+//   - Otherwise it queues the arrival as unexpected: msg itself, or, for a
+//     borrowed buffer, a pooled copy stamped with from's clock (SentAt stays
+//     zero when from is nil).
+//
+// An owned msg is released once its payload is copied or dropped. A
+// borrowed data is only read during the call.
+func (mb *mailbox) arrive(hdr Header, data []byte, msg *Message, from machine.Host) (h *RecvHandle, dropped bool) {
+	key := keyOfHeader(hdr)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if best := mb.matchPostedLocked(msg.Hdr); best != nil {
-		h := best.h
+	if best := mb.matchPostedLocked(hdr, key); best != nil {
+		h := best.val
 		mb.unlinkPost(best)
 		mb.freePostNode(best)
 		mb.notify(h) // before complete: the notified flag must precede done
-		h.complete(msg, mb.clock.Now())
-		releaseMessage(msg)
+		h.completeDirect(hdr, data, mb.clock.Now())
+		if msg != nil {
+			releaseMessage(msg)
+		}
 		return h, false
 	}
 	if mb.unexpectedCap > 0 && mb.nUnexp >= mb.unexpectedCap {
-		releaseMessage(msg)
+		if msg != nil {
+			releaseMessage(msg)
+		}
 		return nil, true
 	}
-	key := keyOfHeader(msg.Hdr)
+	if msg == nil {
+		msg = GetPooledMessage(len(data))
+		copy(msg.Data, data)
+		msg.Hdr = hdr
+		if from != nil {
+			msg.SentAt = from.Now()
+		}
+	}
 	mb.seq++
-	n := mb.newMsgNode(msg, key, mb.seq)
+	n := mb.newMsgNode(mb.seq)
+	n.val = msg // the queue takes ownership; the post that matches it releases it
 	mb.umAll.pushBack(gLink, n)
-	mb.msgBucket(key).pushBack(lLink, n)
+	mb.umExact.push(key, n)
 	mb.nUnexp++
 	return nil, false
 }
 
-// matchPostedLocked reports the oldest posted receive matching hdr, or nil.
-// Caller holds mb.mu and, on a hit, owns unlinking the node.
-func (mb *mailbox) matchPostedLocked(hdr Header) *postNode {
-	var best *postNode
-	if bl := mb.postExact[keyOfHeader(hdr)]; bl != nil {
-		best = bl.head
+// matchPostedLocked reports the oldest posted receive matching hdr (whose
+// exact key is key), or nil. Caller holds mb.mu and, on a hit, owns
+// unlinking the node.
+func (mb *mailbox) matchPostedLocked(hdr Header, key matchKey) *postNode {
+	if mb.nPosted == 0 {
+		return nil
 	}
+	best := mb.postExact.front(key)
 	for n := mb.postWild.head; n != nil; n = n.next[lLink] {
 		if best != nil && n.seq > best.seq {
 			// The wildcard list is arrival-ordered: nothing past n can be
 			// older than the exact-bucket candidate.
 			break
 		}
-		if n.h.spec.Matches(hdr) {
+		if n.val.spec.Matches(hdr) {
 			return n
 		}
 	}
 	return best
 }
 
-// tryDepositDirect is the zero-copy matched-receive fast path: called on the
-// sending goroutine with the sender's buffer, it completes a posted receive
-// by copying data straight into the waiting thread's buffer — no pooled
-// Message, no intermediate copy. It declines (reporting false) whenever the
-// slow path must run: the lock is contended or no posted receive matches.
-//
-// Ordering: deliver deposits under this same lock before the transport's
-// Deliver returns, so a sender's earlier message is already matched or
-// queued by the time its next one gets here, and the direct deposit cannot
-// overtake it. Cross-sender arrival order carries no guarantee in real
-// mode.
-func (mb *mailbox) tryDepositDirect(hdr Header, data []byte) bool {
-	if !mb.mu.TryLock() {
-		return false
+// oldestUnexpectedLocked reports the oldest unexpected message matching
+// spec (whose exact key is key when exact), or nil. Caller holds mb.mu.
+func (mb *mailbox) oldestUnexpectedLocked(spec MatchSpec, key matchKey, exact bool) *msgNode {
+	if mb.nUnexp == 0 {
+		return nil
 	}
-	defer mb.mu.Unlock()
-	best := mb.matchPostedLocked(hdr)
-	if best == nil {
-		return false
+	if exact {
+		return mb.umExact.front(key)
 	}
-	h := best.h
-	mb.unlinkPost(best)
-	mb.freePostNode(best)
-	mb.notify(h) // before complete: the notified flag must precede done
-	h.completeDirect(hdr, data, mb.clock.Now())
-	return true
+	for n := mb.umAll.head; n != nil; n = n.next[gLink] {
+		if spec.Matches(n.val.Hdr) {
+			return n
+		}
+	}
+	return nil
 }
 
 // post registers a receive. If an unexpected message already matches, it is
@@ -255,21 +308,8 @@ func (mb *mailbox) post(h *RecvHandle) (immediate bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	key, exact := keyOfSpec(h.spec)
-	var n *msgNode
-	if exact {
-		if ml := mb.umExact[key]; ml != nil {
-			n = ml.head
-		}
-	} else {
-		for x := mb.umAll.head; x != nil; x = x.next[gLink] {
-			if h.spec.Matches(x.msg.Hdr) {
-				n = x
-				break
-			}
-		}
-	}
-	if n != nil {
-		msg := n.msg
+	if n := mb.oldestUnexpectedLocked(h.spec, key, exact); n != nil {
+		msg := n.val
 		mb.unlinkMsg(n)
 		mb.freeMsgNode(n)
 		// No ready-list notification: the poster learns of this completion
@@ -279,11 +319,11 @@ func (mb *mailbox) post(h *RecvHandle) (immediate bool) {
 		return true
 	}
 	mb.seq++
-	pn := mb.newPostNode(h, key, !exact, mb.seq)
+	pn := mb.newPostNode(h, mb.seq)
 	h.entry = pn
 	mb.postAll.pushBack(gLink, pn)
 	if exact {
-		mb.postBucket(key).pushBack(lLink, pn)
+		mb.postExact.push(key, pn)
 	} else {
 		mb.postWild.pushBack(lLink, pn)
 	}
@@ -335,8 +375,7 @@ func (mb *mailbox) failPeer(peer Addr) int {
 	failed := 0
 	for n := mb.postAll.head; n != nil; {
 		next := n.next[gLink]
-		if n.h.spec.SrcPE == peer.PE && n.h.spec.SrcProc == peer.Proc {
-			h := n.h
+		if h := n.val; h.spec.SrcPE == peer.PE && h.spec.SrcProc == peer.Proc {
 			mb.unlinkPost(n)
 			mb.freePostNode(n)
 			mb.notify(h)
@@ -353,16 +392,9 @@ func (mb *mailbox) failPeer(peer Addr) int {
 func (mb *mailbox) findUnexpected(spec MatchSpec) (Header, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if key, exact := keyOfSpec(spec); exact {
-		if ml := mb.umExact[key]; ml != nil {
-			return ml.head.msg.Hdr, true
-		}
-		return Header{}, false
-	}
-	for n := mb.umAll.head; n != nil; n = n.next[gLink] {
-		if spec.Matches(n.msg.Hdr) {
-			return n.msg.Hdr, true
-		}
+	key, exact := keyOfSpec(spec)
+	if n := mb.oldestUnexpectedLocked(spec, key, exact); n != nil {
+		return n.val.Hdr, true
 	}
 	return Header{}, false
 }
@@ -374,7 +406,7 @@ func (mb *mailbox) snapshotUnexpected(visit func(hdr Header, data []byte, sentAt
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for n := mb.umAll.head; n != nil; n = n.next[gLink] {
-		visit(n.msg.Hdr, n.msg.Data, n.msg.SentAt)
+		visit(n.val.Hdr, n.val.Data, n.val.SentAt)
 	}
 }
 
@@ -426,17 +458,12 @@ func (mb *mailbox) notify(h *RecvHandle) {
 // the wildcard list, clearing the handle back-pointer. Caller holds mb.mu.
 func (mb *mailbox) unlinkPost(n *postNode) {
 	mb.postAll.remove(gLink, n)
-	if n.wild {
+	if n.bucket == nil {
 		mb.postWild.remove(lLink, n)
 	} else {
-		bl := mb.postExact[n.key]
-		bl.remove(lLink, n)
-		if bl.head == nil {
-			delete(mb.postExact, n.key)
-			mb.freePostLists = append(mb.freePostLists, bl)
-		}
+		mb.postExact.remove(n)
 	}
-	n.h.entry = nil
+	n.val.entry = nil
 	mb.nPosted--
 }
 
@@ -444,52 +471,11 @@ func (mb *mailbox) unlinkPost(n *postNode) {
 // bucket. Caller holds mb.mu.
 func (mb *mailbox) unlinkMsg(n *msgNode) {
 	mb.umAll.remove(gLink, n)
-	ml := mb.umExact[n.key]
-	ml.remove(lLink, n)
-	if ml.head == nil {
-		delete(mb.umExact, n.key)
-		mb.freeMsgLists = append(mb.freeMsgLists, ml)
-	}
+	mb.umExact.remove(n)
 	mb.nUnexp--
 }
 
-func (mb *mailbox) postBucket(key matchKey) *postList {
-	if mb.postExact == nil {
-		mb.postExact = make(map[matchKey]*postList)
-	}
-	bl := mb.postExact[key]
-	if bl == nil {
-		if n := len(mb.freePostLists); n > 0 {
-			bl = mb.freePostLists[n-1]
-			mb.freePostLists[n-1] = nil
-			mb.freePostLists = mb.freePostLists[:n-1]
-		} else {
-			bl = &postList{}
-		}
-		mb.postExact[key] = bl
-	}
-	return bl
-}
-
-func (mb *mailbox) msgBucket(key matchKey) *msgList {
-	if mb.umExact == nil {
-		mb.umExact = make(map[matchKey]*msgList)
-	}
-	ml := mb.umExact[key]
-	if ml == nil {
-		if n := len(mb.freeMsgLists); n > 0 {
-			ml = mb.freeMsgLists[n-1]
-			mb.freeMsgLists[n-1] = nil
-			mb.freeMsgLists = mb.freeMsgLists[:n-1]
-		} else {
-			ml = &msgList{}
-		}
-		mb.umExact[key] = ml
-	}
-	return ml
-}
-
-func (mb *mailbox) newPostNode(h *RecvHandle, key matchKey, wild bool, seq uint64) *postNode {
+func (mb *mailbox) newPostNode(h *RecvHandle, seq uint64) *postNode {
 	n := mb.freePost
 	if n != nil {
 		mb.freePost = n.next[gLink]
@@ -497,7 +483,7 @@ func (mb *mailbox) newPostNode(h *RecvHandle, key matchKey, wild bool, seq uint6
 	} else {
 		n = &postNode{}
 	}
-	n.h, n.key, n.wild, n.seq = h, key, wild, seq
+	n.val, n.seq = h, seq
 	return n
 }
 
@@ -507,7 +493,7 @@ func (mb *mailbox) freePostNode(n *postNode) {
 	mb.freePost = n
 }
 
-func (mb *mailbox) newMsgNode(msg *Message, key matchKey, seq uint64) *msgNode {
+func (mb *mailbox) newMsgNode(seq uint64) *msgNode {
 	n := mb.freeMsg
 	if n != nil {
 		mb.freeMsg = n.next[gLink]
@@ -515,7 +501,7 @@ func (mb *mailbox) newMsgNode(msg *Message, key matchKey, seq uint64) *msgNode {
 	} else {
 		n = &msgNode{}
 	}
-	n.msg, n.key, n.seq = msg, key, seq
+	n.seq = seq
 	return n
 }
 

@@ -196,6 +196,56 @@ func TestFindUnexpected(t *testing.T) {
 	}
 }
 
+// liveBuckets counts the buckets of one side that hold a node.
+func liveBuckets[T any](b *buckets[T]) int {
+	n := 0
+	for _, l := range b.m {
+		if l.head != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMailboxEmptyBucketsBounded checks that retaining emptied buckets (so a
+// recurring key costs no map insert or delete) cannot grow the exact-key
+// maps without bound: under 100,000 post/match cycles, each on a fresh tag,
+// in both orders, each side's map stays within minSweep of its live buckets.
+func TestMailboxEmptyBucketsBounded(t *testing.T) {
+	for _, postedFirst := range []bool{true, false} {
+		m := NewMatcher()
+		check := func(i int) {
+			t.Helper()
+			if n, live := len(m.mb.postExact.m), liveBuckets(&m.mb.postExact); n > minSweep+live {
+				t.Fatalf("postedFirst=%v cycle %d: %d posted buckets, %d live", postedFirst, i, n, live)
+			}
+			if n, live := len(m.mb.umExact.m), liveBuckets(&m.mb.umExact); n > minSweep+live {
+				t.Fatalf("postedFirst=%v cycle %d: %d unexpected buckets, %d live", postedFirst, i, n, live)
+			}
+		}
+		buf := make([]byte, 1)
+		h := NewRecvHandle(MatchSpec{}, buf)
+		for i := 0; i < 100000; i++ {
+			RearmHandle(h, MatchSpec{SrcPE: 1, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: int32(i)}, buf)
+			msg := &Message{Hdr: Header{SrcPE: 1, Tag: int32(i)}, Data: []byte("x")}
+			if postedFirst {
+				m.Post(h, 0)
+				check(i)
+				if got, _ := m.Deliver(msg, 0); got != h {
+					t.Fatalf("cycle %d: arrival missed the posted receive", i)
+				}
+			} else {
+				m.Deliver(msg, 0)
+				check(i)
+				if !m.Post(h, 0) {
+					t.Fatalf("cycle %d: post missed the early arrival", i)
+				}
+			}
+			check(i)
+		}
+	}
+}
+
 // Property: no message is ever lost or duplicated through any interleaving
 // of posts and deliveries with compatible specs.
 func TestMailboxConservationProperty(t *testing.T) {

@@ -12,8 +12,11 @@ import (
 // Differential property test: the bucketed matching engine (Matcher) must be
 // observationally identical to the seed's linear reference (RefMatcher) on
 // every operation stream — same immediate/deferred results, same match
-// order, same drops, same probe answers, same queue depths, and identical
-// terminal handle states. Any divergence is a bug in the bucketed engine.
+// order, same drops, same probe answers, same queue depths and contents,
+// and identical terminal handle states. Half of the arrivals, drawn by the
+// seed, reach the engine as a borrowed buffer rather than an owned message,
+// so both forms of the one arrival body are held to the reference. Any
+// divergence is a bug in the bucketed engine.
 
 // twin is one logical receive posted to both engines.
 type twin struct {
@@ -70,6 +73,28 @@ func sameHandleState(x, y *RecvHandle) error {
 	return nil
 }
 
+// sameUnexpected compares the two engines' unexpected queues entry by
+// entry, in arrival order: header, payload and send stamp.
+func sameUnexpected(m *Matcher, ref *RefMatcher) error {
+	i := 0
+	var err error
+	m.mb.snapshotUnexpected(func(hdr Header, data []byte, sentAt sim.Time) {
+		switch {
+		case err != nil:
+		case i >= len(ref.unexpected):
+			err = fmt.Errorf("extra entry %d %+v", i, hdr)
+		case hdr != ref.unexpected[i].Hdr || !bytes.Equal(data, ref.unexpected[i].Data) || sentAt != ref.unexpected[i].SentAt:
+			x := ref.unexpected[i]
+			err = fmt.Errorf("entry %d: (%+v, %q, %v) vs (%+v, %q, %v)", i, hdr, data, sentAt, x.Hdr, x.Data, x.SentAt)
+		}
+		i++
+	})
+	if err == nil && i != len(ref.unexpected) {
+		err = fmt.Errorf("%d entries vs %d", i, len(ref.unexpected))
+	}
+	return err
+}
+
 func TestMatcherDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
@@ -123,11 +148,26 @@ func TestMatcherDifferential(t *testing.T) {
 							t.Fatalf("op %d: immediate post diverged: %v", op, err)
 						}
 					}
-				case 3, 4, 5: // deliver a message
+				case 3, 4, 5: // deliver a message, owned or borrowed
 					h := randHeader(r)
 					payload := []byte(fmt.Sprintf("m%d", op%7))
-					ga, da := m.Deliver(&Message{Hdr: h, Data: payload}, now)
-					gb, db := ref.Deliver(&Message{Hdr: h, Data: append([]byte(nil), payload...)}, now)
+					sentAt := now - 1 // the sender's clock, behind the receiver's
+					var ga *RecvHandle
+					var da bool
+					if r.Intn(2) == 0 {
+						// The sender's buffer, stamped by the sender's clock if
+						// queued and overwritten once the call returns: a
+						// queued copy must not alias it.
+						m.at = callTime(now)
+						from := newRealFakeHost()
+						from.now = sentAt
+						borrowed := append([]byte(nil), payload...)
+						ga, da = m.mb.arrive(h, borrowed, nil, from)
+						copy(borrowed, "##")
+					} else {
+						ga, da = m.Deliver(&Message{Hdr: h, Data: payload, SentAt: sentAt}, now)
+					}
+					gb, db := ref.Deliver(&Message{Hdr: h, Data: append([]byte(nil), payload...), SentAt: sentAt}, now)
 					if da != db {
 						t.Fatalf("op %d: Deliver dropped %v vs %v", op, da, db)
 					}
@@ -193,6 +233,9 @@ func TestMatcherDifferential(t *testing.T) {
 				pb, ub := ref.Depths()
 				if pa != pb || ua != ub {
 					t.Fatalf("op %d: depths (%d,%d) vs (%d,%d)", op, pa, ua, pb, ub)
+				}
+				if err := sameUnexpected(m, ref); err != nil {
+					t.Fatalf("op %d: unexpected queues diverged: %v", op, err)
 				}
 			}
 

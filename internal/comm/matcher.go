@@ -46,10 +46,10 @@ func NewMatcher() *Matcher {
 // SetUnexpectedCap bounds the unexpected queue (zero = unbounded).
 func (m *Matcher) SetUnexpectedCap(cap int) { m.mb.unexpectedCap = cap }
 
-// Deliver matches msg against posted receives; see mailbox.deliver.
+// Deliver matches msg against posted receives; see mailbox.arrive.
 func (m *Matcher) Deliver(msg *Message, at sim.Time) (*RecvHandle, bool) {
 	m.at = callTime(at)
-	return m.mb.deliver(msg)
+	return m.mb.arrive(msg.Hdr, msg.Data, msg, nil)
 }
 
 // Post registers a receive; see mailbox.post.

@@ -140,14 +140,25 @@ func (n *Network) Deliver(msg *comm.Message) {
 	dst.ep.DeliverLocal(msg)
 }
 
-// TryDeliverDirect implements comm.DirectTransport: every memnet destination
-// is reachable synchronously from the sender's goroutine, so the zero-copy
-// matched-receive fast path is offered whenever both peers are alive. A
-// false return (peer closed, unknown destination, lock contended, no posted
-// match) sends the caller down the ordinary Deliver path, which also owns
-// all fault accounting.
-func (n *Network) TryDeliverDirect(hdr comm.Header, data []byte) bool {
+// DeliverFrom implements comm.DirectTransport: every memnet destination is
+// reachable synchronously from the sender's goroutine, so whenever both
+// peers are open the sender's buffer goes straight to the destination's
+// Endpoint.DeliverFrom, after one route-table load and one lookup per peer.
+// A false return (peer closed, unknown destination) sends the caller down
+// the ordinary Deliver path, which also owns all fault accounting.
+func (n *Network) DeliverFrom(hdr comm.Header, data []byte, from machine.Host) bool {
 	rt := *n.routes.Load()
 	dst := rt[hdr.Dst()]
-	return dst.ep != nil && !dst.closed && !rt[hdr.Src()].closed && dst.ep.TryDeliverDirect(hdr, data)
+	if dst.ep == nil || dst.closed || rt[hdr.Src()].closed {
+		return false
+	}
+	dst.ep.DeliverFrom(hdr, data, from)
+	return true
+}
+
+// TryDeliverDirect is DeliverFrom with no sender clock (a queued copy's
+// SentAt stays zero). It is kept only because the benchmark (benchmark/)
+// names it.
+func (n *Network) TryDeliverDirect(hdr comm.Header, data []byte) bool {
+	return n.DeliverFrom(hdr, data, nil)
 }

@@ -234,7 +234,7 @@ func TestMemnetRouteTableRace(t *testing.T) {
 	const senders, perSender, flaps, posted = 4, 500, 200, 256
 	hdr := comm.Header{SrcPE: a.Addr().PE, SrcProc: a.Addr().Proc, DstPE: b.Addr().PE, DstProc: b.Addr().Proc, Tag: 1, Size: 4}
 	data := []byte("ping")
-	// Receives posted up front give TryDeliverDirect something to match.
+	// Receives posted up front give DeliverFrom something to match.
 	var handles []*comm.RecvHandle
 	for i := 0; i < posted; i++ {
 		handles = append(handles, b.Irecv(comm.MatchAll, make([]byte, 4)))
@@ -248,7 +248,7 @@ func TestMemnetRouteTableRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				if !net.TryDeliverDirect(hdr, data) {
+				if !net.DeliverFrom(hdr, data, nil) {
 					msg := comm.GetPooledMessage(len(data))
 					copy(msg.Data, data)
 					msg.Hdr = hdr
@@ -276,7 +276,7 @@ func TestMemnetRouteTableRace(t *testing.T) {
 	}()
 	wg.Wait()
 
-	_, unexpected := b.QueueDepths() // drains the ring into the mailbox
+	_, unexpected := b.QueueDepths()
 	delivered := unexpected
 	for _, h := range handles {
 		if h.Done() {
@@ -292,6 +292,51 @@ func TestMemnetRouteTableRace(t *testing.T) {
 	}
 	if net.Endpoint(late) != lateEP || net.Endpoint(b.Addr()) != b || a.PeerDead(b.Addr()) {
 		t.Error("route table lost an endpoint or a reopen")
+	}
+}
+
+// TestMemnetDirectShareCounters pins the counts the benchmark's
+// comm.direct_share reads, on a run that mixes sends into posted receives,
+// early arrivals, and drops at a capped endpoint: every send is counted
+// once, as a direct deposit or as a message, and every message is an early
+// arrival or a drop.
+func TestMemnetDirectShareCounters(t *testing.T) {
+	a, b := newPair(t)
+	b.SetUnexpectedCap(4)
+	data, buf := []byte("ping"), make([]byte, 4)
+	for i := 0; i < 30; i++ {
+		switch i % 3 {
+		case 0: // into a posted receive
+			h := b.Irecv(comm.MatchSpec{SrcPE: 0, SrcProc: 0, SrcThread: 0, Ctx: 0, Tag: 1}, buf)
+			a.Send(b.Addr(), 0, 1, 0, data)
+			if !h.Done() {
+				t.Fatalf("send %d did not complete the posted receive", i)
+			}
+			b.ReleaseHandle(h)
+		case 1: // early at the capped endpoint: 4 queue, the rest drop
+			a.Send(b.Addr(), 0, 2, 0, data)
+		case 2: // early at the uncapped endpoint
+			b.Send(a.Addr(), 0, 3, 0, data)
+		}
+	}
+	var sends, direct, msgs, early, dropped uint64
+	for _, ep := range []*comm.Endpoint{a, b} {
+		c := ep.Counters()
+		_, m, d := ep.IngressStats()
+		sends += c.Sends.Load()
+		direct += d
+		msgs += m
+		early += c.EarlyArrivals.Load()
+		dropped += c.UnexpectedDropped.Load()
+	}
+	if direct+msgs != sends {
+		t.Errorf("direct %d + messages %d = %d, want Sends %d", direct, msgs, direct+msgs, sends)
+	}
+	if early+dropped != msgs {
+		t.Errorf("EarlyArrivals %d + UnexpectedDropped %d = %d, want messages %d", early, dropped, early+dropped, msgs)
+	}
+	if direct != 10 || early != 14 || dropped != 6 {
+		t.Errorf("direct %d, early %d, dropped %d; want 10, 14, 6", direct, early, dropped)
 	}
 }
 

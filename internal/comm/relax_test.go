@@ -3,24 +3,32 @@ package comm
 import (
 	"testing"
 
+	"chant/internal/machine"
 	"chant/internal/trace"
 )
 
-// selfTransport loops an endpoint's sends back to itself, offering the
-// zero-copy path like memnet does.
-type selfTransport struct{ ep *Endpoint }
+// selfTransport loops an endpoint's sends back to itself. While direct is
+// set it is a reachable DirectTransport, the way memnet is to an open peer;
+// otherwise DeliverFrom declines and sends take the Deliver path.
+type selfTransport struct {
+	ep     *Endpoint
+	direct bool
+}
 
 func (tr *selfTransport) Deliver(m *Message) { tr.ep.DeliverLocal(m) }
-func (tr *selfTransport) TryDeliverDirect(hdr Header, data []byte) bool {
-	return tr.ep.TryDeliverDirect(hdr, data)
+func (tr *selfTransport) DeliverFrom(hdr Header, data []byte, from machine.Host) bool {
+	if tr.direct {
+		tr.ep.DeliverFrom(hdr, data, from)
+	}
+	return tr.direct
 }
 
 // TestRelaxRule pins where a real-mode endpoint offers its OS processor:
-// once per send (on both exits), once per missed poll, and nowhere else on
-// the receive path.
+// once per send (whether DeliverFrom or Deliver carried it), once per
+// missed poll, and nowhere else on the receive path.
 func TestRelaxRule(t *testing.T) {
 	host := newRealFakeHost()
-	tr := &selfTransport{}
+	tr := &selfTransport{direct: true}
 	ep := NewEndpoint(Addr{PE: 0, Proc: 0}, host, &trace.Counters{}, tr)
 	tr.ep = ep
 	self := Addr{PE: 0, Proc: 0}
@@ -49,7 +57,7 @@ func TestRelaxRule(t *testing.T) {
 			t.Fatalf("TestAny = %d before any send", i)
 		}
 	})
-	step("Send into a posted receive (direct exit)", 1, func() { ep.Send(self, 0, 1, 0, []byte("a")) })
+	step("Send into a posted receive (DeliverFrom, deposited)", 1, func() { ep.Send(self, 0, 1, 0, []byte("a")) })
 	if _, _, direct := ep.IngressStats(); direct != 1 {
 		t.Fatalf("direct deliveries %d, want 1: the send took the wrong exit", direct)
 	}
@@ -69,7 +77,12 @@ func TestRelaxRule(t *testing.T) {
 			t.Fatal("Probe hit before any send")
 		}
 	})
-	step("Send with no receive posted (transport exit)", 1, func() { ep.Send(self, 0, 2, 0, []byte("b")) })
+	step("Send with no receive posted (DeliverFrom, queued)", 1, func() { ep.Send(self, 0, 2, 0, []byte("b")) })
+	tr.direct = false
+	step("Send through Deliver (DeliverFrom declined)", 1, func() { ep.Send(self, 0, 3, 0, []byte("c")) })
+	if _, msgs, direct := ep.IngressStats(); direct != 1 || msgs != 2 {
+		t.Fatalf("direct %d, messages %d; want 1, 2: a send took the wrong path", direct, msgs)
+	}
 	step("hit Probe", 0, func() {
 		if _, ok := ep.Probe(spec(2)); !ok {
 			t.Fatal("Probe missed a queued message")

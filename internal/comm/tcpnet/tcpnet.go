@@ -371,15 +371,19 @@ func (n *Node) Deliver(msg *comm.Message) {
 	n.deliverRemote(msg, dst, addr)
 }
 
-// TryDeliverDirect implements comm.DirectTransport for loopback
-// destinations: a message addressed to an endpoint hosted on this node can
-// skip framing entirely and attempt the zero-copy matched receive. Remote
+// DeliverFrom implements comm.DirectTransport for loopback destinations: a
+// message addressed to an endpoint hosted on this node skips framing and
+// goes to the endpoint straight from the sender's buffer. Remote
 // destinations report false and take the framed Deliver path.
-func (n *Node) TryDeliverDirect(hdr comm.Header, data []byte) bool {
+func (n *Node) DeliverFrom(hdr comm.Header, data []byte, from machine.Host) bool {
 	n.mu.Lock()
 	ep := n.eps[hdr.Dst()]
 	n.mu.Unlock()
-	return ep != nil && ep.TryDeliverDirect(hdr, data)
+	if ep == nil {
+		return false
+	}
+	ep.DeliverFrom(hdr, data, from)
+	return true
 }
 
 // deliverRemote frames msg onto dst's connection, redialing with bounded
@@ -755,21 +759,21 @@ func (n *Node) readLoop(c net.Conn) {
 			continue // no such local endpoint; drop (like NX)
 		}
 		if r.Buffered() >= payload {
-			// The whole payload already sits in the read buffer: offer it to
-			// a matching posted receive in place — no pooled message, no
-			// extra copy. The guard matters: TryDeliverDirect runs with the
-			// destination's mailbox lock held on a miss path, so it must
-			// never be reachable from a blocking socket read.
+			// The whole payload already sits in the read buffer: hand it to
+			// the endpoint in place, so a matching posted receive takes it
+			// with no pooled message and no extra copy (only an arrival that
+			// must queue is copied out). The guard makes Peek neither block
+			// on the socket nor fail on a payload larger than the buffer;
+			// such a payload is read into a pooled message below.
 			b, err := r.Peek(payload)
 			if err != nil {
 				return
 			}
-			if ep.TryDeliverDirect(hdr, b) {
-				if _, err := r.Discard(payload); err != nil {
-					return
-				}
-				continue
+			ep.DeliverFrom(hdr, b, nil)
+			if _, err := r.Discard(payload); err != nil {
+				return
 			}
+			continue
 		}
 		// Inbound payloads come from the message pool: a steady-state
 		// receiver recycles its buffers instead of allocating per frame.

@@ -445,7 +445,7 @@ func TestReadBufSizeClamps(t *testing.T) {
 
 // TestTCPFrameSizesAroundReadBuffer walks payload sizes straddling the old
 // fixed 4 KiB bufio default and the sized read buffer, so both the in-buffer
-// zero-copy path (Peek + TryDeliverDirect) and the straddling pooled
+// zero-copy path (Peek + DeliverFrom) and the straddling pooled
 // fallback are exercised, in order, on one connection.
 func TestTCPFrameSizesAroundReadBuffer(t *testing.T) {
 	_, eps := bootWithOptions(t, 2, func(o *Options) {
