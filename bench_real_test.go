@@ -226,10 +226,8 @@ func TestHotPathAllocsPinned(t *testing.T) {
 // TestWQPingPongAllocsPinned holds the Scheduler-polls (WQ) receive path at
 // ~0 allocs per round trip. At one P (AllocsPerRun pins it) the echo is back
 // before the receive is posted and the thread never reaches a scheduling
-// point, so nothing drains the completion ready-list: when such receives
-// were listed there, every handle was released with its notification still
-// queued and abandoned to the garbage collector, one allocation per receive
-// per PE, and the list grew without bound.
+// point, so every receive handle must recycle at its release: one held back
+// for a later scheduling point would be an allocation per receive per PE.
 func TestWQPingPongAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race for allocation exactness")

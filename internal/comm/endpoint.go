@@ -225,12 +225,25 @@ func (e *Endpoint) Irecv(spec MatchSpec, buf []byte) *RecvHandle {
 // Test (Thread polls, the PS partial switch, the deadline waits) from
 // holding a core its peer needs.
 func (e *Endpoint) Test(h *RecvHandle) bool {
+	if e.Poll(h) {
+		return true
+	}
+	e.host.Relax()
+	return false
+}
+
+// Poll is Test without the relax on a miss: the one msgtest that does not
+// offer the processor. Scheduler polls (WQ) tests every outstanding request
+// at a scheduling point with it; a relax per miss would hand the core away
+// once per blocked thread, and the walk needs none — with every thread
+// blocked the scheduler goes on to the host's Idle, and a running thread
+// reaches a send, a missed Test or a no-switch yield of its own.
+func (e *Endpoint) Poll(h *RecvHandle) bool {
 	e.ctrs.MsgTestCalls.Add(1)
 	m := e.host.Model()
 	if !h.done.Load() {
 		e.ctrs.MsgTestFails.Add(1)
 		e.host.Charge(m.MsgTestMiss)
-		e.host.Relax()
 		return false
 	}
 	e.host.Charge(m.MsgTestHit)
@@ -374,53 +387,19 @@ func (e *Endpoint) observeCompletion(h *RecvHandle) {
 
 // Observe charges the one-time receive-completion overhead for a handle
 // known to be done — the accounting a successful Test performs, exposed for
-// polling policies that learn of completions from the drained ready-list
-// rather than by testing.
+// Scheduler polls (WQAny), which finds a done request by walking its own
+// list under one ChargeTestAny rather than by testing each.
 func (e *Endpoint) Observe(h *RecvHandle) { e.observeCompletion(h) }
-
-// TrackCompletions enables the mailbox's completion ready-list: from now on
-// every posted handle this endpoint's mailbox completes (matched, failed,
-// timed out) is queued for DrainCompletions; a receive born complete from an
-// early arrival is not. Enabled once by the Scheduler-polls (WQ) policies;
-// there is no way to disable it.
-func (e *Endpoint) TrackCompletions() { e.mb.track() }
-
-// DrainCompletions appends all handles completed since the last drain to
-// buf and returns it. Drained handles may include ones the caller never
-// registered (receives completed by other paths); callers filter by their
-// own bookkeeping. Handles already passed to ReleaseHandle are not reported:
-// the drain is what makes them safe to reuse, so it recycles them. Must be
-// called from the endpoint's process context.
-func (e *Endpoint) DrainCompletions(buf []*RecvHandle) []*RecvHandle {
-	buf, e.freeHandles = e.mb.drainCompleted(buf, e.freeHandles)
-	return buf
-}
 
 // ChargeTestAny performs the cost accounting of one TestAny call over n
 // handles without scanning anything: the Scheduler-polls (WQAny) policy
-// learns completions from the drained ready-list but must charge — and
-// count — exactly what the msgtestany it replaces would have.
+// walks its own registration-ordered list for a done request but must
+// charge — and count — exactly what the msgtestany it stands for would have.
 func (e *Endpoint) ChargeTestAny(n int) {
 	e.ctrs.TestAnyCalls.Add(1)
 	e.ctrs.TestAnyScanned.Add(uint64(n))
 	m := e.host.Model()
 	e.host.Charge(m.TestAnyBase + m.TestAnyPer.Scale(float64(n)))
-}
-
-// ChargeTestBatch performs the cost accounting of hits successful and
-// misses unsuccessful msgtest calls in one bulk charge. Only valid on
-// non-deterministic hosts: under simulation each charge is a yield point
-// whose position affects what later tests observe, so the per-call Test
-// sequence must be preserved there. The chantdebug assertion below guards
-// the Tables 3–5 WQ rows, which pin that sequence.
-func (e *Endpoint) ChargeTestBatch(hits, misses int) {
-	if check.Enabled && e.host.Deterministic() {
-		check.Failf("comm: ChargeTestBatch on a deterministic host: batching charges reorders simulation yield points")
-	}
-	e.ctrs.MsgTestCalls.Add(uint64(hits + misses))
-	e.ctrs.MsgTestFails.Add(uint64(misses))
-	m := e.host.Model()
-	e.host.Charge(m.MsgTestHit.Scale(float64(hits)) + m.MsgTestMiss.Scale(float64(misses)))
 }
 
 // newHandle draws a recycled receive handle, or allocates one.
@@ -447,14 +426,6 @@ func (e *Endpoint) ReleaseHandle(h *RecvHandle) {
 		if !h.done.Load() && !h.canceled {
 			check.Failf("comm: ReleaseHandle of a live handle (spec %+v)", h.spec)
 		}
-	}
-	if h.notified {
-		// A completion notification for this handle is still queued on the
-		// mailbox ready-list; recycling it now could let a polling policy
-		// mistake the stale notification for a fresh registration. The
-		// drain that consumes the notification recycles it.
-		h.released = true
-		return
 	}
 	h.Reset()
 	e.freeHandles = append(e.freeHandles, h)

@@ -39,19 +39,6 @@ type RecvHandle struct {
 	// entry is the handle's node in its mailbox's posted-receive index while
 	// posted; nil otherwise. Guarded by the mailbox lock.
 	entry *postNode
-
-	// notified marks a completion queued on the mailbox's ready-list and not
-	// yet drained. Such a handle must not be recycled: a polling policy
-	// would later drain the stale notification and could confuse it with a
-	// fresh registration of the reused handle. Written under the mailbox
-	// lock before done is set; read by ReleaseHandle after done (endpoint
-	// context), cleared by the drain (also endpoint context).
-	notified bool
-
-	// released marks a notified handle whose owner has already called
-	// ReleaseHandle: the drain that clears the notification recycles the
-	// handle instead of reporting it. Endpoint context only.
-	released bool
 }
 
 // Reset clears the handle for reuse via the endpoint's handle pool. The
@@ -69,8 +56,6 @@ func (h *RecvHandle) Reset() {
 	h.canceled = false
 	h.acked = false
 	h.entry = nil
-	h.notified = false
-	h.released = false
 }
 
 // NeedsSyncAck reports (and latches) whether this completed receive

@@ -56,16 +56,6 @@ type mailbox struct {
 	// bound.
 	unexpectedCap int
 
-	// completed is the completion ready-list: when tracking is on (the
-	// Scheduler-polls (WQ) policies enable it), every posted handle this
-	// mailbox completes — matched by an arrival, failed by peer death, or
-	// withdrawn by timeout — is appended here for the endpoint to drain, so
-	// polling can inspect only completed handles instead of re-testing every
-	// outstanding one. A receive satisfied at post time by an early arrival
-	// was never outstanding and is not listed.
-	tracking  bool
-	completed []*RecvHandle
-
 	// Node freelists (plain, under mu — deterministic, unlike sync.Pool).
 	freePost *postNode
 	freeMsg  *msgNode
@@ -232,7 +222,6 @@ func (mb *mailbox) arrive(hdr Header, data []byte, msg *Message, from machine.Ho
 		h := best.val
 		mb.unlinkPost(best)
 		mb.freePostNode(best)
-		mb.notify(h) // before complete: the notified flag must precede done
 		h.completeDirect(hdr, data, mb.clock.Now())
 		if msg != nil {
 			releaseMessage(msg)
@@ -312,8 +301,6 @@ func (mb *mailbox) post(h *RecvHandle) (immediate bool) {
 		msg := n.val
 		mb.unlinkMsg(n)
 		mb.freeMsgNode(n)
-		// No ready-list notification: the poster learns of this completion
-		// from Irecv itself, so no polling list can ever hold the handle.
 		h.complete(msg, 0)
 		releaseMessage(msg)
 		return true
@@ -359,7 +346,6 @@ func (mb *mailbox) removeFailed(h *RecvHandle, err error, status Status) bool {
 	}
 	mb.unlinkPost(n)
 	mb.freePostNode(n)
-	mb.notify(h)
 	h.fail(err, status, mb.clock.Now())
 	return true
 }
@@ -378,7 +364,6 @@ func (mb *mailbox) failPeer(peer Addr) int {
 		if h := n.val; h.spec.SrcPE == peer.PE && h.spec.SrcProc == peer.Proc {
 			mb.unlinkPost(n)
 			mb.freePostNode(n)
-			mb.notify(h)
 			h.fail(ErrPeerDead, StatusPeerDead, mb.clock.Now())
 			failed++
 		}
@@ -415,43 +400,6 @@ func (mb *mailbox) depths() (posted, unexpected int) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	return mb.nPosted, mb.nUnexp
-}
-
-// track enables the completion ready-list.
-func (mb *mailbox) track() {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	mb.tracking = true
-}
-
-// drainCompleted clears the completion ready-list, releasing each handle's
-// notified latch: handles still owned by a caller are appended to buf,
-// handles released while notified are reset and appended to free.
-func (mb *mailbox) drainCompleted(buf, free []*RecvHandle) ([]*RecvHandle, []*RecvHandle) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i, h := range mb.completed {
-		if h.released {
-			h.Reset()
-			free = append(free, h)
-		} else {
-			h.notified = false
-			buf = append(buf, h)
-		}
-		mb.completed[i] = nil
-	}
-	mb.completed = mb.completed[:0]
-	return buf, free
-}
-
-// notify records a completion on the ready-list, latching the handle
-// against pool reuse until the notification is drained. Caller holds mb.mu;
-// must run before the handle's done flag is set.
-func (mb *mailbox) notify(h *RecvHandle) {
-	if mb.tracking {
-		h.notified = true
-		mb.completed = append(mb.completed, h)
-	}
 }
 
 // unlinkPost removes a posted node from the global list and its bucket or

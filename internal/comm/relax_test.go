@@ -25,7 +25,8 @@ func (tr *selfTransport) DeliverFrom(hdr Header, data []byte, from machine.Host)
 
 // TestRelaxRule pins where a real-mode endpoint offers its OS processor:
 // once per send (whether DeliverFrom or Deliver carried it), once per
-// missed poll, and nowhere else on the receive path.
+// missed Test, TestAny or Probe, and nowhere else on the receive path — a
+// missed Poll, the Scheduler-polls (WQ) walk's msgtest, included.
 func TestRelaxRule(t *testing.T) {
 	host := newRealFakeHost()
 	tr := &selfTransport{direct: true}
@@ -50,6 +51,11 @@ func TestRelaxRule(t *testing.T) {
 	step("missed Test", 1, func() {
 		if ep.Test(h) {
 			t.Fatal("Test hit before any send")
+		}
+	})
+	step("missed Poll", 0, func() {
+		if ep.Poll(h) {
+			t.Fatal("Poll hit before any send")
 		}
 	})
 	step("TestAny with nothing complete", 1, func() {

@@ -13,15 +13,21 @@ import (
 	"chant/internal/trace"
 )
 
-// countingHost is a real host whose clock reads are counted.
+// countingHost is a real host whose clock reads and relaxes are counted.
 type countingHost struct {
 	machine.Host
-	nows atomic.Uint64
+	nows    atomic.Uint64
+	relaxes atomic.Uint64
 }
 
 func (h *countingHost) Now() sim.Time {
 	h.nows.Add(1)
 	return h.Host.Now()
+}
+
+func (h *countingHost) Relax() {
+	h.relaxes.Add(1)
+	h.Host.Relax()
 }
 
 // clockReadsPerRoundTrip runs warm+rounds 64-byte memnet round trips between

@@ -435,6 +435,58 @@ func TestCancelThreadBlockedInRecv(t *testing.T) {
 				},
 				nil,
 			)
+			if pol != SchedulerPollsWQ && pol != SchedulerPollsWQAny {
+				return
+			}
+			// A WQ thread whose receive completed at a scheduling point is
+			// canceled while Ready, before it resumes: its cancel hook must
+			// leave alone the entry the walk already freed, which a second
+			// waiter then reuses.
+			t.Run("completed-then-canceled", func(t *testing.T) {
+				cfg := Config{Policy: pol, Delivery: DeliverCtx, DisableServer: true}
+				runSim2(t, cfg,
+					func(th *Thread) {
+						recv := func(me *Thread) {
+							buf := make([]byte, 8)
+							if _, _, err := me.Recv(th.ID(), 5, buf); err != nil {
+								t.Error(err)
+							}
+						}
+						victim := th.proc.CreateLocal("victim", recv, defaultSpawn())
+						th.Yield()              // the victim blocks in its receive
+						th.TCB().SetPriority(1) // outrank the victim once it is readied
+						if err := th.Send(victim.ID(), 5, []byte("x")); err != nil {
+							t.Error(err)
+							return
+						}
+						for victim.TCB().State() != ult.Ready {
+							th.Yield() // a scheduling point: the walk completes the victim's entry
+						}
+						th.CancelLocal(victim)
+						if n := th.proc.policy.(*wqPolicy).count; n != 0 {
+							t.Errorf("%d requests outstanding after the cancel, want 0", n)
+							return
+						}
+						th.TCB().SetPriority(0)
+						second := th.proc.CreateLocal("second", recv, defaultSpawn())
+						th.Yield() // the victim unwinds; the second blocks on the freed entry
+						if err := th.Send(second.ID(), 5, []byte("y")); err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := th.JoinLocal(second); err != nil {
+							t.Errorf("join of the second receiver: %v", err)
+						}
+						if _, err := th.JoinLocal(victim); err == nil {
+							t.Error("join of canceled receiver succeeded")
+						}
+						if posted, _ := th.proc.Endpoint().QueueDepths(); posted != 0 {
+							t.Errorf("%d receives still posted", posted)
+						}
+					},
+					nil,
+				)
+			})
 		})
 	}
 }

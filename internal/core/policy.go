@@ -70,22 +70,7 @@ func newPolicy(kind PolicyKind, sched *ult.Sched, ep *comm.Endpoint) policy {
 	case SchedulerPollsPS:
 		return &psPolicy{sched: sched, ep: ep}
 	case SchedulerPollsWQ, SchedulerPollsWQAny:
-		p := &wqPolicy{
-			sched:      sched,
-			ep:         ep,
-			useTestAny: kind == SchedulerPollsWQAny,
-			det:        ep.Host().Deterministic(),
-			index:      make(map[*comm.RecvHandle]*wqEntry),
-		}
-		// The completion ready-list replaces scanning in every mode except
-		// WQ-under-simulation, where the exact per-entry msgtest sequence
-		// (each a yield point) must be preserved for bit-identical runs.
-		// Host fork: it protects the Tables 3–5 WQ rows and the WQ cells of
-		// TestAvgWaitingPinned (DESIGN.md "Host forks").
-		p.tracking = p.useTestAny || !p.det
-		if p.tracking {
-			ep.TrackCompletions()
-		}
+		p := &wqPolicy{sched: sched, ep: ep, useTestAny: kind == SchedulerPollsWQAny}
 		sched.SetPreSchedule(p.preSchedule)
 		sched.SetExternalWaiters(p.external)
 		return p
@@ -230,14 +215,12 @@ func psBox(p *psPolicy, t *ult.TCB) *psWait {
 
 // wqEntry is one outstanding request on the Scheduler-polls (WQ) list: an
 // intrusive doubly-linked node so completion and cancellation unlink in
-// O(1), stamped with a registration sequence number (the paper's algorithm
-// scans — and therefore completes — in registration order).
+// O(1). The list is in registration order, the order in which the paper's
+// algorithm tests — and therefore completes — requests.
 type wqEntry struct {
 	h       *comm.RecvHandle
 	t       *ult.TCB
 	boostTo int
-	seq     uint64
-	done    bool // drained from the ready-list, awaiting completion (WQAny)
 	prev    *wqEntry
 	next    *wqEntry
 }
@@ -245,36 +228,15 @@ type wqEntry struct {
 // wqPolicy is Scheduler polls (WQ): waiting threads block on a queue of
 // polling requests that the scheduler examines at every scheduling point —
 // testing each request in turn (NX style), or with one msgtestany call
-// (MPI style) when useTestAny is set.
-//
-// The seed re-tested every outstanding request at every scheduling point,
-// O(waiters) per point even when nothing had arrived. This version learns
-// completions from the endpoint's ready-list (DrainCompletions), so a
-// scheduling point inspects only handles that actually completed. The cost
-// model is unaffected: simulated msgtest/msgtestany *charges* are issued
-// exactly as the algorithm prescribes — per entry under WQ, one call per
-// point under WQAny — so the paper's Tables 3–5 counts are unchanged. The
-// one mode that still tests each handle for real is WQ under simulation,
-// where each charge is a yield point and the delivery interleaving it
-// induces is part of the bit-identical determinism witness.
+// (MPI style) when useTestAny is set. Both hosts run the same walk.
 type wqPolicy struct {
 	sched      *ult.Sched
 	ep         *comm.Endpoint
 	useTestAny bool
-	det        bool // deterministic host: preserve exact charge interleaving
-	tracking   bool // ready-list draining enabled
 
 	head, tail *wqEntry
-	index      map[*comm.RecvHandle]*wqEntry
 	count      int
-	seq        uint64
-
-	// doneList holds drained-but-not-yet-completed entries: WQAny completes
-	// one request per scheduling point (as msgtestany reports one), so the
-	// rest must stay discoverable across calls.
-	doneList []*wqEntry
-	drain    []*comm.RecvHandle // reusable DrainCompletions buffer
-	free     *wqEntry           // entry freelist
+	free       *wqEntry // entry freelist
 }
 
 func (p *wqPolicy) Kind() PolicyKind {
@@ -295,15 +257,14 @@ func (p *wqPolicy) Wait(h *comm.RecvHandle, boostTo int) {
 	t := p.sched.Current()
 	e := p.newEntry(h, t, boostTo)
 	p.pushBack(e)
-	p.index[h] = e
 	w := wqBox(p, t)
-	w.h = h
+	w.h, w.e = h, e
 	beginWait(p.ep)
 	defer endWait(p.ep, h)
 	t.SetOnCancel(w.cancel)
 	p.sched.Block()
 	t.SetOnCancel(nil)
-	w.h = nil
+	w.h, w.e = nil, nil
 }
 
 // wqWait is the thread's reusable Scheduler-polls (WQ) wait state: the
@@ -313,6 +274,7 @@ type wqWait struct {
 	p      *wqPolicy
 	t      *ult.TCB
 	h      *comm.RecvHandle
+	e      *wqEntry
 	cancel func()
 }
 
@@ -322,7 +284,7 @@ func wqBox(p *wqPolicy, t *ult.TCB) *wqWait {
 	}
 	w := &wqWait{p: p, t: t}
 	w.cancel = func() {
-		w.p.removeEntry(w.h, w.t)
+		w.p.removeEntry(w.e, w.t)
 		w.p.ep.CancelRecv(w.h)
 	}
 	t.WaitBox = w
@@ -332,102 +294,47 @@ func wqBox(p *wqPolicy, t *ult.TCB) *wqWait {
 // preSchedule is the scheduling-point walk installed on the scheduler.
 func (p *wqPolicy) preSchedule() {
 	if p.count == 0 {
-		if p.tracking {
-			// Nothing registered, but completions from unregistered receives
-			// (first-test hits, probes, timeouts) still queue on the
-			// ready-list: drain and discard to keep it bounded.
-			p.drainDone()
-		}
 		return
 	}
-	switch {
-	case p.useTestAny:
+	if p.useTestAny {
 		p.scanAny()
-	case p.det: // host fork: the Tables 3–5 WQ rows, TestAvgWaitingPinned's WQ cells
+	} else {
 		p.scanExact()
-	default:
-		p.scanBatch()
 	}
 }
 
-// scanExact is WQ under simulation: test every outstanding request in turn,
-// as the paper describes for systems without msgtestany ("all outstanding
-// messages are checked at each context switch"). Each Test charges — and
-// under simulation, yields — individually; a delivery landing during one
-// charge is visible to the tests that follow, which is why this sequence
-// cannot be batched without changing the witness.
+// scanExact is WQ: test every outstanding request in turn, as the paper
+// describes for systems without msgtestany ("all outstanding messages are
+// checked at each context switch"). Each Poll charges — and under
+// simulation, yields — individually; a delivery landing during one charge
+// is visible to the tests that follow. Poll, not Test: a relax per miss
+// would offer the processor once per blocked thread.
 func (p *wqPolicy) scanExact() {
 	for e := p.head; e != nil; {
 		next := e.next
-		if p.ep.Test(e.h) {
+		if p.ep.Poll(e.h) {
 			p.completeEntry(e)
 		}
 		e = next
 	}
 }
 
-// scanBatch is WQ on a real host: learn completions from the drained
-// ready-list, then count what the per-entry test loop would have — n msgtest
-// calls, misses for the still-pending ones — in one step. Nothing here
-// offers the processor to other PEs and nothing needs to: with every thread
-// blocked the scheduler goes on to host.Idle, and a running thread reaches a
-// send, a missed poll or a no-switch yield of its own.
-func (p *wqPolicy) scanBatch() {
-	p.drainDone()
-	n := p.count
-	hits := len(p.doneList)
-	p.ep.ChargeTestBatch(hits, n-hits)
-	for i, e := range p.doneList {
-		p.ep.Observe(e.h)
-		p.completeEntry(e)
-		p.doneList[i] = nil
-	}
-	p.doneList = p.doneList[:0]
-}
-
-// scanAny is WQAny in both modes: one msgtestany charge over the current
-// list, then complete the registration-order-first completed request, as
-// MPI_TESTANY would have reported. The charge is issued before the drain:
-// under simulation the charge advances virtual time, and a delivery landing
-// during it was visible to the old post-charge scan — by drain time it is
-// on the ready-list, so the drain sees exactly the same done-set.
+// scanAny is WQAny: one msgtestany charge over the current list, then
+// complete the registration-order-first done request, as MPI_TESTANY would
+// have reported. The charge comes first: under simulation it advances
+// virtual time, and a delivery landing during it is visible to the walk.
 func (p *wqPolicy) scanAny() {
 	p.ep.ChargeTestAny(p.count)
-	p.drainDone()
-	if len(p.doneList) == 0 {
-		return
-	}
-	bi := 0
-	for i, e := range p.doneList[1:] {
-		if e.seq < p.doneList[bi].seq {
-			bi = i + 1
+	for e := p.head; e != nil; e = e.next {
+		if e.h.Done() {
+			p.ep.Observe(e.h)
+			p.completeEntry(e)
+			return
 		}
-	}
-	e := p.doneList[bi]
-	last := len(p.doneList) - 1
-	p.doneList[bi] = p.doneList[last]
-	p.doneList[last] = nil
-	p.doneList = p.doneList[:last]
-	p.ep.Observe(e.h)
-	p.completeEntry(e)
-}
-
-// drainDone pulls completion notifications from the endpoint and marks the
-// corresponding registered entries done. Handles not in the index belong to
-// receives that completed outside the polling list and are ignored.
-func (p *wqPolicy) drainDone() {
-	p.drain = p.ep.DrainCompletions(p.drain[:0])
-	for i, h := range p.drain {
-		if e := p.index[h]; e != nil && !e.done {
-			e.done = true
-			p.doneList = append(p.doneList, e)
-		}
-		p.drain[i] = nil
 	}
 }
 
-// completeEntry unlinks e and readies its thread, applying any boost. The
-// caller is responsible for e's doneList slot, if any.
+// completeEntry unlinks e and readies its thread, applying any boost.
 func (p *wqPolicy) completeEntry(e *wqEntry) {
 	t, boostTo := e.t, e.boostTo
 	p.unlink(e)
@@ -438,23 +345,12 @@ func (p *wqPolicy) completeEntry(e *wqEntry) {
 	p.sched.Unblock(t)
 }
 
-// removeEntry drops the entry registered for h by t, if still present
-// (cancellation path).
-func (p *wqPolicy) removeEntry(h *comm.RecvHandle, t *ult.TCB) {
-	e := p.index[h]
-	if e == nil || e.t != t {
+// removeEntry drops e if t still owns it (cancellation path). A thread
+// canceled while Ready has had its entry completed: e is then freed, or
+// already registered again by another thread's wait.
+func (p *wqPolicy) removeEntry(e *wqEntry, t *ult.TCB) {
+	if e.t != t {
 		return
-	}
-	if e.done {
-		for i, d := range p.doneList {
-			if d == e {
-				last := len(p.doneList) - 1
-				p.doneList[i] = p.doneList[last]
-				p.doneList[last] = nil
-				p.doneList = p.doneList[:last]
-				break
-			}
-		}
 	}
 	p.unlink(e)
 	p.freeEntry(e)
@@ -483,7 +379,6 @@ func (p *wqPolicy) unlink(e *wqEntry) {
 		p.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-	delete(p.index, e.h)
 	p.count--
 }
 
@@ -495,8 +390,7 @@ func (p *wqPolicy) newEntry(h *comm.RecvHandle, t *ult.TCB, boostTo int) *wqEntr
 	} else {
 		e = &wqEntry{}
 	}
-	p.seq++
-	e.h, e.t, e.boostTo, e.seq, e.done = h, t, boostTo, p.seq, false
+	e.h, e.t, e.boostTo = h, t, boostTo
 	return e
 }
 

@@ -1,0 +1,58 @@
+package core
+
+import (
+	"testing"
+
+	"chant/internal/comm"
+	"chant/internal/comm/memnet"
+	"chant/internal/machine"
+	"chant/internal/trace"
+)
+
+// TestWQWalkPollsWithoutRelax pins the Scheduler-polls (WQ) walk on a real
+// host: one scheduling point over n outstanding receives with nothing
+// arrived is n msgtests, n misses and no Relax. A relax per miss would
+// offer the OS processor once per blocked thread at every scheduling point.
+func TestWQWalkPollsWithoutRelax(t *testing.T) {
+	const n = 8
+	host := &countingHost{Host: machine.NewRealHost(machine.Modern())}
+	ctrs := &trace.Counters{}
+	ep := memnet.New().NewEndpoint(comm.Addr{}, host, ctrs)
+	rt := NewDistRuntime(Topology{PEs: 1, ProcsPerPE: 1},
+		Config{Policy: SchedulerPollsWQ, DisableServer: true}, machine.Modern())
+	_, err := rt.RunOne(comm.Addr{}, ep, func(th *Thread) {
+		waiters := make([]*Thread, n)
+		for i := range waiters {
+			waiters[i] = th.proc.CreateLocal("waiter", func(me *Thread) {
+				me.Recv(th.ID(), 9, make([]byte, 8)) // nothing is ever sent
+			}, defaultSpawn())
+		}
+		th.Yield() // every waiter misses its first Test and blocks
+		p := th.proc.policy.(*wqPolicy)
+		if p.count != n {
+			t.Errorf("%d outstanding requests, want %d", p.count, n)
+			return
+		}
+		calls, fails, relaxes := ctrs.MsgTestCalls.Load(), ctrs.MsgTestFails.Load(), host.relaxes.Load()
+		p.preSchedule()
+		if got := ctrs.MsgTestCalls.Load() - calls; got != n {
+			t.Errorf("%d msgtest calls at one scheduling point, want %d", got, n)
+		}
+		if got := ctrs.MsgTestFails.Load() - fails; got != n {
+			t.Errorf("%d msgtest misses at one scheduling point, want %d", got, n)
+		}
+		if got := host.relaxes.Load() - relaxes; got != 0 {
+			t.Errorf("%d Relax calls at one scheduling point, want 0", got)
+		}
+		for _, w := range waiters {
+			th.CancelLocal(w)
+			th.JoinLocal(w)
+		}
+		if posted, _ := ep.QueueDepths(); posted != 0 || p.count != 0 {
+			t.Errorf("after cancel: %d posted, %d outstanding; want 0, 0", posted, p.count)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,9 +11,9 @@ import (
 )
 
 // Event-count invariance witnesses. The constant-time hot paths (indexed
-// ready queue, bucketed mailbox, ready-list polling, allocation pooling) are
-// pure mechanism: they must not change WHAT the simulation computes, only
-// how fast the real clock gets there. These goldens were captured from the
+// ready queue, bucketed mailbox, allocation pooling) are pure mechanism:
+// they must not change WHAT the simulation computes, only how fast the real
+// clock gets there. These goldens were captured from the
 // seed's linear implementations; every row and hash below must stay
 // bit-identical forever. A divergence means a hot-path "optimization" (or
 // any later change) silently altered scheduling or matching order.
