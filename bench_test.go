@@ -25,7 +25,7 @@ import (
 // spawn burst would measure the scan, not creation.
 func BenchmarkTable1ThreadCreate(b *testing.B) {
 	host := machine.NewRealHost(&machine.Model{Name: "bench"})
-	s := ult.NewSched(host, &trace.Counters{}, ult.Options{IdleBlock: true})
+	s := ult.NewSched(host, &trace.Counters{}, ult.Options{})
 	if err := s.Run(func() {
 		const batch = 64
 		b.ResetTimer()
@@ -54,7 +54,7 @@ func BenchmarkTable1ThreadCreate(b *testing.B) {
 // (Table 1, "Switch" column): two threads handing off.
 func BenchmarkTable1ContextSwitch(b *testing.B) {
 	host := machine.NewRealHost(&machine.Model{Name: "bench"})
-	s := ult.NewSched(host, &trace.Counters{}, ult.Options{IdleBlock: true})
+	s := ult.NewSched(host, &trace.Counters{}, ult.Options{})
 	if err := s.Run(func() {
 		yields := b.N/2 + 1
 		yielder := func() {

@@ -66,9 +66,9 @@ var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 func pooled() {
 	b := bufPool.Get() // want `sync\.Pool\.Get in simulation-critical package .* pool reuse order is scheduler- and GC-dependent`
 	bufPool.Put(b)     // want `sync\.Pool\.Put in simulation-critical package`
-	//chant:allow-nondet fixture: gated behind Host.Deterministic()
+	//chant:allow-nondet fixture: reuse cannot be observed, the value is never read
 	b = bufPool.Get()
-	bufPool.Put(b) //chant:allow-nondet fixture: gated behind Host.Deterministic()
+	bufPool.Put(b) //chant:allow-nondet fixture: reuse cannot be observed, the value is never read
 }
 
 // freeList is the sanctioned deterministic recycling shape: a plain LIFO

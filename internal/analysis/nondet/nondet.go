@@ -108,10 +108,9 @@ func callSource(pass *analysis.Pass, call *ast.CallExpr) (Source, bool) {
 // poolSource classifies Get and Put on sync.Pool: the pool hands objects
 // back in a scheduler- and GC-dependent order, so any observable reuse (a
 // recycled buffer's identity, a per-P cache hit vs a fresh allocation)
-// varies run to run. Deterministic code wants a plain LIFO freelist, or
-// gates pooling behind Host.Deterministic(); a pool whose reuse cannot be
-// observed (comm's message pool, whose every field is overwritten before
-// use) carries the annotation with that reason.
+// varies run to run. Deterministic code wants a plain LIFO freelist; a pool
+// whose reuse cannot be observed (comm's message pool, whose every field is
+// overwritten before use) carries the annotation with that reason.
 func poolSource(call *ast.CallExpr, method string, named *types.Named) (Source, bool) {
 	if named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" || named.Obj().Name() != "Pool" {
 		return Source{}, false
@@ -122,7 +121,7 @@ func poolSource(call *ast.CallExpr, method string, named *types.Named) (Source, 
 	return Source{
 		Pos:  call.Pos(),
 		What: "sync.Pool." + method,
-		Why:  "pool reuse order is scheduler- and GC-dependent; use a plain freelist, or gate behind Host.Deterministic()",
+		Why:  "pool reuse order is scheduler- and GC-dependent; use a plain freelist, or annotate a pool whose reuse cannot be observed with that reason",
 	}, true
 }
 

@@ -11,44 +11,8 @@ import (
 	"chant/internal/trace"
 )
 
-// realFakeHost is a manual-clock Host reporting Deterministic()==false, so
-// endpoint unit tests can exercise the real-mode data plane (arrival from
-// other goroutines, the zero-copy direct path) without a wall-clock
-// runtime.
-type realFakeHost struct {
-	model *machine.Model
-	now   sim.Time
-
-	// relaxes counts Relax calls; like Relax itself it belongs to the
-	// endpoint's own context, so it needs no lock.
-	relaxes int
-
-	mu         sync.Mutex
-	interrupts int
-}
-
-func newRealFakeHost() *realFakeHost { return &realFakeHost{model: machine.Modern()} }
-
-func (h *realFakeHost) Now() sim.Time         { return h.now }
-func (h *realFakeHost) Charge(d sim.Duration) {}
-func (h *realFakeHost) Compute(units int64)   {}
-func (h *realFakeHost) Relax()                { h.relaxes++ }
-func (h *realFakeHost) Idle()                 { panic("realFakeHost cannot idle") }
-func (h *realFakeHost) Interrupt() {
-	h.mu.Lock()
-	h.interrupts++
-	h.mu.Unlock()
-}
-func (h *realFakeHost) Interrupts() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.interrupts
-}
-func (h *realFakeHost) Model() *machine.Model { return h.model }
-func (h *realFakeHost) Deterministic() bool   { return false }
-
-func newRealEndpoint() (*Endpoint, *realFakeHost) {
-	host := newRealFakeHost()
+func newRealEndpoint() (*Endpoint, *fakeHost) {
+	host := newFakeHost(machine.Modern())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{PE: 0, Proc: 0}, host, &ctrs, &captureTransport{})
 	return ep, host
@@ -83,7 +47,7 @@ func TestDirectDeliverZeroCopy(t *testing.T) {
 	}
 
 	// Without a matching posted receive the arrival is queued as a copy.
-	sender := newRealFakeHost()
+	sender := newFakeHost(machine.Modern())
 	sender.now = 42
 	ep.DeliverFrom(hdrFrom(1, 99), payload, sender)
 	copy(payload, "XXXXX")

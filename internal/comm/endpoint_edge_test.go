@@ -4,13 +4,14 @@ import (
 	"sync"
 	"testing"
 
+	"chant/internal/machine"
 	"chant/internal/trace"
 )
 
 // Edge cases for the endpoint beyond the basic cost-accounting tests.
 
 func TestWaitOnAlreadyCompleteHandle(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	ep.DeliverLocal(&Message{Hdr: Header{Size: 1}, Data: []byte("x")})
@@ -25,7 +26,7 @@ func TestWaitOnAlreadyCompleteHandle(t *testing.T) {
 }
 
 func TestTestAnyEmptyList(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	if got := ep.TestAny(nil); got != -1 {
@@ -37,7 +38,7 @@ func TestTestAnyEmptyList(t *testing.T) {
 }
 
 func TestTestAnyReturnsFirstCompleted(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	h1 := ep.Irecv(MatchSpec{SrcPE: Any, SrcProc: Any, SrcThread: Any, Ctx: Any, Tag: 1}, make([]byte, 4))
@@ -51,7 +52,7 @@ func TestTestAnyReturnsFirstCompleted(t *testing.T) {
 }
 
 func TestZeroLengthMessage(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	h := ep.Irecv(MatchAll, nil)
@@ -62,7 +63,7 @@ func TestZeroLengthMessage(t *testing.T) {
 }
 
 func TestTruncationOnImmediatePath(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	ep.DeliverLocal(&Message{Hdr: Header{Size: 6}, Data: []byte("toobig")})
@@ -73,7 +74,7 @@ func TestTruncationOnImmediatePath(t *testing.T) {
 }
 
 func TestWildcardRecvPreservesArrivalOrder(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	// Messages from three different sources arrive, then a wildcard
@@ -91,7 +92,7 @@ func TestWildcardRecvPreservesArrivalOrder(t *testing.T) {
 }
 
 func TestCancelCompletedRecvIsNoop(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	h := ep.Irecv(MatchAll, make([]byte, 4))
@@ -105,7 +106,7 @@ func TestCancelCompletedRecvIsNoop(t *testing.T) {
 }
 
 func TestProbeDoesNotSeePosted(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	// Probe inspects unexpected messages only: a message consumed by a
@@ -118,7 +119,7 @@ func TestProbeDoesNotSeePosted(t *testing.T) {
 }
 
 func TestSelectiveRecvLeavesOthersBuffered(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	ep.DeliverLocal(&Message{Hdr: Header{Tag: 1, Size: 1}, Data: []byte("a")})

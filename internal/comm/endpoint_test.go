@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"sync"
 	"testing"
 
 	"chant/internal/machine"
@@ -8,30 +9,53 @@ import (
 	"chant/internal/trace"
 )
 
-// fakeHost is a manual-clock Host for unit-testing endpoint cost accounting
-// without a simulation kernel.
+// fakeHost is a manual-clock Host for unit-testing an endpoint without a
+// simulation kernel or a wall clock: Charge advances now, and the counts
+// say how often the endpoint relaxed and interrupted. An endpoint test never
+// waits, so Idle and Pause panic.
 type fakeHost struct {
-	model      *machine.Model
+	model *machine.Model
+
+	// relaxes counts Relax calls; like Relax itself it belongs to the
+	// endpoint's own context, so it needs no lock.
+	relaxes int
+
+	// mu guards the fields arrivals from other goroutines reach: the clock
+	// (the mailbox stamps a direct deposit with it) and the interrupts.
+	mu         sync.Mutex
 	now        sim.Time
 	charged    sim.Duration
 	interrupts int
 }
 
-func newFakeHost() *fakeHost { return &fakeHost{model: machine.Paragon1994()} }
+func newFakeHost(model *machine.Model) *fakeHost { return &fakeHost{model: model} }
 
-func (h *fakeHost) Now() sim.Time { return h.now }
+func (h *fakeHost) Now() sim.Time {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.now
+}
 func (h *fakeHost) Charge(d sim.Duration) {
+	h.mu.Lock()
 	h.charged += d
 	h.now = h.now.Add(d)
+	h.mu.Unlock()
 }
 func (h *fakeHost) Compute(units int64) { h.Charge(sim.Duration(units) * h.model.ComputeUnit) }
-func (h *fakeHost) Relax()              {}
+func (h *fakeHost) Relax()              { h.relaxes++ }
 func (h *fakeHost) Idle()               { panic("fakeHost cannot idle") }
-func (h *fakeHost) Interrupt()          { h.interrupts++ }
-func (h *fakeHost) Deterministic() bool { return true }
-func (h *fakeHost) Model() *machine.Model {
-	return h.model
+func (h *fakeHost) Pause()              { panic("fakeHost cannot pause") }
+func (h *fakeHost) Interrupt() {
+	h.mu.Lock()
+	h.interrupts++
+	h.mu.Unlock()
 }
+func (h *fakeHost) Interrupts() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.interrupts
+}
+func (h *fakeHost) Model() *machine.Model { return h.model }
 
 // captureTransport records sent messages instead of delivering them.
 type captureTransport struct{ msgs []*Message }
@@ -44,7 +68,7 @@ type loopTransport struct{ ep *Endpoint }
 func (tr *loopTransport) Deliver(m *Message) { tr.ep.DeliverLocal(m) }
 
 func TestSendChargesAndCopies(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	tr := &captureTransport{}
 	ep := NewEndpoint(Addr{PE: 0, Proc: 0}, host, &ctrs, tr)
@@ -70,7 +94,7 @@ func TestSendChargesAndCopies(t *testing.T) {
 }
 
 func TestTestMissAndHitCosts(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 	lt := &loopTransport{ep: ep}
@@ -88,7 +112,7 @@ func TestTestMissAndHitCosts(t *testing.T) {
 	}
 
 	lt.Deliver(&Message{Hdr: Header{Size: 2}, Data: []byte("ok")})
-	if host.interrupts != 1 {
+	if host.Interrupts() != 1 {
 		t.Fatal("delivery did not interrupt the host")
 	}
 	host.charged = 0
@@ -115,7 +139,7 @@ func TestTestMissAndHitCosts(t *testing.T) {
 }
 
 func TestEarlyArrivalChargesCopy(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 
@@ -138,7 +162,7 @@ func TestEarlyArrivalChargesCopy(t *testing.T) {
 }
 
 func TestTestAny(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 
@@ -165,7 +189,7 @@ func TestTestAny(t *testing.T) {
 }
 
 func TestProbe(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 
@@ -180,7 +204,7 @@ func TestProbe(t *testing.T) {
 }
 
 func TestCancelRecv(t *testing.T) {
-	host := newFakeHost()
+	host := newFakeHost(machine.Paragon1994())
 	var ctrs trace.Counters
 	ep := NewEndpoint(Addr{}, host, &ctrs, &captureTransport{})
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"chant/internal/machine"
 	"chant/internal/sim"
 )
 
@@ -159,7 +160,7 @@ func TestMatcherDifferential(t *testing.T) {
 						// queued and overwritten once the call returns: a
 						// queued copy must not alias it.
 						m.at = callTime(now)
-						from := newRealFakeHost()
+						from := newFakeHost(machine.Modern())
 						from.now = sentAt
 						borrowed := append([]byte(nil), payload...)
 						ga, da = m.mb.arrive(h, borrowed, nil, from)

@@ -28,7 +28,7 @@ func (tr *selfTransport) DeliverFrom(hdr Header, data []byte, from machine.Host)
 // missed Test, TestAny or Probe, and nowhere else on the receive path — a
 // missed Poll, the Scheduler-polls (WQ) walk's msgtest, included.
 func TestRelaxRule(t *testing.T) {
-	host := newRealFakeHost()
+	host := newFakeHost(machine.Modern())
 	tr := &selfTransport{direct: true}
 	ep := NewEndpoint(Addr{PE: 0, Proc: 0}, host, &trace.Counters{}, tr)
 	tr.ep = ep

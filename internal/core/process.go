@@ -167,13 +167,8 @@ func newProcess(rt *Runtime, addr comm.Addr, host machine.Host, ctrs *trace.Coun
 	sched := ult.NewSched(host, ctrs, ult.Options{
 		Name:     addr.String(),
 		EventLog: evlog,
-		// Real hosts park on interrupts; simulated ones busy-poll, the
-		// paper's interrupt-free behaviour, so poll counts match. Host
-		// fork: it protects the msgtest counts and times of Tables 3–5
-		// (DESIGN.md "Host forks").
-		IdleBlock: !host.Deterministic(),
-		Tracer:    cfg.Tracer,
-		PE:        addr.PE,
+		Tracer:   cfg.Tracer,
+		PE:       addr.PE,
 	})
 	p := &Process{
 		rt:       rt,

@@ -33,7 +33,7 @@ func RunTable1(iters int) Table1Result {
 	// the measurement covers a usable thread, like the paper's.
 	{
 		host := machine.NewRealHost(benchModel)
-		s := ult.NewSched(host, &trace.Counters{}, ult.Options{Name: "bench-create", IdleBlock: true})
+		s := ult.NewSched(host, &trace.Counters{}, ult.Options{Name: "bench-create"})
 		// Table 1 is a real-mode microbenchmark: measuring wall time is
 		// the whole point, exactly like the paper's timings.
 		//chant:allow-nondet Table 1 measures real elapsed time
@@ -54,7 +54,7 @@ func RunTable1(iters int) Table1Result {
 	// complete context switch (save caller, restore peer).
 	{
 		host := machine.NewRealHost(benchModel)
-		s := ult.NewSched(host, &trace.Counters{}, ult.Options{Name: "bench-switch", IdleBlock: true})
+		s := ult.NewSched(host, &trace.Counters{}, ult.Options{Name: "bench-switch"})
 		var elapsed time.Duration
 		var switches uint64
 		err := s.Run(func() {

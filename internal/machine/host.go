@@ -18,8 +18,10 @@ import (
 // Charge consumes CPU time on the hosting processor. Compute consumes
 // application work in model compute units. Relax offers the processor to
 // whoever else can use it, without parking. Idle parks the processor until
-// Interrupt is called (message arrival, wakeup). Interrupt is the only
-// method that may be invoked from outside the processor's own execution.
+// Interrupt is called (message arrival, wakeup); Pause is a scheduler's idle
+// step. Interrupt is the only method that may be invoked from outside the
+// processor's own execution. No layer asks which kind of host it has: these
+// methods are the whole difference (DESIGN.md "No host forks").
 type Host interface {
 	// Now reports the processor-local current time.
 	Now() sim.Time
@@ -36,20 +38,20 @@ type Host interface {
 	// Idle parks until Interrupt is called. Interrupts are coalesced: an
 	// Interrupt delivered while runnable satisfies the next Idle.
 	Idle()
-	// Interrupt wakes the processor from Idle (or satisfies the next Idle).
+	// Pause is a thread scheduler's idle step: nothing is runnable but a
+	// wakeup can still come. It parks like Idle or passes time without
+	// parking; either way a pending Interrupt is not lost.
+	Pause()
+	// Interrupt wakes Idle or Pause (or satisfies the next one).
 	Interrupt()
 	// Model reports the cost model this host charges against.
 	Model() *Model
-	// Deterministic reports whether this host's runs must be bit-for-bit
-	// repeatable (the discrete-event simulator) or merely correct (the wall
-	// clock). Optimizations whose effects depend on scheduling order —
-	// batched cost charging, blocking idle — are gated off when true.
-	Deterministic() bool
 }
 
 // SimHost runs a processing element inside the discrete-event simulator:
-// Charge advances the PE's virtual clock, Idle parks the sim process, and
-// Interrupt signals it. All methods except Interrupt must be invoked from
+// Charge advances the PE's virtual clock, Idle parks the sim process,
+// Interrupt signals it, and Pause advances IdleRecheckGap without parking
+// (the Paragon's interrupt-free recheck, counted in Tables 3–5). All methods except Interrupt must be invoked from
 // the (single) goroutine currently animating the PE's sim process; Interrupt
 // delegates to Proc.Signal, which any simulation context (an event callback
 // or another running process) may call.
@@ -68,18 +70,18 @@ func (h *SimHost) Charge(d sim.Duration) { h.proc.Advance(d) }
 func (h *SimHost) Compute(units int64) {
 	h.proc.Advance(sim.Duration(units) * h.model.ComputeUnit)
 }
-func (h *SimHost) Relax()              {}
-func (h *SimHost) Idle()               { h.proc.WaitSignal() }
-func (h *SimHost) Interrupt()          { h.proc.Signal() }
-func (h *SimHost) Model() *Model       { return h.model }
-func (h *SimHost) Deterministic() bool { return true }
+func (h *SimHost) Relax()        {}
+func (h *SimHost) Idle()         { h.proc.WaitSignal() }
+func (h *SimHost) Pause()        { h.proc.Advance(h.model.IdleRecheckGap) }
+func (h *SimHost) Interrupt()    { h.proc.Signal() }
+func (h *SimHost) Model() *Model { return h.model }
 
 // RealHost runs against the wall clock: Charge does nothing (real operations
 // carry their real cost; the cost model is a simulation input only), Compute
 // spins for the requested work, Relax yields the OS thread so processing
 // elements that share a core take turns at message boundaries, and
-// Idle/Interrupt combine a bounded spin phase with a condition-variable
-// park, so a wakeup that lands within microseconds — the common case for a
+// Idle/Interrupt (and Pause, which is Idle) combine a bounded spin phase
+// with a condition-variable park, so a wakeup that lands within microseconds — the common case for a
 // message round trip — is caught without a futex round trip, while a
 // genuinely idle processor still sleeps instead of burning CPU.
 type RealHost struct {
@@ -143,6 +145,8 @@ func (h *RealHost) Compute(units int64) {
 	h.sink = acc
 }
 
+func (h *RealHost) Pause() { h.Idle() }
+
 func (h *RealHost) Idle() {
 	// Spin-then-park: consume an interrupt lock-free within the budget
 	// (counted, so detlint's unbounded-busy-wait check holds), then fall
@@ -174,5 +178,3 @@ func (h *RealHost) Interrupt() {
 }
 
 func (h *RealHost) Model() *Model { return h.model }
-
-func (h *RealHost) Deterministic() bool { return false }

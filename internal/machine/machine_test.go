@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"chant/internal/sim"
 )
@@ -115,6 +116,71 @@ func TestSimHostIdleInterrupt(t *testing.T) {
 	if wokenAt != sim.Time(77*sim.Microsecond) {
 		t.Fatalf("woken at %v, want 77us", wokenAt)
 	}
+}
+
+// TestSimHostPauseAdvancesRecheckGap pins the simulated idle step: Pause
+// passes exactly IdleRecheckGap of virtual time without parking, so another
+// process's events inside the gap run but nothing later does, and a signal
+// that lands during the pause does not cut it short — it stays pending and
+// satisfies the next Idle at once.
+func TestSimHostPauseAdvancesRecheckGap(t *testing.T) {
+	k := sim.NewKernel()
+	model := Paragon1994()
+	gap := model.IdleRecheckGap
+	var h *SimHost
+	var paused, idled sim.Duration
+	var laterRan bool
+	k.Spawn("pe", func(p *sim.Proc) {
+		h = NewSimHost(p, model)
+		start := h.Now()
+		h.Pause()
+		paused = h.Now().Sub(start)
+		if laterRan {
+			t.Error("Pause let a process run whose event lies past the gap")
+		}
+		start = h.Now()
+		h.Idle() // the signal sent during the pause is still pending
+		idled = h.Now().Sub(start)
+	})
+	k.Spawn("other", func(p *sim.Proc) {
+		p.Advance(gap / 2)
+		h.Interrupt()
+		p.Advance(gap)
+		laterRan = true
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if paused != gap {
+		t.Errorf("Pause passed %v, want IdleRecheckGap %v", paused, gap)
+	}
+	if idled != 0 {
+		t.Errorf("Idle after an interrupted Pause waited %v, want 0", idled)
+	}
+}
+
+// TestRealHostPauseInterrupt pins the real idle step: Pause parks like
+// Idle, returns once another goroutine interrupts it, and returns at once
+// on an interrupt that was already pending.
+func TestRealHostPauseInterrupt(t *testing.T) {
+	h := NewRealHost(Modern())
+	done := make(chan struct{})
+	go func() {
+		h.Pause()
+		close(done)
+	}()
+	go func() {
+		time.Sleep(2 * time.Millisecond) // past the spin phase, into the park
+		h.Interrupt()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Pause did not return after an Interrupt from another goroutine")
+	}
+
+	h.Interrupt() // before Pause: must satisfy the next Pause
+	h.Pause()
 }
 
 func TestRealHostIdleInterrupt(t *testing.T) {

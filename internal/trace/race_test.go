@@ -47,7 +47,7 @@ func TestCountersSharedAcrossRealSchedulers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s := ult.NewSched(machine.NewRealHost(machine.Modern()), &c,
-				ult.Options{Name: "race-test", IdleBlock: true})
+				ult.Options{Name: "race-test"})
 			err := s.Run(func() {
 				for j := 0; j < workers; j++ {
 					s.Spawn("w", func() { s.Yield() })

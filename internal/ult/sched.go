@@ -25,12 +25,6 @@ type Options struct {
 	Tracer *trace.Tracer
 	// PE labels this scheduler's spans with its processing element.
 	PE int32
-	// IdleBlock selects what the scheduler does when nothing is runnable
-	// but external wakeups (message arrivals) remain possible: park the
-	// host awaiting an interrupt (true; kind to real CPUs) or busy-poll
-	// (false; the paper's interrupt-free Paragon behaviour, used by the
-	// simulated experiments so poll counts match).
-	IdleBlock bool
 }
 
 // SpawnOpts configures one thread at creation.
@@ -241,11 +235,7 @@ func (s *Sched) dispatch(by string) (next *TCB) {
 			}
 			s.ctrs.IdleEntries.Add(1)
 			s.logEvent(trace.EvIdle, -1)
-			if s.opts.IdleBlock {
-				s.host.Idle()
-			} else {
-				s.host.Charge(m.IdleRecheckGap)
-			}
+			s.host.Pause()
 			continue
 		}
 		if t.Pending != nil && !t.canceled {

@@ -12,7 +12,7 @@ import (
 // newTestSched returns a real-clock scheduler suitable for behavioural
 // tests (cost charges are no-ops against a RealHost).
 func newTestSched() *Sched {
-	return NewSched(machine.NewRealHost(machine.Modern()), &trace.Counters{}, Options{Name: "test", IdleBlock: true})
+	return NewSched(machine.NewRealHost(machine.Modern()), &trace.Counters{}, Options{Name: "test"})
 }
 
 func TestRunMainOnly(t *testing.T) {
@@ -572,7 +572,7 @@ func TestSwitchCostCharged(t *testing.T) {
 func TestEventLogRecordsSchedulerActivity(t *testing.T) {
 	log := trace.NewLog(256)
 	s := NewSched(machine.NewRealHost(machine.Modern()), &trace.Counters{},
-		Options{Name: "logged", IdleBlock: true, EventLog: log})
+		Options{Name: "logged", EventLog: log})
 	err := s.Run(func() {
 		w := s.Spawn("worker", func() {
 			s.Yield()
