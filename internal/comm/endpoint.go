@@ -324,29 +324,6 @@ func (e *Endpoint) TimeoutRecv(h *RecvHandle) bool {
 	return true
 }
 
-// MsgwaitTimeout waits for the handle with a deadline, spin-testing rather
-// than parking: each miss charges the modeled msgtest-miss cost, which
-// advances virtual time under simulation, and relaxes the host, which lets
-// the peer run on real ones, so the loop always reaches the deadline even if
-// the message never comes — the property a parked Idle wait cannot provide
-// once messages can be dropped. It returns the handle's error: nil,
-// ErrTruncated, ErrTimeout, or ErrPeerDead.
-func (e *Endpoint) MsgwaitTimeout(h *RecvHandle, deadline sim.Time) error {
-	for {
-		if e.Test(h) {
-			return h.err
-		}
-		if e.host.Now() >= deadline {
-			if e.TimeoutRecv(h) {
-				return ErrTimeout
-			}
-			if e.Test(h) {
-				return h.err
-			}
-		}
-	}
-}
-
 // CancelRecv withdraws a posted receive that has not completed, reporting
 // whether it was still pending. Used when a thread blocked in a receive is
 // canceled.

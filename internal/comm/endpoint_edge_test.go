@@ -145,16 +145,22 @@ func TestPeerDeadFastPath(t *testing.T) {
 		return MatchSpec{SrcPE: a.PE, SrcProc: a.Proc, SrcThread: Any, Ctx: Any, Tag: Any}
 	}
 
+	// A message that arrived before the death still delivers: buffered data
+	// outlives its sender.
+	ep.DeliverLocal(&Message{Hdr: Header{SrcPE: dead.PE, Tag: 3, Size: 4}, Data: []byte("last")})
 	ep.MarkPeerDead(dead)
 	ep.MarkPeerDead(dead)
+	if buf := make([]byte, 4); !ep.Test(ep.Irecv(pinned(dead), buf)) || string(buf) != "last" {
+		t.Fatalf("buffered message from a dead peer: got %q, want it delivered", buf)
+	}
 	if n, c := ep.nDead.Load(), ep.ctrs.PeersDead.Load(); n != 1 || c != 1 {
 		t.Fatalf("double MarkPeerDead: count %d, PeersDead %d; want 1, 1", n, c)
 	}
 	if ep.MarkPeerAlive(alive) || ep.nDead.Load() != 1 {
 		t.Fatalf("MarkPeerAlive of a never-dead peer changed the count to %d", ep.nDead.Load())
 	}
-	if h := ep.Irecv(pinned(dead), nil); !h.Done() || h.Err() != ErrPeerDead {
-		t.Fatalf("pinned receive from a dead peer: done=%v err=%v, want born ErrPeerDead", h.Done(), h.Err())
+	if h := ep.Irecv(pinned(dead), nil); !h.Done() || h.Err() != ErrPeerDead || h.Status() != StatusPeerDead {
+		t.Fatalf("pinned receive from a dead peer: done=%v err=%v status=%v, want born ErrPeerDead", h.Done(), h.Err(), h.Status())
 	}
 	if !ep.MarkPeerAlive(dead) || ep.nDead.Load() != 0 || ep.PeerDead(dead) {
 		t.Fatalf("after recovery: count %d, PeerDead %v; want 0, false", ep.nDead.Load(), ep.PeerDead(dead))

@@ -10,7 +10,6 @@ package simnet
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"chant/internal/comm"
 	"chant/internal/faults"
@@ -26,8 +25,8 @@ type Network struct {
 	model  *machine.Model
 
 	// mu guards eps. Simulation processes attach and send one at a time, so
-	// it is never contended; it keeps Endpoint safe to call from a goroutine
-	// outside the kernel's hand-off (a harness inspecting the network).
+	// it is never contended; it keeps the registry safe for a harness that
+	// attaches or rebinds from a goroutine outside the kernel's hand-off.
 	//chant:allow-nondet registry lock only; protects map access, never event order
 	mu  sync.RWMutex
 	eps map[comm.Addr]*comm.Endpoint
@@ -45,8 +44,6 @@ type Network struct {
 	// it before traffic flows. Same-process (loopback) delivery is never
 	// faulted — there is no wire to fail.
 	Faults *faults.Plan
-
-	delivered atomic.Uint64
 }
 
 // New creates a network delivering through kernel with model's latency.
@@ -57,9 +54,6 @@ func New(kernel *sim.Kernel, model *machine.Model) *Network {
 		eps:    make(map[comm.Addr]*comm.Endpoint),
 	}
 }
-
-// Delivered counts messages handed to destination endpoints.
-func (n *Network) Delivered() uint64 { return n.delivered.Load() }
 
 // NewEndpoint attaches process addr to the network, executing on host and
 // counting into ctrs. Attaching the same address twice panics: it would
@@ -90,13 +84,6 @@ func (n *Network) Rebind(addr comm.Addr, host machine.Host, ctrs *trace.Counters
 	}
 	n.eps[addr] = ep
 	return ep
-}
-
-// Endpoint looks up the endpoint registered for addr, or nil.
-func (n *Network) Endpoint(addr comm.Addr) *comm.Endpoint {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.eps[addr]
 }
 
 // Deliver implements comm.Transport: it schedules the message's arrival at
@@ -154,10 +141,7 @@ func (n *Network) Deliver(msg *comm.Message) {
 
 // schedule books one delivery at now+latency.
 func (n *Network) schedule(latency sim.Duration, ep *comm.Endpoint, msg *comm.Message) {
-	n.kernel.After(latency, func() {
-		n.delivered.Add(1)
-		ep.DeliverLocal(msg)
-	})
+	n.kernel.After(latency, func() { ep.DeliverLocal(msg) })
 }
 
 // hops reports the Manhattan distance between two PEs on the configured

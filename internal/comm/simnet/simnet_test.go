@@ -269,17 +269,28 @@ func TestSimnetFaultPlanDropAndTimeout(t *testing.T) {
 	r, start := newRig(t, 2, model)
 	r.net.Faults = faults.New(faults.Config{Default: faults.LinkRates{DropProb: 1}}, 11)
 	var err error
+	var status comm.Status
 	start(
 		func(ep *comm.Endpoint) {
 			ep.Send(comm.Addr{PE: 1, Proc: 0}, 0, 7, 0, make([]byte, 64))
 		},
 		func(ep *comm.Endpoint) {
 			h := ep.Irecv(comm.MatchAll, make([]byte, 64))
-			err = ep.MsgwaitTimeout(h, ep.Host().Now().Add(50*sim.Millisecond))
+			// Each missed Test charges virtual time, so the loop reaches
+			// the deadline; TimeoutRecv then fails the receive unless it
+			// completed.
+			deadline := ep.Host().Now().Add(50 * sim.Millisecond)
+			for !ep.Test(h) && ep.Host().Now() < deadline {
+			}
+			ep.TimeoutRecv(h)
+			err, status = h.Err(), h.Status()
 		},
 	)
-	if !errors.Is(err, comm.ErrTimeout) {
-		t.Fatalf("receive of a dropped message: %v, want ErrTimeout", err)
+	if !errors.Is(err, comm.ErrTimeout) || status != comm.StatusTimedOut {
+		t.Fatalf("receive of a dropped message: %v (%v), want ErrTimeout", err, status)
+	}
+	if got := r.ctrs[1].RecvTimeouts.Load(); got != 1 {
+		t.Errorf("receiver RecvTimeouts = %d, want 1", got)
 	}
 	if got := r.ctrs[0].FaultDrops.Load(); got != 1 {
 		t.Errorf("sender FaultDrops = %d, want 1", got)
@@ -303,8 +314,7 @@ func TestSimnetFaultPlanDuplicates(t *testing.T) {
 		func(ep *comm.Endpoint) {
 			buf := make([]byte, 8)
 			for i := 0; i < 2; i++ {
-				h := ep.Irecv(comm.MatchAll, buf)
-				if ep.MsgwaitTimeout(h, ep.Host().Now().Add(50*sim.Millisecond)) == nil {
+				if _, _, err := ep.Recv(comm.MatchAll, buf); err == nil {
 					copies++
 				}
 			}
@@ -380,8 +390,8 @@ func TestSimnetFaultPlanPartition(t *testing.T) {
 		},
 		func(ep *comm.Endpoint) {
 			buf := make([]byte, 8)
-			h := ep.Irecv(comm.MatchAll, buf)
-			gotLate = ep.MsgwaitTimeout(h, ep.Host().Now().Add(sim.Second)) == nil && h.Header().Tag == 2
+			_, hdr, err := ep.Recv(comm.MatchAll, buf)
+			gotLate = err == nil && hdr.Tag == 2
 		},
 	)
 	if !gotLate {

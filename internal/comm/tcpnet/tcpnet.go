@@ -86,15 +86,14 @@ type Node struct {
 	hb       time.Duration
 	epoch    uint32
 
-	mu         sync.Mutex
-	eps        map[comm.Addr]*comm.Endpoint
-	conns      map[string]*sender
-	inbound    map[net.Conn]struct{}
-	lastSeen   map[comm.Addr]time.Time
-	dead       map[comm.Addr]bool
-	backoffs   map[comm.Addr]*backoffState
-	peerEpochs map[comm.Addr]uint32
-	closed     bool
+	mu       sync.Mutex
+	eps      map[comm.Addr]*comm.Endpoint
+	conns    map[string]*sender
+	inbound  map[net.Conn]struct{}
+	lastSeen map[comm.Addr]time.Time
+	dead     map[comm.Addr]bool
+	backoffs map[comm.Addr]*backoffState
+	closed   bool
 
 	hbStop chan struct{}
 	wg     sync.WaitGroup
@@ -183,19 +182,18 @@ func Bootstrap(o Options) (*Node, error) {
 		return nil, fmt.Errorf("tcpnet: data listen: %w", err)
 	}
 	n := &Node{
-		self:       o.Self,
-		ln:         ln,
-		maxFrame:   uint32(o.MaxFrameSize),
-		hb:         o.Heartbeat,
-		epoch:      o.Epoch,
-		eps:        make(map[comm.Addr]*comm.Endpoint),
-		conns:      make(map[string]*sender),
-		inbound:    make(map[net.Conn]struct{}),
-		lastSeen:   make(map[comm.Addr]time.Time),
-		dead:       make(map[comm.Addr]bool),
-		backoffs:   make(map[comm.Addr]*backoffState),
-		peerEpochs: make(map[comm.Addr]uint32),
-		hbStop:     make(chan struct{}),
+		self:     o.Self,
+		ln:       ln,
+		maxFrame: uint32(o.MaxFrameSize),
+		hb:       o.Heartbeat,
+		epoch:    o.Epoch,
+		eps:      make(map[comm.Addr]*comm.Endpoint),
+		conns:    make(map[string]*sender),
+		inbound:  make(map[net.Conn]struct{}),
+		lastSeen: make(map[comm.Addr]time.Time),
+		dead:     make(map[comm.Addr]bool),
+		backoffs: make(map[comm.Addr]*backoffState),
+		hbStop:   make(chan struct{}),
 	}
 	if o.Lead {
 		n.peers, err = lead(o, ln.Addr().String())
@@ -336,15 +334,6 @@ func (n *Node) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Counte
 	return ep
 }
 
-// Peers reports the full process table discovered at rendezvous.
-func (n *Node) Peers() map[comm.Addr]string {
-	out := make(map[comm.Addr]string, len(n.peers))
-	for k, v := range n.peers {
-		out[k] = v
-	}
-	return out
-}
-
 // Deliver implements comm.Transport: local destinations are delivered
 // directly; remote ones are framed onto the destination's connection. A
 // failed send redials with bounded backoff; once the redial budget is
@@ -475,30 +464,12 @@ func (n *Node) markPeerDead(peer comm.Addr) {
 	}
 }
 
-// PeerDead reports whether the node has declared peer failed.
-func (n *Node) PeerDead(peer comm.Addr) bool {
+// revivePeer handles a heartbeat from peer: when the peer had been declared
+// dead it revives it, since a heartbeat is proof of life whatever its epoch.
+// Reviving clears the dead mark, resets the redial backoff, and tells every
+// local endpoint (failing-over receives resume matching).
+func (n *Node) revivePeer(peer comm.Addr) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dead[peer]
-}
-
-// PeerEpoch reports the highest incarnation number heard from peer in a
-// heartbeat (zero before any heartbeat arrives).
-func (n *Node) PeerEpoch(peer comm.Addr) uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.peerEpochs[peer]
-}
-
-// notePeerEpoch records a heartbeat's incarnation number and, when the peer
-// had been declared dead, revives it: a heartbeat is proof of life whatever
-// its epoch. Reviving clears the dead mark, resets the redial backoff, and
-// tells every local endpoint (failing-over receives resume matching).
-func (n *Node) notePeerEpoch(peer comm.Addr, epoch uint32) {
-	n.mu.Lock()
-	if epoch > n.peerEpochs[peer] {
-		n.peerEpochs[peer] = epoch
-	}
 	if !n.dead[peer] || n.closed {
 		n.mu.Unlock()
 		return
@@ -740,11 +711,11 @@ func (n *Node) readLoop(c net.Conn) {
 					return
 				}
 			}
-			// The heartbeat's Ctx field carries the sender's incarnation; a
-			// heartbeat from a peer this node declared dead is the rejoin
-			// signal (higher epoch: the peer restarted; same epoch: the
-			// detector was premature).
-			n.notePeerEpoch(hdr.Src(), uint32(hdr.Ctx))
+			// A heartbeat from a peer this node declared dead is the rejoin
+			// signal, whatever the incarnation its Ctx field carries (higher
+			// epoch: the peer restarted; same epoch: the detector was
+			// premature).
+			n.revivePeer(hdr.Src())
 			continue // heartbeat control frame; liveness is its payload
 		}
 		n.mu.Lock()

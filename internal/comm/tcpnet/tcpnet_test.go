@@ -76,7 +76,7 @@ func bootMachine(t testing.TB, procs int) ([]*Node, []*comm.Endpoint) {
 func TestBootstrapDiscoversAllPeers(t *testing.T) {
 	nodes, _ := bootMachine(t, 3)
 	for i, n := range nodes {
-		if got := len(n.Peers()); got != 3 {
+		if got := len(n.peers); got != 3 {
 			t.Errorf("node %d sees %d peers, want 3", i, got)
 		}
 	}
@@ -286,6 +286,13 @@ func bootWithOptions(t *testing.T, procs int, tweak func(o *Options)) ([]*Node, 
 	return nodes, eps
 }
 
+// nodeDead reports whether n has declared peer failed.
+func nodeDead(n *Node, peer comm.Addr) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.dead[peer]
+}
+
 func TestTCPHeartbeatDetectsKilledPeer(t *testing.T) {
 	nodes, eps := bootWithOptions(t, 2, func(o *Options) {
 		o.Heartbeat = 25 * time.Millisecond
@@ -296,14 +303,14 @@ func TestTCPHeartbeatDetectsKilledPeer(t *testing.T) {
 	h := eps[0].Irecv(spec, make([]byte, 8))
 	nodes[1].Close()
 	deadline := time.Now().Add(10 * time.Second)
-	for !nodes[0].PeerDead(peer) {
+	for !nodeDead(nodes[0], peer) {
 		if time.Now().After(deadline) {
 			t.Fatal("heartbeat failure detector never declared the killed peer dead")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !eps[0].Test(h) || !errors.Is(h.Err(), comm.ErrPeerDead) {
-		t.Fatalf("pinned receive after peer death: done=%v err=%v", h.Done(), h.Err())
+	if !eps[0].Test(h) || !errors.Is(h.Err(), comm.ErrPeerDead) || h.Status() != comm.StatusPeerDead {
+		t.Fatalf("pinned receive after peer death: done=%v err=%v status=%v", h.Done(), h.Err(), h.Status())
 	}
 	if !eps[0].PeerDead(peer) {
 		t.Error("endpoint did not record the dead peer")
@@ -322,7 +329,7 @@ func TestTCPHeartbeatKeepsLivePeerAlive(t *testing.T) {
 	// Well past several miss windows, an idle but live peer must not be
 	// declared dead — its heartbeats keep it fresh.
 	time.Sleep(300 * time.Millisecond)
-	if nodes[0].PeerDead(comm.Addr{PE: 1, Proc: 0}) || nodes[1].PeerDead(comm.Addr{PE: 0, Proc: 0}) {
+	if nodeDead(nodes[0], comm.Addr{PE: 1, Proc: 0}) || nodeDead(nodes[1], comm.Addr{PE: 0, Proc: 0}) {
 		t.Fatal("live idle peer declared dead")
 	}
 }
@@ -382,13 +389,13 @@ func TestTCPHeartbeatRejoinRevivesDeadPeer(t *testing.T) {
 	// Declare the peer dead locally (a premature or outdated verdict — the
 	// peer's process is in fact up and heartbeating).
 	nodes[0].markPeerDead(peer)
-	if !nodes[0].PeerDead(peer) || !eps[0].PeerDead(peer) {
+	if !nodeDead(nodes[0], peer) || !eps[0].PeerDead(peer) {
 		t.Fatal("markPeerDead did not take")
 	}
 	// The peer's next heartbeat is the rejoin signal: the dead mark clears
-	// on node and endpoint, and its epoch is recorded.
+	// on node and endpoint.
 	deadline := time.Now().Add(10 * time.Second)
-	for nodes[0].PeerDead(peer) {
+	for nodeDead(nodes[0], peer) {
 		if time.Now().After(deadline) {
 			t.Fatal("heartbeat from a live peer never cleared the dead mark")
 		}
@@ -399,9 +406,6 @@ func TestTCPHeartbeatRejoinRevivesDeadPeer(t *testing.T) {
 	}
 	if got := eps[0].Counters().PeersRecovered.Load(); got != 1 {
 		t.Errorf("PeersRecovered = %d, want 1", got)
-	}
-	if got := nodes[0].PeerEpoch(peer); got != 3 {
-		t.Errorf("PeerEpoch = %d, want 3", got)
 	}
 	// Traffic flows again: a pinned receive completes normally.
 	done := make(chan error, 1)

@@ -134,11 +134,6 @@ func packTag(thread, tag int32) int32 {
 	return thread<<tagBits | tag
 }
 
-// unpackTag splits an overloaded tag value.
-func unpackTag(packed int32) (thread, tag int32) {
-	return packed >> tagBits, packed & ((1 << tagBits) - 1)
-}
-
 // checkUserTag validates a user-supplied tag for sending. Wildcards are
 // never valid on the send side.
 func checkUserTag(tag int32) error {

@@ -8,6 +8,11 @@ import (
 	"testing/quick"
 )
 
+// unpackTag splits an overloaded tag value.
+func unpackTag(packed int32) (thread, tag int32) {
+	return packed >> tagBits, packed & ((1 << tagBits) - 1)
+}
+
 func TestPackTagRoundtrip(t *testing.T) {
 	f := func(thread, tag int32) bool {
 		thread &= maxPackedThread

@@ -56,11 +56,7 @@ const noBoost = math.MinInt
 // higher scheduling priority ... ensuring that it is scheduled at the next
 // context switch point").
 type policy interface {
-	Kind() PolicyKind
 	Wait(h *comm.RecvHandle, boostTo int)
-	// external reports whether the policy holds outstanding requests that
-	// an arriving message could complete (used for idle/deadlock decisions).
-	external() bool
 }
 
 func newPolicy(kind PolicyKind, sched *ult.Sched, ep *comm.Endpoint) policy {
@@ -104,10 +100,6 @@ type tpPolicy struct {
 	sched *ult.Sched
 	ep    *comm.Endpoint
 }
-
-func (p *tpPolicy) Kind() PolicyKind { return ThreadPolls }
-
-func (p *tpPolicy) external() bool { return false }
 
 func (p *tpPolicy) Wait(h *comm.RecvHandle, boostTo int) {
 	if p.ep.Test(h) {
@@ -157,10 +149,6 @@ type psPolicy struct {
 	sched *ult.Sched
 	ep    *comm.Endpoint
 }
-
-func (p *psPolicy) Kind() PolicyKind { return SchedulerPollsPS }
-
-func (p *psPolicy) external() bool { return false }
 
 func (p *psPolicy) Wait(h *comm.RecvHandle, boostTo int) {
 	if h.Done() {
@@ -239,13 +227,8 @@ type wqPolicy struct {
 	free       *wqEntry // entry freelist
 }
 
-func (p *wqPolicy) Kind() PolicyKind {
-	if p.useTestAny {
-		return SchedulerPollsWQAny
-	}
-	return SchedulerPollsWQ
-}
-
+// external reports whether the policy holds outstanding requests that an
+// arriving message could complete (used for idle/deadlock decisions).
 func (p *wqPolicy) external() bool { return p.count > 0 }
 
 func (p *wqPolicy) Wait(h *comm.RecvHandle, boostTo int) {

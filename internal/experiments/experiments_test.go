@@ -347,6 +347,20 @@ func TestChartHandlesDegenerateInput(t *testing.T) {
 	}
 }
 
+// ModernContrastRatios summarizes a modern-model sweep as WQ/PS and TP/PS
+// time ratios per alpha, the quantities to compare against the Paragon
+// model's.
+func ModernContrastRatios(s PollingSweep) (wqOverPS, tpOverPS []float64) {
+	ps := s.Rows[core.SchedulerPollsPS]
+	wq := s.Rows[core.SchedulerPollsWQ]
+	tp := s.Rows[core.ThreadPolls]
+	for i := range s.Alphas {
+		wqOverPS = append(wqOverPS, wq[i].TimeMS/ps[i].TimeMS)
+		tpOverPS = append(tpOverPS, tp[i].TimeMS/ps[i].TimeMS)
+	}
+	return wqOverPS, tpOverPS
+}
+
 func TestModernContrast(t *testing.T) {
 	// On modern hardware the msgtest asymmetry vanishes: every policy's
 	// time lands within a few percent of PS (the paper's WQ condemnation

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"chant/internal/core"
-	"chant/internal/machine"
-)
+import "chant/internal/machine"
 
 // RunModernContrast re-runs the beta=100 polling sweep on the Modern cost
 // model (RDMA-class wire, nanosecond-scale msgtest). The paper's central
@@ -15,18 +12,4 @@ func RunModernContrast() PollingSweep {
 	base := StandardPollingBase
 	base.Model = machine.Modern()
 	return RunPollingSweep(100, nil, base)
-}
-
-// ModernContrastRatios summarizes a modern-model sweep as WQ/PS and TP/PS
-// time ratios per alpha, the quantities to compare against the Paragon
-// model's.
-func ModernContrastRatios(s PollingSweep) (wqOverPS, tpOverPS []float64) {
-	ps := s.Rows[core.SchedulerPollsPS]
-	wq := s.Rows[core.SchedulerPollsWQ]
-	tp := s.Rows[core.ThreadPolls]
-	for i := range s.Alphas {
-		wqOverPS = append(wqOverPS, wq[i].TimeMS/ps[i].TimeMS)
-		tpOverPS = append(tpOverPS, tp[i].TimeMS/ps[i].TimeMS)
-	}
-	return wqOverPS, tpOverPS
 }

@@ -208,9 +208,6 @@ func New(cfg Config, seed uint64) *Plan {
 	return &Plan{cfg: cfg, seed: seed, links: make(map[Link]*linkState)}
 }
 
-// Seed reports the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // rates reports the effective rates for a link.
 func (p *Plan) rates(l Link) LinkRates {
 	if r, ok := p.cfg.PerLink[l]; ok {

@@ -20,25 +20,6 @@ func TestSpawnAtFutureTime(t *testing.T) {
 	}
 }
 
-func TestStopFromProcess(t *testing.T) {
-	k := NewKernel()
-	reached := false
-	k.Spawn("stopper", func(p *Proc) {
-		p.Advance(10)
-		k.Stop()
-	})
-	k.At(1000, func() { reached = true })
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if reached {
-		t.Fatal("event after Stop ran")
-	}
-	if k.Now() != 10 {
-		t.Fatalf("clock = %v, want 10", k.Now())
-	}
-}
-
 func TestEventsCounter(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 5; i++ {
@@ -77,13 +58,13 @@ func TestProcDoneAndName(t *testing.T) {
 	if p.Name() != "worker" {
 		t.Fatalf("Name = %q", p.Name())
 	}
-	if p.Done() {
+	if p.state == procDone {
 		t.Fatal("done before running")
 	}
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() {
+	if p.state != procDone {
 		t.Fatal("not done after running")
 	}
 }
@@ -136,7 +117,7 @@ func TestTwoKernelsIndependent(t *testing.T) {
 }
 
 // The tests below pin the kernel's edges under direct dispatch: there is no
-// kernel goroutine, so deadlines, Stop, the end of the run and panics are all
+// kernel goroutine, so deadlines, the end of the run and panics are all
 // met by whichever process goroutine happens to be running the event loop.
 
 func TestRunDeadlineTwiceResumesSuspendedProcs(t *testing.T) {
@@ -167,59 +148,10 @@ func TestRunDeadlineTwiceResumesSuspendedProcs(t *testing.T) {
 			t.Fatalf("after Run(%v): now=%v steps=%v, want now=%v and %d steps each", w.deadline, k.Now(), steps, w.now, w.steps)
 		}
 		for _, p := range k.procs {
-			if p.Done() != w.done {
-				t.Fatalf("after Run(%v): %s done=%v, want %v", w.deadline, p.Name(), p.Done(), w.done)
+			if (p.state == procDone) != w.done {
+				t.Fatalf("after Run(%v): %s done=%v, want %v", w.deadline, p.Name(), p.state == procDone, w.done)
 			}
 		}
-	}
-}
-
-func TestStopFromCallbackDispatchedByProc(t *testing.T) {
-	k := NewKernel()
-	var late, finished bool
-	// The process is inside Advance, running the event loop itself, when
-	// the callback at 10 stops the run.
-	k.Spawn("p", func(p *Proc) {
-		p.Advance(20)
-		finished = true
-	})
-	k.At(10, k.Stop)
-	k.At(15, func() { late = true })
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 10 || late || finished {
-		t.Fatalf("after Stop: now=%v late=%v finished=%v", k.Now(), late, finished)
-	}
-	// A stopped run is resumable: the suspended process picks up mid-Advance.
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 20 || !late || !finished {
-		t.Fatalf("after resume: now=%v late=%v finished=%v", k.Now(), late, finished)
-	}
-}
-
-func TestStopFromProcBodySuspendsAtNextYield(t *testing.T) {
-	k := NewKernel()
-	var after bool
-	k.Spawn("stopper", func(p *Proc) {
-		p.Advance(10)
-		k.Stop()
-		p.Advance(10) // the run ends here, not at Stop
-		after = true
-	})
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 10 || after {
-		t.Fatalf("after Stop: now=%v after=%v", k.Now(), after)
-	}
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if k.Now() != 20 || !after {
-		t.Fatalf("after resume: now=%v after=%v", k.Now(), after)
 	}
 }
 
@@ -267,8 +199,8 @@ func TestSignalToTheDispatchingProc(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if wokeAt != 10 || !p.Done() {
-		t.Fatalf("parked proc woke at %v (done=%v), want 10", wokeAt, p.Done())
+	if wokeAt != 10 || p.state != procDone {
+		t.Fatalf("parked proc woke at %v (done=%v), want 10", wokeAt, p.state == procDone)
 	}
 
 	// Ready: signalled from inside its own Advance, the process is not
@@ -285,8 +217,8 @@ func TestSignalToTheDispatchingProc(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if advancedAt != 20 || wokeAt != 20 || !p.Done() {
-		t.Fatalf("ready proc: advanced at %v, woke at %v (done=%v), want 20, 20", advancedAt, wokeAt, p.Done())
+	if advancedAt != 20 || wokeAt != 20 || p.state != procDone {
+		t.Fatalf("ready proc: advanced at %v, woke at %v (done=%v), want 20, 20", advancedAt, wokeAt, p.state == procDone)
 	}
 }
 

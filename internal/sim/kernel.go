@@ -21,7 +21,6 @@ type Kernel struct {
 	heap     eventHeap
 	procs    []*Proc
 	running  bool
-	stopped  bool
 	deadline Time // of the current Run; 0 means none
 
 	// handoffs counts process resumptions, in chantdebug builds only.
@@ -63,13 +62,13 @@ func (k *Kernel) scheduleProc(p *Proc, t Time) {
 	k.heap.push(event{at: t, seq: k.seq, proc: p})
 }
 
-// Run executes events until none remain, the deadline passes, or Stop is
-// called. A deadline of 0 means no deadline. It returns ErrDeadlock if all
-// events are exhausted while some spawned process has neither finished nor
-// parked forever by choice (a parked process with no pending wake counts as
+// Run executes events until none remain or the deadline passes. A deadline
+// of 0 means no deadline. It returns ErrDeadlock if all events are
+// exhausted while some spawned process has neither finished nor parked
+// forever by choice (a parked process with no pending wake counts as
 // deadlocked, since nothing can ever signal it once the event heap is empty).
-// A run cut short by the deadline or by Stop leaves its processes suspended
-// where they yielded; a later Run resumes them.
+// A run cut short by the deadline leaves its processes suspended where they
+// yielded; a later Run resumes them.
 //
 // A panic raised by an event callback, or escaping a process body, unwinds
 // out of Run on the goroutine that called it, with its original value. No
@@ -81,15 +80,14 @@ func (k *Kernel) Run(deadline Time) error {
 		panic("sim: Kernel.Run called reentrantly")
 	}
 	k.running = true
-	k.stopped = false
 	k.deadline = deadline
 	defer func() { k.running = false }()
 
 	for p := k.next(); p != nil; p = k.next() {
 		p.resume()
 	}
-	if k.stopped || k.heap.Len() > 0 {
-		return nil // Stop, or the deadline, cut the run short
+	if k.heap.Len() > 0 {
+		return nil // the deadline cut the run short
 	}
 	for _, p := range k.procs {
 		if p.state != procDone {
@@ -101,10 +99,10 @@ func (k *Kernel) Run(deadline Time) error {
 
 // next is the body of the event loop: it runs callbacks inline until a
 // process is due and returns it, or returns nil when the run is over
-// (no events left, Stop called, or the next event lies past the deadline, in
-// which case the clock moves to the deadline).
+// (no events left, or the next event lies past the deadline, in which case
+// the clock moves to the deadline).
 func (k *Kernel) next() *Proc {
-	for k.heap.Len() > 0 && !k.stopped {
+	for k.heap.Len() > 0 {
 		if k.deadline != 0 && k.heap.peekTime() > k.deadline {
 			k.now = k.deadline
 			return nil
@@ -123,8 +121,3 @@ func (k *Kernel) next() *Proc {
 	}
 	return nil
 }
-
-// Stop ends the run: no further event is dispatched once the current
-// callback returns or the current process next yields. It is intended to be
-// called from inside an event callback or process.
-func (k *Kernel) Stop() { k.stopped = true }

@@ -71,19 +71,6 @@ func TestRunDeadlineStopsEarly(t *testing.T) {
 	}
 }
 
-func TestStopHaltsLoop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	k.At(1, func() { count++; k.Stop() })
-	k.At(2, func() { count++ })
-	if err := k.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", count)
-	}
-}
-
 func TestPastEventPanics(t *testing.T) {
 	k := NewKernel()
 	k.At(100, func() {
@@ -188,7 +175,7 @@ func TestSignalFinishedProcIsNoop(t *testing.T) {
 	if err := k.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Done() {
+	if p.state != procDone {
 		t.Fatal("process not done")
 	}
 }

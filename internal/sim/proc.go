@@ -73,9 +73,6 @@ func (p *Proc) Name() string { return p.name }
 // from the running process and from event callbacks alike.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.state == procDone }
-
 // resume hands the processor to p and returns when p next yields or
 // finishes. Only Run calls it.
 func (p *Proc) resume() {

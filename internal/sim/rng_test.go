@@ -70,27 +70,6 @@ func TestFloat64InRange(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		size := int(n % 64)
-		p := NewRNG(seed).Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimeHelpers(t *testing.T) {
 	tm := Time(0).Add(3 * Millisecond)
 	if tm.Millis() != 3 {

@@ -92,10 +92,22 @@ type waitingIntegrator struct {
 
 // WaitBegin records that one more thread started waiting on an outstanding
 // receive at virtual time now.
-func (c *Counters) WaitBegin(now sim.Time) { c.wait.update(now, +1) }
-
-// WaitEnd records that a waiting thread's receive completed at time now.
-func (c *Counters) WaitEnd(now sim.Time) { c.wait.update(now, -1) }
+func (c *Counters) WaitBegin(now sim.Time) {
+	w := &c.wait
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.started {
+		w.started = true
+		w.startAt = now
+		w.lastAt = now
+	}
+	w.integral += float64(w.current) * float64(now.Sub(w.lastAt))
+	w.lastAt = now
+	w.current++
+	if w.current > w.max {
+		w.max = w.current
+	}
+}
 
 // WaitEndAt records that a receive stopped being outstanding at time at,
 // which may lie in the past (the thread observes the arrival only when it
@@ -132,25 +144,6 @@ func (c *Counters) WaitEndAt(at sim.Time) {
 	}
 }
 
-func (w *waitingIntegrator) update(now sim.Time, delta int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if !w.started {
-		w.started = true
-		w.startAt = now
-		w.lastAt = now
-	}
-	w.integral += float64(w.current) * float64(now.Sub(w.lastAt))
-	w.lastAt = now
-	w.current += delta
-	if w.current < 0 {
-		panic("trace: waiting-thread count went negative")
-	}
-	if w.current > w.max {
-		w.max = w.current
-	}
-}
-
 // AvgWaiting reports the time-averaged number of waiting threads over
 // [first wait event, end]. It returns 0 if no thread ever waited.
 func (c *Counters) AvgWaiting(end sim.Time) float64 {
@@ -176,13 +169,6 @@ func (c *Counters) MaxWaiting() int {
 	c.wait.mu.Lock()
 	defer c.wait.mu.Unlock()
 	return c.wait.max
-}
-
-// CurWaiting reports the instantaneous number of waiting threads.
-func (c *Counters) CurWaiting() int {
-	c.wait.mu.Lock()
-	defer c.wait.mu.Unlock()
-	return c.wait.current
 }
 
 // Snapshot is a plain-value copy of all counters, convenient for reports

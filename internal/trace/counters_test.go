@@ -36,13 +36,10 @@ func TestWaitingIntegratorStep(t *testing.T) {
 func TestWaitingIntegratorEnd(t *testing.T) {
 	var c Counters
 	c.WaitBegin(us(0))
-	c.WaitEnd(us(25)) // 1 waiting over [0,25), 0 over [25,100)
+	c.WaitEndAt(us(25)) // 1 waiting over [0,25), 0 over [25,100)
 	got := c.AvgWaiting(us(100))
 	if math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("AvgWaiting = %v, want 0.25", got)
-	}
-	if c.CurWaiting() != 0 {
-		t.Fatalf("CurWaiting = %d, want 0", c.CurWaiting())
 	}
 }
 
@@ -57,10 +54,12 @@ func TestNegativeWaitingPanics(t *testing.T) {
 	var c Counters
 	defer func() {
 		if recover() == nil {
-			t.Error("WaitEnd below zero did not panic")
+			t.Error("WaitEndAt below zero did not panic")
 		}
 	}()
-	c.WaitEnd(us(1))
+	c.WaitBegin(us(0))
+	c.WaitEndAt(us(1))
+	c.WaitEndAt(us(2))
 }
 
 func TestSnapshotAdd(t *testing.T) {
@@ -134,7 +133,7 @@ func TestWaitEndAtRetroactiveExact(t *testing.T) {
 	c.WaitBegin(us(0))
 	c.WaitBegin(us(0))
 	c.WaitBegin(us(50)) // forces lastAt to 50 with 2 waiting over [0,50)
-	c.WaitEnd(us(50))   // the helper thread leaves immediately
+	c.WaitEndAt(us(50)) // the helper thread leaves immediately
 	c.WaitEndAt(us(25)) // retroactive completion inside the window
 	got := c.AvgWaiting(us(100))
 	if math.Abs(got-1.25) > 1e-9 {

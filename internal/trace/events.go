@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
 	"chant/internal/sim"
@@ -114,14 +112,4 @@ func (l *Log) Snapshot() []Event {
 	}
 	out = append(out, l.ring[l.next:]...)
 	return append(out, l.ring[:l.next]...)
-}
-
-// Dump renders the retained events one per line, for test failures and
-// debugging sessions.
-func (l *Log) Dump() string {
-	var b strings.Builder
-	for _, e := range l.Snapshot() {
-		fmt.Fprintf(&b, "%12.3fus  %-14s t%d\n", e.At.Micros(), e.Kind, e.Thread)
-	}
-	return b.String()
 }

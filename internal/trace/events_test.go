@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -48,17 +47,6 @@ func TestNilLogIsSafe(t *testing.T) {
 	l.Add(1, EvSpawn, 0) // must not panic
 	if l.Snapshot() != nil || l.Total() != 0 {
 		t.Fatal("nil log returned data")
-	}
-}
-
-func TestLogDump(t *testing.T) {
-	l := NewLog(4)
-	l.Add(sim.Time(1500), EvSpawn, 3)
-	l.Add(sim.Time(2500), EvUnblock, 4)
-	out := l.Dump()
-	if !strings.Contains(out, "spawn") || !strings.Contains(out, "t3") ||
-		!strings.Contains(out, "unblock") {
-		t.Fatalf("dump missing content:\n%s", out)
 	}
 }
 

@@ -33,8 +33,8 @@ func TestKillCancelsEveryThread(t *testing.T) {
 	if len(canceled) != 4 {
 		t.Fatalf("%d of 4 spinning threads were canceled: %v", len(canceled), canceled)
 	}
-	if !s.Killed() {
-		t.Error("Killed() false after Kill")
+	if !s.killed.Load() {
+		t.Error("killed flag false after Kill")
 	}
 }
 

@@ -108,9 +108,6 @@ func (s *Sched) logEvent(kind trace.EventKind, id int32) {
 	s.opts.EventLog.Add(s.host.Now(), kind, id)
 }
 
-// Host reports the scheduler's execution host.
-func (s *Sched) Host() machine.Host { return s.host }
-
 // Counters reports the scheduler's event counters.
 func (s *Sched) Counters() *trace.Counters { return s.ctrs }
 
@@ -269,9 +266,6 @@ func (s *Sched) Kill() {
 	s.killed.Store(true)
 	s.host.Interrupt()
 }
-
-// Killed reports whether Kill has been requested.
-func (s *Sched) Killed() bool { return s.killed.Load() }
 
 // killSweep cancels every live thread, in creation order. Runs in dispatch,
 // with the owner token held.

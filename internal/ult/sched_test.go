@@ -593,7 +593,7 @@ func TestEventLogRecordsSchedulerActivity(t *testing.T) {
 	for _, want := range []trace.EventKind{trace.EvSpawn, trace.EvSwitchIn,
 		trace.EvBlock, trace.EvUnblock, trace.EvExit} {
 		if kinds[want] == 0 {
-			t.Errorf("no %v events recorded; dump:\n%s", want, log.Dump())
+			t.Errorf("no %v events recorded; events: %v", want, log.Snapshot())
 		}
 	}
 }
