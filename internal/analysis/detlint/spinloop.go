@@ -1,6 +1,6 @@
-// The bounded-spin check: the real-mode data plane introduced spin-then-park
-// idling, and its contract is that every spin is *bounded* — a counted loop
-// that gives up and parks (Host.Idle, sync.Cond.Wait) after a fixed budget.
+// The bounded-spin check: real-mode waiting parks (Host.Idle,
+// sync.Cond.Wait), and the contract is that any spin on the way there is
+// *bounded* — a counted loop that gives up and parks after a fixed budget.
 // An unbounded loop whose body only polls atomics burns the PE, starves the
 // cooperative scheduler on small hosts, and — if it ever leaks into a
 // simulation path — hangs the virtual clock, so detlint flags the shape

@@ -236,7 +236,7 @@ func (e *Endpoint) Test(h *RecvHandle) bool {
 // offer the processor. Scheduler polls (WQ) tests every outstanding request
 // at a scheduling point with it; a relax per miss would hand the core away
 // once per blocked thread, and the walk needs none — with every thread
-// blocked the scheduler goes on to the host's Idle, and a running thread
+// blocked the scheduler goes on to the host's Pause, and a running thread
 // reaches a send, a missed Test or a no-switch yield of its own.
 func (e *Endpoint) Poll(h *RecvHandle) bool {
 	e.ctrs.MsgTestCalls.Add(1)
@@ -272,9 +272,11 @@ func (e *Endpoint) TestAny(hs []*RecvHandle) int {
 }
 
 // Recv is the process-style blocking receive the paper's Table 2 baseline
-// uses: it posts the receive and parks the processor until the message is
-// deposited, with no polling (the underlying system's blocking crecv).
-// It returns the payload length and the matched header.
+// uses: it posts the receive and parks the processor in Host.Idle until the
+// deposit's Interrupt, with no polling (the underlying system's blocking
+// crecv). A real host parks at once, leaving its OS processor to the
+// sender and to a transport's reader. It returns the payload length and
+// the matched header.
 func (e *Endpoint) Recv(spec MatchSpec, buf []byte) (int, Header, error) {
 	h := e.Irecv(spec, buf)
 	for !h.done.Load() {
@@ -288,8 +290,9 @@ func (e *Endpoint) Recv(spec MatchSpec, buf []byte) (int, Header, error) {
 	return n, hdr, err
 }
 
-// Wait parks the processor until the given handle completes, without
-// polling. It is the blocking complement of Irecv (NX msgwait at process
+// Wait parks the processor in Host.Idle until the given handle completes,
+// without polling; every completion (a deposit, a failed peer) interrupts
+// the host. It is the blocking complement of Irecv (NX msgwait at process
 // level).
 func (e *Endpoint) Wait(h *RecvHandle) {
 	for !h.done.Load() {

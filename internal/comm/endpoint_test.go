@@ -45,6 +45,7 @@ func (h *fakeHost) Compute(units int64) { h.Charge(sim.Duration(units) * h.model
 func (h *fakeHost) Relax()              { h.relaxes++ }
 func (h *fakeHost) Idle()               { panic("fakeHost cannot idle") }
 func (h *fakeHost) Pause()              { panic("fakeHost cannot pause") }
+func (h *fakeHost) Missed()             { panic("fakeHost cannot park") }
 func (h *fakeHost) Interrupt() {
 	h.mu.Lock()
 	h.interrupts++

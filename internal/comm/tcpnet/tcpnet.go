@@ -95,6 +95,10 @@ type Node struct {
 	backoffs map[comm.Addr]*backoffState
 	closed   bool
 
+	// selfUp is closed when this process's own endpoint (Options.Self) is
+	// registered. A peer may send as soon as its Bootstrap returns, which
+	// can be before this process's NewEndpoint; the frame waits for it.
+	selfUp chan struct{}
 	hbStop chan struct{}
 	wg     sync.WaitGroup
 }
@@ -193,6 +197,7 @@ func Bootstrap(o Options) (*Node, error) {
 		lastSeen: make(map[comm.Addr]time.Time),
 		dead:     make(map[comm.Addr]bool),
 		backoffs: make(map[comm.Addr]*backoffState),
+		selfUp:   make(chan struct{}),
 		hbStop:   make(chan struct{}),
 	}
 	if o.Lead {
@@ -331,6 +336,9 @@ func (n *Node) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Counte
 	}
 	ep := comm.NewEndpoint(addr, host, ctrs, n)
 	n.eps[addr] = ep
+	if addr == n.self {
+		close(n.selfUp)
+	}
 	return ep
 }
 
@@ -636,14 +644,21 @@ func (n *Node) sendHeartbeat(peer comm.Addr) {
 	}
 }
 
-// noteAlive credits a frame from peer: its silence clock restarts and its
-// redial backoff resets. The reset is the other half of the persistent
+// noteAlive credits a frame from hdr's source and returns the local endpoint
+// it is addressed to (nil if none), under one acquisition of n.mu per
+// frame. The source's redial backoff resets, and with failure detection on
+// its silence clock restarts; only then is the wall clock read, since the
+// silence clock is its one use. The reset is the other half of the persistent
 // backoff in Deliver — without it, one bad spell would ratchet a peer's
 // redial pause up to the cap forever, throttling sends to a peer that has
 // long since answered a heartbeat.
-func (n *Node) noteAlive(peer comm.Addr) {
-	//chant:allow-nondet wall-clock failure detection
-	now := time.Now()
+func (n *Node) noteAlive(hdr comm.Header) *comm.Endpoint {
+	var now time.Time
+	if n.hb > 0 {
+		//chant:allow-nondet wall-clock failure detection
+		now = time.Now()
+	}
+	peer := hdr.Src()
 	n.mu.Lock()
 	if b := n.backoffs[peer]; b != nil {
 		b.reset()
@@ -651,7 +666,9 @@ func (n *Node) noteAlive(peer comm.Addr) {
 	if n.hb > 0 {
 		n.lastSeen[peer] = now
 	}
+	ep := n.eps[hdr.Dst()]
 	n.mu.Unlock()
+	return ep
 }
 
 // acceptLoop receives inbound connections; each gets a reader goroutine.
@@ -703,7 +720,7 @@ func (n *Node) readLoop(c net.Conn) {
 			return
 		}
 		hdr := getHeader(hdrBuf[:])
-		n.noteAlive(hdr.Src())
+		ep := n.noteAlive(hdr)
 		payload := int(frameLen) - wireHeaderLen
 		if hdr.Tag == hbTag {
 			if payload > 0 {
@@ -718,9 +735,17 @@ func (n *Node) readLoop(c net.Conn) {
 			n.revivePeer(hdr.Src())
 			continue // heartbeat control frame; liveness is its payload
 		}
-		n.mu.Lock()
-		ep := n.eps[hdr.Dst()]
-		n.mu.Unlock()
+		if ep == nil && hdr.Dst() == n.self {
+			// Addressed to this process before its endpoint exists: hold
+			// the connection until it does, instead of dropping the frame.
+			//chant:allow-nondet registration races node shutdown by design
+			select {
+			case <-n.selfUp:
+			case <-n.hbStop: // Close closes it
+				return
+			}
+			ep = n.noteAlive(hdr)
+		}
 		if ep == nil {
 			if payload > 0 {
 				if _, err := io.CopyN(io.Discard, r, int64(payload)); err != nil {

@@ -32,9 +32,21 @@ func freeRendezvous(t testing.TB) string {
 // endpoint each, and returns them with a cleanup.
 func bootMachine(t testing.TB, procs int) ([]*Node, []*comm.Endpoint) {
 	t.Helper()
+	nodes := bootNodes(t, procs)
+	eps := make([]*comm.Endpoint, procs)
+	for i, n := range nodes {
+		eps[i] = n.NewEndpoint(comm.Addr{PE: int32(i), Proc: 0},
+			machine.NewRealHost(machine.Modern()), &trace.Counters{})
+	}
+	return nodes, eps
+}
+
+// bootNodes starts procs nodes joined at one rendezvous, with no endpoint
+// yet, and returns them with a cleanup.
+func bootNodes(t testing.TB, procs int) []*Node {
+	t.Helper()
 	rendezvous := freeRendezvous(t)
 	nodes := make([]*Node, procs)
-	eps := make([]*comm.Endpoint, procs)
 	var wg sync.WaitGroup
 	errs := make([]error, procs)
 	for i := 0; i < procs; i++ {
@@ -42,27 +54,15 @@ func bootMachine(t testing.TB, procs int) ([]*Node, []*comm.Endpoint) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := Bootstrap(Options{
+			nodes[i], errs[i] = Bootstrap(Options{
 				Self:       comm.Addr{PE: int32(i), Proc: 0},
 				Rendezvous: rendezvous,
 				Lead:       i == 0,
 				Procs:      procs,
 			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			nodes[i] = n
-			eps[i] = n.NewEndpoint(comm.Addr{PE: int32(i), Proc: 0},
-				machine.NewRealHost(machine.Modern()), &trace.Counters{})
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d bootstrap: %v", i, err)
-		}
-	}
 	t.Cleanup(func() {
 		for _, n := range nodes {
 			if n != nil {
@@ -70,7 +70,36 @@ func bootMachine(t testing.TB, procs int) ([]*Node, []*comm.Endpoint) {
 			}
 		}
 	})
-	return nodes, eps
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d bootstrap: %v", i, err)
+		}
+	}
+	return nodes
+}
+
+// A peer may send as soon as its own Bootstrap returns, before the
+// destination process has registered its endpoint. The frame must wait for
+// the registration, not be dropped: a process's first message would
+// otherwise be lost whenever its peer is slow to start.
+func TestFrameBeforeEndpointWaits(t *testing.T) {
+	nodes := bootNodes(t, 2)
+	host := func() machine.Host { return machine.NewRealHost(machine.Modern()) }
+	ep0 := nodes[0].NewEndpoint(comm.Addr{PE: 0, Proc: 0}, host(), &trace.Counters{})
+	ep0.Send(comm.Addr{PE: 1, Proc: 0}, 0, 3, 0, []byte("early"))
+	time.Sleep(50 * time.Millisecond) // the frame reaches node 1's reader
+	ep1 := nodes[1].NewEndpoint(comm.Addr{PE: 1, Proc: 0}, host(), &trace.Counters{})
+	h := ep1.Irecv(comm.MatchAll, make([]byte, 8))
+	deadline := time.Now().Add(10 * time.Second)
+	for !h.Done() {
+		if time.Now().After(deadline) {
+			t.Fatal("the frame sent before the endpoint was registered never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if h.Len() != 5 || h.Header().Tag != 3 {
+		t.Fatalf("got %d bytes, tag %d; want 5, tag 3", h.Len(), h.Header().Tag)
+	}
 }
 
 func TestBootstrapDiscoversAllPeers(t *testing.T) {
@@ -360,7 +389,7 @@ func TestBackoffStateDoublesAndResets(t *testing.T) {
 }
 
 func TestNoteAliveResetsBackoff(t *testing.T) {
-	nodes, _ := bootMachine(t, 2)
+	nodes, eps := bootMachine(t, 2)
 	peer := comm.Addr{PE: 1, Proc: 0}
 	// Ratchet the peer's backoff up as a string of failed deliveries would.
 	for i := 0; i < 10; i++ {
@@ -372,7 +401,12 @@ func TestNoteAliveResetsBackoff(t *testing.T) {
 	if ratcheted != redialBackoffM {
 		t.Fatalf("backoff after 10 failures = %v, want the %v cap", ratcheted, redialBackoffM)
 	}
-	nodes[0].noteAlive(peer)
+	// A frame from the peer to node 0's endpoint: the same call credits the
+	// peer and finds the endpoint.
+	frame := comm.Header{SrcPE: peer.PE, SrcProc: peer.Proc, DstPE: 0, DstProc: 0}
+	if ep := nodes[0].noteAlive(frame); ep != eps[0] {
+		t.Fatalf("noteAlive found endpoint %v, want the frame's destination %v", ep, eps[0])
+	}
 	if got := nodes[0].nextBackoff(peer); got != redialBackoff0 {
 		t.Fatalf("backoff after the peer proved alive = %v, want %v", got, redialBackoff0)
 	}

@@ -3,14 +3,17 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"chant/internal/comm"
+	"chant/internal/comm/tcpnet"
 	"chant/internal/machine"
 	"chant/internal/sim"
+	"chant/internal/trace"
 	"chant/internal/ult"
 )
 
@@ -182,5 +185,87 @@ func TestOnePLivenessCallWithTimeout(t *testing.T) {
 					}
 				})
 		})
+	}
+}
+
+// runOnePTCP is runOneP over two in-process tcpnet nodes on 127.0.0.1: the
+// only wake-up source of a waiting PE is a tcpnet reader goroutine, which
+// runs when the netpoller finds its socket ready, and at one P the
+// netpoller is consulted only when the P has nothing else to run. A waiting
+// PE that stays on Go's run queue — spinning, or yielding at every missed
+// poll — keeps it from ever being consulted.
+func runOnePTCP(t *testing.T, cfg Config, m0, m1 MainFunc) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendezvous := l.Addr().String()
+	l.Close()
+	mains := [2]MainFunc{m0, m1}
+	done := make(chan error, 2) // the runs may outlive a timed-out test
+	for pe := int32(0); pe < 2; pe++ {
+		go func() {
+			self := comm.Addr{PE: pe, Proc: 0}
+			node, err := tcpnet.Bootstrap(tcpnet.Options{Self: self, Rendezvous: rendezvous, Lead: pe == 0, Procs: 2})
+			if err != nil {
+				done <- err
+				return
+			}
+			defer node.Close()
+			ep := node.NewEndpoint(self, machine.NewRealHost(machine.Modern()), &trace.Counters{})
+			rt := NewDistRuntime(Topology{PEs: 2, ProcsPerPE: 1}, cfg, machine.Modern())
+			_, err = rt.RunOne(self, ep, mains[pe])
+			done <- err
+		}()
+	}
+	deadline := time.After(livenessBound)
+	for range mains {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("not finished after %v at one P over tcpnet: a waiting PE keeps the netpoller from running", livenessBound)
+		}
+	}
+}
+
+// The ping-pong of TestOnePLivenessPingPong between two tcpnet nodes, under
+// the policies whose waiting PE parks once every thread has missed:
+// Scheduler polls (PS) at the end of a fruitless pass, and (WQ) when every
+// thread is blocked. Thread polls is absent: its threads test themselves, so
+// the scheduler never sees a fruitless pass, and the waiting PE yields
+// forever on Go's run queue (DESIGN.md "Processor sharing").
+func TestOnePLivenessTCP(t *testing.T) {
+	const rounds = 2000
+	for _, pol := range []PolicyKind{SchedulerPollsPS, SchedulerPollsWQ} {
+		for _, lag := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/lag=%v", pol, lag), func(t *testing.T) {
+				echo := func(peer GlobalID, first bool) MainFunc {
+					return func(th *Thread) {
+						buf := make([]byte, 64)
+						if first {
+							th.Send(peer, 1, buf)
+						}
+						for i := 0; i < rounds; i++ {
+							if _, _, err := th.Recv(peer, 1, buf); err != nil {
+								t.Errorf("round %d: %v", i, err)
+								return
+							}
+							if lag {
+								th.Yield()
+							}
+							if !first || i < rounds-1 {
+								th.Send(peer, 1, buf)
+							}
+						}
+					}
+				}
+				runOnePTCP(t, Config{Policy: pol}, echo(gid(1, 0, 0), true), echo(gid(0, 0, 0), false))
+			})
+		}
 	}
 }

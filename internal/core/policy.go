@@ -187,6 +187,11 @@ func psBox(p *psPolicy, t *ult.TCB) *psWait {
 		return w
 	}
 	w := &psWait{p: p, t: t}
+	// pending turns true only when w.h completes, and every completion
+	// that can land while the thread waits interrupts the host after it:
+	// an arrival (Endpoint.arrive) and a failed peer (MarkPeerDead). A
+	// receive complete at post time never gets here (Wait checks first).
+	// That is the contract ult.TCB.Pending states.
 	w.pending = func() bool {
 		if !w.p.ep.Test(w.h) {
 			return false

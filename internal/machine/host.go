@@ -19,9 +19,11 @@ import (
 // application work in model compute units. Relax offers the processor to
 // whoever else can use it, without parking. Idle parks the processor until
 // Interrupt is called (message arrival, wakeup); Pause is a scheduler's idle
-// step. Interrupt is the only method that may be invoked from outside the
-// processor's own execution. No layer asks which kind of host it has: these
-// methods are the whole difference (DESIGN.md "No host forks").
+// step, and Missed ends a scheduling pass in which every runnable thread
+// polled and missed. Interrupt is the only method that may be invoked from
+// outside the processor's own execution. No layer asks which kind of host
+// it has: these methods are the whole difference (DESIGN.md "No host
+// forks").
 type Host interface {
 	// Now reports the processor-local current time.
 	Now() sim.Time
@@ -42,7 +44,12 @@ type Host interface {
 	// wakeup can still come. It parks like Idle or passes time without
 	// parking; either way a pending Interrupt is not lost.
 	Pause()
-	// Interrupt wakes Idle or Pause (or satisfies the next one).
+	// Missed ends a scheduling pass in which every thread that could run
+	// has polled its request and missed: until an Interrupt comes, nothing
+	// on this processor can make progress. It parks like Idle or returns
+	// at once; either way a pending Interrupt is not lost.
+	Missed()
+	// Interrupt wakes Idle, Pause or Missed (or satisfies the next one).
 	Interrupt()
 	// Model reports the cost model this host charges against.
 	Model() *Model
@@ -50,8 +57,10 @@ type Host interface {
 
 // SimHost runs a processing element inside the discrete-event simulator:
 // Charge advances the PE's virtual clock, Idle parks the sim process,
-// Interrupt signals it, and Pause advances IdleRecheckGap without parking
-// (the Paragon's interrupt-free recheck, counted in Tables 3–5). All methods except Interrupt must be invoked from
+// Interrupt signals it, Pause advances IdleRecheckGap without parking
+// (the Paragon's interrupt-free recheck, counted in Tables 3–5), and Missed
+// does nothing: the paper's Scheduler polls (PS) keeps polling, each poll
+// charged by the model. All methods except Interrupt must be invoked from
 // the (single) goroutine currently animating the PE's sim process; Interrupt
 // delegates to Proc.Signal, which any simulation context (an event callback
 // or another running process) may call.
@@ -73,17 +82,18 @@ func (h *SimHost) Compute(units int64) {
 func (h *SimHost) Relax()        {}
 func (h *SimHost) Idle()         { h.proc.WaitSignal() }
 func (h *SimHost) Pause()        { h.proc.Advance(h.model.IdleRecheckGap) }
+func (h *SimHost) Missed()       {}
 func (h *SimHost) Interrupt()    { h.proc.Signal() }
 func (h *SimHost) Model() *Model { return h.model }
 
 // RealHost runs against the wall clock: Charge does nothing (real operations
 // carry their real cost; the cost model is a simulation input only), Compute
 // spins for the requested work, Relax yields the OS thread so processing
-// elements that share a core take turns at message boundaries, and
-// Idle/Interrupt (and Pause, which is Idle) combine a bounded spin phase
-// with a condition-variable park, so a wakeup that lands within microseconds — the common case for a
-// message round trip — is caught without a futex round trip, while a
-// genuinely idle processor still sleeps instead of burning CPU.
+// elements that share a core take turns at message boundaries, and Idle
+// (and Pause and Missed, which are Idle) parks on a condition variable until
+// Interrupt: a waiting processor leaves Go's run queue at once, so the
+// goroutines it waits for — a peer PE, a transport's reader parked in the
+// netpoller — get the processor instead of a spinner.
 type RealHost struct {
 	model *Model
 	start time.Time
@@ -97,15 +107,10 @@ type RealHost struct {
 
 	// signal is the sticky interrupt latch. Producers publish it with a
 	// lock-free Swap so the delivery fast path never touches mu when an
-	// interrupt is already pending; the spin phase consumes it lock-free,
-	// and the park phase re-checks it under mu so no wakeup is lost.
+	// interrupt is already pending; Idle consumes a pending one lock-free,
+	// and otherwise re-checks it under mu so no wakeup is lost.
 	signal atomic.Bool
 }
-
-// spinBudget is the number of wakeup checks (each a signal load plus an OS
-// yield) Idle performs before parking. Each miss yields the OS scheduler, so
-// the spin phase costs a few microseconds of politeness, not a core.
-const spinBudget = 256
 
 // NewRealHost returns a Host that reports wall-clock time relative to its
 // creation.
@@ -145,18 +150,13 @@ func (h *RealHost) Compute(units int64) {
 	h.sink = acc
 }
 
-func (h *RealHost) Pause() { h.Idle() }
+func (h *RealHost) Pause()  { h.Idle() }
+func (h *RealHost) Missed() { h.Idle() }
 
 func (h *RealHost) Idle() {
-	// Spin-then-park: consume an interrupt lock-free within the budget
-	// (counted, so detlint's unbounded-busy-wait check holds), then fall
-	// back to the condition variable.
-	for i := spinBudget; i > 0; i-- {
-		if h.signal.Load() {
-			h.signal.Store(false)
-			return
-		}
-		runtime.Gosched()
+	if h.signal.Load() {
+		h.signal.Store(false)
+		return
 	}
 	h.mu.Lock()
 	for !h.signal.Load() {
@@ -168,8 +168,8 @@ func (h *RealHost) Idle() {
 
 func (h *RealHost) Interrupt() {
 	if h.signal.Swap(true) {
-		// Already pending: a spinner or parked waiter will consume it, and
-		// whoever set it first has signaled the condition variable.
+		// Already pending: the next Idle consumes it, and whoever set it
+		// first has signaled the condition variable.
 		return
 	}
 	h.mu.Lock()

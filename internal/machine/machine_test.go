@@ -170,7 +170,7 @@ func TestRealHostPauseInterrupt(t *testing.T) {
 		close(done)
 	}()
 	go func() {
-		time.Sleep(2 * time.Millisecond) // past the spin phase, into the park
+		time.Sleep(2 * time.Millisecond) // into the park
 		h.Interrupt()
 	}()
 	select {
@@ -181,6 +181,74 @@ func TestRealHostPauseInterrupt(t *testing.T) {
 
 	h.Interrupt() // before Pause: must satisfy the next Pause
 	h.Pause()
+}
+
+// TestRealHostMissedParks pins the end of a fruitless scheduling pass on a
+// real host: Missed parks — it has not returned while nobody interrupts —
+// and returns once another goroutine does, or at once on an interrupt that
+// was already pending.
+func TestRealHostMissedParks(t *testing.T) {
+	h := NewRealHost(Modern())
+	done := make(chan struct{})
+	go func() {
+		h.Missed()
+		close(done)
+	}()
+	select {
+	case <-done:
+		t.Fatal("Missed returned with no Interrupt")
+	case <-time.After(20 * time.Millisecond):
+	}
+	h.Interrupt()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Missed did not return after an Interrupt from another goroutine")
+	}
+
+	h.Interrupt() // before Missed: must satisfy the next Missed
+	h.Missed()
+}
+
+// TestSimHostMissedChangesNothing pins Missed under simulation: it passes
+// no virtual time, lets no other process run, and leaves a pending signal
+// for the next Idle.
+func TestSimHostMissedChangesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	model := Paragon1994()
+	var h *SimHost
+	var before, after sim.Time
+	var idled sim.Duration
+	var otherRan bool
+	k.Spawn("pe", func(p *sim.Proc) {
+		h = NewSimHost(p, model)
+		p.Advance(10 * sim.Microsecond) // the other process interrupts at 5us
+		before = h.Now()
+		otherRan = false
+		h.Missed()
+		after = h.Now()
+		if otherRan {
+			t.Error("Missed let another process run")
+		}
+		start := h.Now()
+		h.Idle() // the signal sent before Missed is still pending
+		idled = h.Now().Sub(start)
+	})
+	k.Spawn("other", func(p *sim.Proc) {
+		p.Advance(5 * sim.Microsecond)
+		h.Interrupt()
+		p.Advance(5 * sim.Microsecond) // due with pe's Missed, at 10us
+		otherRan = true
+	})
+	if err := k.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("Missed moved the clock %v → %v", before, after)
+	}
+	if idled != 0 {
+		t.Errorf("Idle after Missed waited %v, want 0: Missed consumed the signal", idled)
+	}
 }
 
 func TestRealHostIdleInterrupt(t *testing.T) {

@@ -3,6 +3,9 @@ package ult
 import (
 	"errors"
 	"testing"
+
+	"chant/internal/machine"
+	"chant/internal/trace"
 )
 
 // Edge-case and interaction tests beyond the basic suite.
@@ -64,12 +67,17 @@ func TestPendingThreadSkipsYieldFastPath(t *testing.T) {
 	// A lone thread with a pending request must NOT take the yield fast
 	// path: the scheduler has to run its pending test (this is exactly
 	// Table 2's Thread (SP) single-thread case).
-	s := newTestSched()
+	host := machine.NewRealHost(machine.Modern())
+	s := NewSched(host, &trace.Counters{}, Options{Name: "test"})
 	tries := 0
 	err := s.Run(func() {
 		me := s.Current()
 		me.Pending = func() bool {
 			tries++
+			// Each test moves the request on, and a request that moves
+			// announces it (see TCB.Pending): the lone thread's missed pass
+			// parks in Host.Missed until an Interrupt.
+			host.Interrupt()
 			return tries >= 4
 		}
 		s.Yield()

@@ -209,6 +209,11 @@ func (s *Sched) dispatch(by string) (next *TCB) {
 		}
 	}()
 	m := s.host.Model()
+	// misses counts the partial switches that found their request still
+	// pending since this dispatch began, which is since the last switch-in.
+	// Once it reaches the ready queue's length every thread that could run
+	// has polled and missed, and only an Interrupt can change that.
+	misses := 0
 	for !s.over && s.pan == nil && s.liveRegular > 0 {
 		if check.Enabled {
 			s.audit()
@@ -244,6 +249,10 @@ func (s *Sched) dispatch(by string) (next *TCB) {
 			s.logEvent(trace.EvPartialSwitch, t.id)
 			if !t.Pending() {
 				s.ready.Push(t)
+				if misses++; misses >= s.ready.Len() {
+					misses = 0
+					s.host.Missed()
+				}
 				continue
 			}
 		}

@@ -2,6 +2,7 @@ package ult
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"chant/internal/machine"
@@ -387,6 +388,79 @@ func TestPendingPartialSwitch(t *testing.T) {
 	if got := s.Counters().PartialSwitches.Load(); got != 3 {
 		t.Fatalf("PartialSwitches = %d, want 3", got)
 	}
+}
+
+// missedHost counts Host.Missed calls and does not park, so a test needs no
+// Interrupt to leave a fruitless pass.
+type missedHost struct {
+	*machine.RealHost
+	missed int
+}
+
+func (h *missedHost) Missed() { h.missed++ }
+
+// TestMissedOncePerFruitlessPass pins when the scheduler reports a pass in
+// which every runnable thread polled and missed: once per full pass over k
+// pending threads, and never while some thread on the ready queue is not
+// waiting on a request (it is switched in, and the count starts again).
+func TestMissedOncePerFruitlessPass(t *testing.T) {
+	// run spawns k threads that each fail their pending test misses times
+	// and then succeed, plus, when yielder is set, one thread that yields
+	// until they are all through; it reports the Missed calls.
+	run := func(t *testing.T, k, misses int, yielder bool) int {
+		t.Helper()
+		host := &missedHost{RealHost: machine.NewRealHost(machine.Modern())}
+		s := NewSched(host, &trace.Counters{}, Options{Name: "missed"})
+		err := s.Run(func() {
+			var ws []*TCB
+			left := k
+			for i := 0; i < k; i++ {
+				ws = append(ws, s.Spawn("waiter", func() {
+					tests := 0
+					s.Current().Pending = func() bool {
+						tests++
+						return tests > misses
+					}
+					s.Yield()
+					left--
+				}))
+			}
+			if yielder {
+				ws = append(ws, s.Spawn("yielder", func() {
+					for left > 0 {
+						s.Yield()
+					}
+				}))
+			}
+			for _, w := range ws {
+				s.Join(w)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Counters().PartialSwitches.Load(), uint64(k*(misses+1)); got != want {
+			t.Errorf("PartialSwitches = %d, want %d", got, want)
+		}
+		return host.missed
+	}
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k=%d pending misses", k), func(t *testing.T) {
+			if got := run(t, k, 5, false); got != 5 {
+				t.Errorf("Missed called %d times over 5 fruitless passes, want 5", got)
+			}
+		})
+	}
+	t.Run("hit", func(t *testing.T) {
+		if got := run(t, 3, 0, false); got != 0 {
+			t.Errorf("Missed called %d times with every test a hit, want 0", got)
+		}
+	})
+	t.Run("yielder on the queue", func(t *testing.T) {
+		if got := run(t, 3, 5, true); got != 0 {
+			t.Errorf("Missed called %d times with a non-pending thread ready, want 0", got)
+		}
+	})
 }
 
 func TestPreScheduleHookRuns(t *testing.T) {

@@ -117,6 +117,9 @@ type TCB struct {
 	// (Scheduler-polls (PS)): the scheduler invokes it during a partial
 	// switch and only restores the thread when it reports true. The check
 	// itself charges its own cost (it is a msgtest in the comm layer).
+	// Pending may turn true only after the scheduler's host has been
+	// Interrupted: once every queued thread has missed, the scheduler calls
+	// Host.Missed, which on a real host parks until that Interrupt.
 	Pending func() bool
 
 	daemon   bool
