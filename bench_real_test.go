@@ -291,6 +291,29 @@ func BenchmarkRealRSR(b *testing.B) {
 		})
 }
 
+// TestRSRAllocsPinned holds a remote service request round trip at ~0
+// allocations: the caller's envelope and reply buffer, the server's context
+// and the source's dedup record with its reply array are all reused from
+// call to call. The pin leaves slack only for the machine's start-up,
+// amortized over the run.
+func TestRSRAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed pin skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race for allocation exactness")
+	}
+	if check.Enabled {
+		t.Skip("chantdebug invariant checks are not allocation-audited")
+	}
+	r := testing.Benchmark(BenchmarkRealRSR)
+	if got := float64(r.MemAllocs) / float64(r.N); got > 0.05 {
+		t.Fatalf("RSR round trip allocates %.3f allocs/call (%d B/call) over %d calls; pinned at <= 0.05",
+			got, r.AllocedBytesPerOp(), r.N)
+	}
+	t.Logf("RSR round trip: %d allocs over %d calls, %d ns/call", r.MemAllocs, r.N, r.NsPerOp())
+}
+
 // BenchmarkRealSharedRead measures cached shared-variable reads (after the
 // first fetch, a read is purely local).
 func BenchmarkRealSharedRead(b *testing.B) {

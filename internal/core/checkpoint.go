@@ -179,7 +179,7 @@ func (p *Process) captureCheckpoint() *recovery.Checkpoint {
 			Seq:       rec.seq,
 			ReplyTag:  rec.replyTag,
 		}
-		if rec.reply != nil {
+		if len(rec.reply) > 0 {
 			d.HasReply = true
 			d.Reply = append([]byte(nil), rec.reply...)
 		}

@@ -187,10 +187,10 @@ func TestJoinValueCodec(t *testing.T) {
 }
 
 func TestReplyCodec(t *testing.T) {
-	if data, err := decodeReply(encodeReply(7, []byte("ok"), nil)); err != nil || string(data) != "ok" {
+	if data, err := decodeReply(encodeReply(nil, 7, []byte("ok"), nil)); err != nil || string(data) != "ok" {
 		t.Errorf("success reply: (%q, %v)", data, err)
 	}
-	if _, err := decodeReply(encodeReply(7, nil, errors.New("boom"))); !errors.Is(err, ErrRemote) {
+	if _, err := decodeReply(encodeReply(nil, 7, nil, errors.New("boom"))); !errors.Is(err, ErrRemote) {
 		t.Errorf("error reply: %v", err)
 	}
 	for _, short := range [][]byte{nil, {1, 2, 3}, {7, 0, 0, 0}} { // a reply under 5 bytes used to slice out of range in Call
@@ -198,7 +198,7 @@ func TestReplyCodec(t *testing.T) {
 			t.Errorf("short reply % x: %v", short, err)
 		}
 	}
-	if wire := encodeReply(0xDEADBEEF, []byte("x"), nil); binary.LittleEndian.Uint32(wire) != 0xDEADBEEF {
+	if wire := encodeReply(nil, 0xDEADBEEF, []byte("x"), nil); binary.LittleEndian.Uint32(wire) != 0xDEADBEEF {
 		t.Errorf("reply does not echo the request sequence: % x", wire[:rsrReplyPrefix])
 	}
 }

@@ -131,6 +131,9 @@ type Process struct {
 	handlers map[int32]Handler
 	nextReq  int32
 	rsrSeen  map[GlobalID]*rsrDedup
+	// serveCtx is the context serveOne reuses from request to request; nil
+	// after a handler deferred its reply and took the last one.
+	serveCtx *RSRContext
 	shared   map[string]*sharedEntry
 	channels map[int32]*chanState
 	nextChan int32
@@ -155,6 +158,11 @@ type Thread struct {
 	proc *Process
 	tcb  *ult.TCB
 	gid  GlobalID
+
+	// rsrEnv and rsrReply are the request envelope and reply buffer every
+	// Call (and Notify, for the envelope) of this thread reuses, grown on
+	// demand. Only the thread itself touches them.
+	rsrEnv, rsrReply []byte
 }
 
 // newProcess wires a process together. The runtime calls it once per

@@ -25,7 +25,10 @@ import (
 // keep serving.
 type Handler func(ctx *RSRContext) ([]byte, error)
 
-// RSRContext carries one request through its handler.
+// RSRContext carries one request through its handler. The server reuses
+// the context for its next request once the handler returns, unless the
+// handler called DeferReply: then the context belongs to the deferred
+// replier, and the server takes a fresh one.
 type RSRContext struct {
 	Proc *Process
 	// Src is the requesting thread's global identity.
@@ -40,6 +43,8 @@ type RSRContext struct {
 	epoch     uint32
 	deferred  bool
 	replied   bool
+	// rec is the source's dedup record, nil when the request has none.
+	rec *rsrDedup
 }
 
 // rsrDedup is the per-source idempotency record: the most recent request
@@ -53,7 +58,11 @@ type rsrDedup struct {
 	epoch    uint32
 	seq      uint32
 	replyTag int32
-	reply    []byte // cached reply wire; nil while a deferred reply is pending
+	// reply is the cached reply wire, empty while the reply is pending. A
+	// fresh request keeps its array for the next reply: the previous one
+	// was sent already (every transport copies before Send returns), so a
+	// source's steady stream of calls allocates nothing.
+	reply []byte
 }
 
 // rsrVerdict classifies an incoming call against its source's dedup record.
@@ -107,19 +116,31 @@ func (c *RSRContext) Reply(data []byte, err error) {
 		panic("core: duplicate RSR reply")
 	}
 	c.replied = true
-	payload := encodeReply(c.seq, data, err)
 	// Cache the reply for idempotent retry — but only while this request is
 	// still the source's latest (a deferred reply may land after the client
-	// has moved on).
-	if rec := c.Proc.rsrSeen[c.Src]; rec != nil && rec.epoch == c.epoch && rec.seq == c.seq {
+	// has moved on, and the record's array may then hold the newer reply).
+	var payload []byte
+	if rec := c.rec; rec != nil && rec.epoch == c.epoch && rec.seq == c.seq {
+		payload = encodeReply(rec.reply, c.seq, data, err)
 		rec.reply = payload
+	} else {
+		payload = encodeReply(nil, c.seq, data, err)
 	}
+	c.Proc.sendReply(c.Src, c.replyTag, payload)
+}
+
+// sendReply sends a reply wire, fresh or replayed from the dedup cache, from
+// the running thread (the server, or a deferred replier) to the caller. send
+// fails only when the delivery mode cannot name or frame the reply (a
+// packed-tag thread id out of range, a body-mode reply over its maximum):
+// a misconfigured machine, not a lost message, so it panics.
+func (p *Process) sendReply(dst GlobalID, replyTag int32, payload []byte) {
 	srcThread := serverLocalID
-	if cur := c.Proc.sched.Current(); cur != nil {
+	if cur := p.sched.Current(); cur != nil {
 		srcThread = cur.ID()
 	}
-	if sendErr := c.Proc.send(srcThread, c.Src, c.replyTag, payload); sendErr != nil {
-		panic("core: RSR reply send failed: " + sendErr.Error())
+	if err := p.send(srcThread, dst, replyTag, payload); err != nil {
+		panic("core: RSR reply send failed: " + err.Error())
 	}
 }
 
@@ -196,11 +217,17 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 	if err != nil {
 		return 0, err
 	}
-	// The reply carries a sequence + status prefix.
-	rbuf := make([]byte, len(replyBuf)+rsrReplyPrefix+1+256)
+	// The reply carries a sequence + status prefix. It lands in this
+	// thread's own buffer: the thread is blocked in this Call until the
+	// receive completes or is withdrawn, so no other Call can reach it.
+	need := len(replyBuf) + rsrReplyPrefix + 1 + 256
+	if cap(t.rsrReply) < need {
+		t.rsrReply = make([]byte, need)
+	}
+	rbuf := t.rsrReply[:need]
 	h := p.ep.Irecv(spec, rbuf)
 
-	if err := p.sendRSR(t.gid.Thread, dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
+	if err := t.sendRSR(dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
 		p.ep.CancelRecv(h)
 		p.ep.ReleaseHandle(h)
 		return 0, err
@@ -251,7 +278,7 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 				t.Yield()
 				p.ep.ReleaseHandle(h)
 				h = p.ep.Irecv(spec, rbuf)
-				if err := p.sendRSR(t.gid.Thread, dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
+				if err := t.sendRSR(dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
 					p.ep.CancelRecv(h)
 					p.ep.ReleaseHandle(h)
 					return 0, err
@@ -272,7 +299,7 @@ func (t *Thread) Call(dst comm.Addr, handler int32, req, replyBuf []byte) (int, 
 			}
 			p.ep.ReleaseHandle(h)
 			h = p.ep.Irecv(spec, rbuf)
-			if err := p.sendRSR(t.gid.Thread, dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
+			if err := t.sendRSR(dst, handler, rsrFlagWantReply, replyTag, seq, req); err != nil {
 				p.ep.CancelRecv(h)
 				p.ep.ReleaseHandle(h)
 				return 0, err
@@ -301,7 +328,7 @@ func (t *Thread) Notify(dst comm.Addr, handler int32, req []byte) error {
 	if len(req)+rsrHeaderLen > p.cfg.MaxRSR {
 		return fmt.Errorf("%w: %d bytes", ErrRSRTooLarge, len(req))
 	}
-	if err := p.sendRSR(t.gid.Thread, dst, handler, 0, 0, 0, req); err != nil {
+	if err := t.sendRSR(dst, handler, 0, 0, 0, req); err != nil {
 		return err
 	}
 	p.Counters().RSRSent.Add(1)
@@ -310,16 +337,19 @@ func (t *Thread) Notify(dst comm.Addr, handler int32, req []byte) error {
 
 // sendRSR transmits one request envelope to dst's server thread. seq is 0
 // for notifications; calls carry their per-client sequence for idempotent
-// retry.
-func (p *Process) sendRSR(srcThread int32, dst comm.Addr, handler int32, flags byte, replyTag int32, seq uint32, req []byte) error {
-	e := wire.NewEnc(rsrHeaderLen + len(req))
+// retry. The envelope is encoded into the thread's own buffer, free again
+// once send returns.
+func (t *Thread) sendRSR(dst comm.Addr, handler int32, flags byte, replyTag int32, seq uint32, req []byte) error {
+	p := t.proc
+	e := wire.NewEncInto(t.rsrEnv, rsrHeaderLen+len(req))
 	e.I32(handler)
 	e.U8(flags)
 	e.I32(replyTag)
 	e.U32(seq)
 	e.U32(p.epoch)
 	e.Raw(req)
-	return p.send(srcThread, GlobalID{PE: dst.PE, Proc: dst.Proc, Thread: serverLocalID}, tagRSRRequest, e.Out())
+	t.rsrEnv = e.Out()
+	return p.send(t.gid.Thread, GlobalID{PE: dst.PE, Proc: dst.Proc, Thread: serverLocalID}, tagRSRRequest, t.rsrEnv)
 }
 
 // startServer creates the server thread (Figure 7). It must be the first
@@ -329,13 +359,13 @@ func (p *Process) startServer() {
 		host := p.ep.Host()
 		m := host.Model()
 		buf := make([]byte, p.cfg.MaxRSR)
+		spec, err := p.recvSpec(serverLocalID, AnyThread, tagRSRRequest)
+		if err != nil {
+			panic("core: server recv spec: " + err.Error())
+		}
 		for {
 			// Drop back to normal priority while awaiting the next request.
 			t.tcb.SetPriority(0)
-			spec, err := p.recvSpec(serverLocalID, AnyThread, tagRSRRequest)
-			if err != nil {
-				panic("core: server recv spec: " + err.Error())
-			}
 			h := p.ep.Irecv(spec, buf)
 			// The boost: when the request is noticed by the scheduler, the
 			// server jumps to the head of the line. A negative configured
@@ -372,64 +402,71 @@ func (p *Process) startServer() {
 func (p *Process) serveOne(hdr comm.Header, payload []byte) {
 	d := wire.NewDec(payload)
 	id := d.I32()
-	src := GlobalID{PE: hdr.SrcPE, Proc: hdr.SrcProc, Thread: hdr.SrcThread}
-	ctx := &RSRContext{
-		Proc:      p,
-		Src:       src,
-		wantReply: d.U8()&rsrFlagWantReply != 0,
-		replyTag:  d.I32(),
-		seq:       d.U32(),
-		epoch:     d.U32(),
-		Req:       d.Rest(),
-	}
+	wantReply := d.U8()&rsrFlagWantReply != 0
+	replyTag, seq, epoch := d.I32(), d.U32(), d.U32()
+	req := d.Rest()
 	if d.Err() != nil {
 		return // no envelope, so no reply tag to answer on: drop
 	}
 	// An open coordinated snapshot logs requests arriving on channels whose
 	// marker has not come yet — the channel's in-flight content.
 	p.recordInFlight(hdr, id, payload)
-	if ctx.wantReply && ctx.seq != 0 {
-		rec := p.rsrSeen[src]
-		switch admitRSR(rec, ctx.epoch, ctx.seq) {
+	src := GlobalID{PE: hdr.SrcPE, Proc: hdr.SrcProc, Thread: hdr.SrcThread}
+	var rec *rsrDedup
+	if wantReply && seq != 0 {
+		rec = p.rsrSeen[src]
+		switch admitRSR(rec, epoch, seq) {
 		case rsrDup:
 			// Retransmission of the request being (or already) served:
 			// replay the cached reply rather than re-running the handler.
 			// If the reply is still pending (deferred), drop — the
 			// client's next resend will find the cache filled.
 			p.Counters().RSRDupsServed.Add(1)
-			if rec.reply != nil {
-				srcThread := serverLocalID
-				if cur := p.sched.Current(); cur != nil {
-					srcThread = cur.ID()
-				}
-				_ = p.send(srcThread, src, rec.replyTag, rec.reply)
+			if len(rec.reply) > 0 {
+				p.sendReply(src, rec.replyTag, rec.reply)
 			}
 			return
 		case rsrStale:
 			return // straggler from an abandoned earlier Call or epoch; drop
 		}
-		p.rsrSeen[src] = &rsrDedup{epoch: ctx.epoch, seq: ctx.seq, replyTag: ctx.replyTag}
+		if rec == nil {
+			rec = new(rsrDedup)
+			p.rsrSeen[src] = rec
+		}
+		rec.epoch, rec.seq, rec.replyTag, rec.reply = epoch, seq, replyTag, rec.reply[:0]
 	}
+	ctx := p.serveCtx
+	if ctx == nil {
+		ctx = new(RSRContext)
+		p.serveCtx = ctx
+	}
+	*ctx = RSRContext{Proc: p, Src: src, Req: req, wantReply: wantReply,
+		replyTag: replyTag, seq: seq, epoch: epoch, rec: rec}
 	handler := p.handlers[id]
 	if handler == nil {
-		if ctx.wantReply {
+		if wantReply {
 			ctx.Reply(nil, ErrNoHandler)
 		}
 		return
 	}
 	data, err := handler(ctx)
-	if ctx.wantReply && !ctx.deferred && !ctx.replied {
+	if ctx.deferred {
+		p.serveCtx = nil // the deferred replier owns ctx now
+		return
+	}
+	if wantReply && !ctx.replied {
 		ctx.Reply(data, err)
 	}
 }
 
-// encodeReply frames a reply as [seq u32][status u8][data | error string].
-func encodeReply(seq uint32, data []byte, err error) []byte {
+// encodeReply frames a reply as [seq u32][status u8][data | error string],
+// into dst's array when it has room.
+func encodeReply(dst []byte, seq uint32, data []byte, err error) []byte {
 	status := byte(0)
 	if err != nil {
 		status, data = 1, []byte(err.Error())
 	}
-	e := wire.NewEnc(rsrReplyPrefix + 1 + len(data))
+	e := wire.NewEncInto(dst, rsrReplyPrefix+1+len(data))
 	e.U32(seq)
 	e.U8(status)
 	e.Raw(data)

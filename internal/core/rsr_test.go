@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"chant/internal/comm"
 	"chant/internal/machine"
 	"chant/internal/sim"
+	"chant/internal/wire"
 )
 
 func TestRSRManyConcurrentCallers(t *testing.T) {
@@ -249,4 +251,107 @@ func TestServerThreadIsDaemonAndWellKnown(t *testing.T) {
 		},
 		nil,
 	)
+}
+
+// TestRSRDedupUnderBufferReuse drives serveOne directly, as the server
+// thread does, to check what the reused buffers must not break: a cached
+// reply replays byte-exact, the next request's reply is encoded over the
+// previous one's array, a deferred reply that lands after its request was
+// superseded is sent but not cached, and a deferred handler's context keeps
+// its request while the server goes on serving with a fresh one. The
+// replies go to threads that do not exist, so they queue as unexpected
+// messages, each a copy taken when it was sent.
+func TestRSRDedupUnderBufferReuse(t *testing.T) {
+	cfg := Config{Policy: SchedulerPollsPS, DisableServer: true}
+	rt := NewSimRuntime(Topology{PEs: 1, ProcsPerPE: 1}, cfg, machine.Paragon1994())
+	rt.RegisterHandler(7, func(ctx *RSRContext) ([]byte, error) { return ctx.Req, nil })
+	var deferred *RSRContext
+	rt.RegisterHandler(8, func(ctx *RSRContext) ([]byte, error) {
+		ctx.DeferReply()
+		deferred = ctx
+		return nil, nil
+	})
+	_, err := rt.Run(map[comm.Addr]MainFunc{{PE: 0, Proc: 0}: func(th *Thread) {
+		p := th.proc
+		const replyTag = tagReplyBase + 1
+		a, b := gid(0, 0, 40), gid(0, 0, 41)
+		serve := func(src GlobalID, id int32, seq uint32, req string) {
+			e := wire.NewEnc(rsrHeaderLen + len(req))
+			e.I32(id)
+			e.U8(rsrFlagWantReply)
+			e.I32(replyTag)
+			e.U32(seq)
+			e.U32(0) // epoch
+			e.Raw([]byte(req))
+			p.serveOne(comm.Header{SrcPE: src.PE, SrcProc: src.Proc, SrcThread: src.Thread, Tag: tagRSRRequest}, e.Out())
+		}
+		reply := func(seq uint32, data string) []byte { return encodeReply(nil, seq, []byte(data), nil) }
+
+		serve(a, 7, 1, "the first request")
+		rec := p.rsrSeen[a]
+		if rec == nil || !bytes.Equal(rec.reply, reply(1, "the first request")) {
+			t.Errorf("seq 1 not cached: %+v", rec)
+			return
+		}
+		array := &rec.reply[0]
+		serve(a, 7, 1, "a duplicate is replayed, not run")
+		serve(a, 7, 2, "second")
+		if !bytes.Equal(rec.reply, reply(2, "second")) || &rec.reply[0] != array {
+			t.Errorf("seq 2's reply %q is not cached over seq 1's array", rec.reply)
+		}
+		if p.rsrSeen[a] != rec {
+			t.Error("the source's dedup record was replaced, not updated in place")
+		}
+		serve(a, 7, 2, "a duplicate again")
+
+		serve(a, 8, 3, "deferred request")
+		d := deferred
+		if d == nil {
+			t.Error("the deferring handler did not run")
+			return
+		}
+		req, reqLen := &d.Req[0], len(d.Req)
+		serve(a, 7, 4, "supersedes 3")
+		serve(b, 7, 1, "another source")
+		if d.Src != a || d.seq != 3 || d.replied || len(d.Req) != reqLen || &d.Req[0] != req {
+			t.Errorf("the server reused the deferred handler's context: Src %v seq %d replied %v Req %q",
+				d.Src, d.seq, d.replied, d.Req)
+			return
+		}
+		d.Reply([]byte("late"), nil)
+		if rec.seq != 4 || !bytes.Equal(rec.reply, reply(4, "supersedes 3")) {
+			t.Errorf("the superseded deferred reply was cached: seq %d reply %q", rec.seq, rec.reply)
+		}
+		serve(a, 7, 4, "a duplicate of 4")
+
+		for i := 0; i < 4; i++ {
+			p.ep.Host().Charge(sim.Millisecond) // let the replies land
+			th.Yield()
+		}
+		got := map[int32][][]byte{}
+		p.ep.UnexpectedSnapshot(func(h comm.Header, data []byte, _ sim.Time) {
+			if h.Tag == replyTag {
+				got[h.Ctx] = append(got[h.Ctx], append([]byte(nil), data...))
+			}
+		})
+		want := map[int32][][]byte{
+			a.Thread: {reply(1, "the first request"), reply(1, "the first request"), reply(2, "second"),
+				reply(2, "second"), reply(4, "supersedes 3"), reply(3, "late"), reply(4, "supersedes 3")},
+			b.Thread: {reply(1, "another source")},
+		}
+		for thread, w := range want {
+			if len(got[thread]) != len(w) {
+				t.Errorf("thread %d: %d replies, want %d", thread, len(got[thread]), len(w))
+				continue
+			}
+			for i := range w {
+				if !bytes.Equal(got[thread][i], w[i]) {
+					t.Errorf("thread %d reply %d = %q, want %q", thread, i, got[thread][i], w[i])
+				}
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -14,8 +14,8 @@
 // decodes a whole format unconditionally and checks Err (or End, for a
 // format with no trailing field) once at the end. Both are plain values meant
 // to live on the caller's stack; nothing allocates except the output buffer
-// and the copies Bytes hands out, and no allocation is sized by an unchecked
-// length.
+// (not even that when NewEncInto's buffer has room) and the copies Bytes hands
+// out, and no allocation is sized by an unchecked length.
 package wire
 
 import (
@@ -39,6 +39,17 @@ type Enc struct {
 // NewEnc returns an encoder whose buffer starts with room for size bytes;
 // writing more than that grows it.
 func NewEnc(size int) Enc { return Enc{buf: make([]byte, 0, size)} }
+
+// NewEncInto returns an encoder that writes from the start of buf, reusing
+// its array when size bytes fit in it and otherwise starting one with room
+// for size bytes, as NewEnc does; writing more than the room grows it. Out
+// may alias buf, so a caller reusing one buffer stores Out back as its buf.
+func NewEncInto(buf []byte, size int) Enc {
+	if cap(buf) < size {
+		return NewEnc(size)
+	}
+	return Enc{buf: buf[:0]}
+}
 
 // Out returns the bytes written so far.
 func (e *Enc) Out() []byte { return e.buf }

@@ -178,3 +178,42 @@ func FuzzDec(f *testing.F) {
 		}
 	})
 }
+
+func TestEncIntoReusesThenGrows(t *testing.T) {
+	buf := []byte("stale bytes from the previous frame")
+	e := NewEncInto(buf, 8)
+	e.U32(0x04030201)
+	e.Raw([]byte("ab"))
+	out := e.Out()
+	if !bytes.Equal(out, []byte{1, 2, 3, 4, 'a', 'b'}) {
+		t.Fatalf("Out = %q, want the new bytes from the start of buf", out)
+	}
+	if &out[0] != &buf[0] {
+		t.Error("a buffer with room was not reused")
+	}
+	if !bytes.Equal(buf[len(out):], []byte("bytes from the previous frame")) {
+		t.Errorf("bytes past the written ones changed: %q", buf)
+	}
+
+	// Writing past the capacity grows the output and leaves buf as it was.
+	small := make([]byte, 0, 4)
+	e = NewEncInto(small, 2)
+	e.U32(7)
+	e.Raw([]byte("overflow"))
+	if got := e.Out(); !bytes.Equal(got, append([]byte{7, 0, 0, 0}, "overflow"...)) {
+		t.Fatalf("grown Out = %v", got)
+	}
+	if !bytes.Equal(small[:4], []byte{7, 0, 0, 0}) {
+		t.Errorf("the first write did not land in buf: %v", small[:4])
+	}
+
+	// A size larger than the capacity starts a fresh array with that room.
+	e = NewEncInto(small, 64)
+	e.U8(9)
+	if got := e.Out(); cap(got) < 64 || &got[:1][0] == &small[:1][0] {
+		t.Errorf("size 64 over a 4-byte buffer: cap %d, reused %v", cap(got), &got[:1][0] == &small[:1][0])
+	}
+	if small[:1][0] != 7 {
+		t.Error("a too-small buffer was written to")
+	}
+}
