@@ -1,25 +1,25 @@
 // Command chantvet checks the Chant codebase against the runtime's unwritten
-// contracts with three analyzers: determinism, bounded spins and lock and
-// stale-slot leaks in the simulation-critical packages (detlint),
-// nondeterminism reachable from simulation-critical roots (ndtaint,
-// interprocedural over the call graph), and must-release of pooled messages
-// and receive handles (handleleak). What the type system, go vet or the
-// chantdebug runtime checks already enforce is left to them: calls into a
-// scheduler from outside its domain trip the owner token, counter fields are
-// add-only by type, and by-value copies of trace.Counters/trace.Log are go
-// vet's copylocks findings. See each analyzer's package documentation for
-// what it reports and DESIGN.md's "Correctness tooling" section for the
-// conventions (including the //chant:allow-nondet and //chant:allow-leak
-// suppression comments).
+// contracts with two analyzers: determinism, bounded spins and lock and
+// stale-slot leaks in every package under internal/ but the analyzers
+// (detlint), and must-release of pooled messages and receive handles
+// (handleleak). What the type system, go vet or the chantdebug runtime
+// checks already enforce is left to them: calls into a scheduler from
+// outside its domain trip the owner token, counter fields are add-only by
+// type, and by-value copies of trace.Counters/trace.Log are go vet's
+// copylocks findings. See each analyzer's package documentation for what it
+// reports and DESIGN.md's "Correctness tooling" section for the conventions
+// (including the //chant:allow-nondet and //chant:allow-leak suppression
+// comments) and for what each check catches that nothing else does.
 //
-// There is one way to run it, from the module root:
+// Run it from the module root:
 //
-//	chantvet ./...          # findings as text on stderr
-//	chantvet -sarif ./...   # a SARIF 2.1.0 log on stdout (for CI upload)
+//	chantvet ./...
 //
-// The named packages (default ./...) are loaded and analyzed as one program.
-// Findings print as `file:line:col: analyzer: message`; the exit status is 2
-// when there is any, 1 when the packages do not load, 0 on a clean tree.
+// It takes no flags. Every check reads one package at a time, so a sub-tree
+// (chantvet ./internal/sim/...) gets exactly the findings a whole-module
+// run reports under it. Findings print on stderr as
+// `file:line:col: analyzer: message`; the exit status is 2 when there is
+// any, 1 when the packages do not load, 0 on a clean tree.
 package main
 
 import (
@@ -29,32 +29,26 @@ import (
 	"io"
 	"os"
 
+	"chant/internal/analysis"
+	"chant/internal/analysis/detlint"
+	"chant/internal/analysis/handleleak"
 	"chant/internal/analysis/load"
-	"chant/internal/analysis/registry"
-	"chant/internal/analysis/render"
 )
 
-const usage = `usage: chantvet [-sarif] [packages]   (default ./...)
+const usage = "usage: chantvet [packages]   (default ./...)\n"
 
-The named packages are analyzed as one program: the call graph, and so
-ndtaint's reachability verdict, covers exactly the packages loaded. Pass
-./... for the whole-module verdict; a sub-tree run sees that sub-tree only.
-
-`
+// analyzers is every chantvet check, in reporting order.
+var analyzers = []*analysis.Analyzer{detlint.Analyzer, handleleak.Analyzer}
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	analyzers := registry.Analyzers()
-
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chantvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	sarif := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	fs.Usage = func() {
 		fmt.Fprint(stderr, usage)
-		fs.PrintDefaults()
 		fmt.Fprintf(stderr, "\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
@@ -76,19 +70,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "chantvet: %v\n", err)
 		return 1
 	}
-	findings, err := registry.RunAll(pkgs, analyzers)
+	findings, err := analysis.RunAll(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "chantvet: %v\n", err)
 		return 1
 	}
-	if *sarif {
-		err = render.SARIF(stdout, findings, analyzers)
-	} else {
-		err = render.Text(stderr, findings)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "chantvet: %v\n", err)
-		return 1
+	for _, f := range findings {
+		fmt.Fprintf(stderr, "%s: %s: %s\n", f.Position(), f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		return 2

@@ -2,15 +2,11 @@
 // golang.org/x/tools/go/analysis: just enough framework to write chantvet's
 // checkers against (the container image carries no module proxy, so the real
 // x/tools package is not available). An Analyzer inspects one type-checked
-// package at a time through a Pass and reports Diagnostics. There is one
-// driver, registry.RunAll, which loads nothing itself: the chantvet command
+// package at a time through a Pass and reports Diagnostics; no check looks
+// past the package it is given, so a run over a sub-tree reports exactly
+// what a whole-module run reports under that sub-tree. One function runs
+// the analyzers, RunAll, and it loads nothing itself: the chantvet command
 // and the analysistest harness both hand it the packages of one load.
-//
-// Beyond the per-package model the framework carries one interprocedural
-// mechanism: a type-informed call graph (see the callgraph package) built
-// over every loaded package and handed to each Pass. Analyzers that need
-// that whole-program view after every package has been visited install a
-// Finish hook.
 package analysis
 
 import (
@@ -19,9 +15,10 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"sort"
 	"strings"
 
-	"chant/internal/analysis/callgraph"
+	"chant/internal/analysis/load"
 )
 
 // An Analyzer describes one chantvet check.
@@ -32,11 +29,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
-	// Finish, if non-nil, runs once after every loaded package has been
-	// visited, receiving the passes in dependency order. Whole-program
-	// analyzers (ndtaint) do their propagation and reporting here, over the
-	// call graph of everything that was loaded.
-	Finish func(passes []*Pass) error
 	// Marker overrides the suppression comment this analyzer honors;
 	// empty means the default "allow-nondet". handleleak, whose findings
 	// are resource leaks rather than nondeterminism, uses "allow-leak".
@@ -51,17 +43,13 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Graph is the call graph over every package of the load: the whole
-	// module for `chantvet ./...`, only the named sub-tree otherwise.
-	Graph *callgraph.Graph
-
 	// Report receives each diagnostic. The driver installs it; analyzers
 	// call Reportf instead.
 	Report func(Diagnostic)
 
-	// suppress indexes the suppression comments: marker -> filename -> line
-	// -> whether the comment stands alone on its line.
-	suppress map[string]map[string]map[int]bool
+	// suppress indexes the analyzer's suppression comments: filename ->
+	// line -> whether the comment stands alone on its line.
+	suppress map[string]map[int]bool
 }
 
 // A Diagnostic is one finding, attached to a source position.
@@ -84,50 +72,34 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// DefaultMarker is the suppression marker analyzers honor unless they set
-// Analyzer.Marker: //chant:allow-nondet <reason>.
-const DefaultMarker = "allow-nondet"
-
-// marker reports the suppression marker in force for this pass.
-func (p *Pass) marker() string {
-	if p.Analyzer != nil && p.Analyzer.Marker != "" {
-		return p.Analyzer.Marker
-	}
-	return DefaultMarker
-}
-
 // Suppressed reports whether pos is covered by the analyzer's suppression
-// comment (//chant:<marker> <reason>) — with a non-empty reason, so silenced
+// comment (//chant:<marker> <reason>, the marker "allow-nondet" unless
+// Analyzer.Marker says otherwise) — with a non-empty reason, so silenced
 // diagnostics stay explained — either trailing on the same line or alone on
 // the line immediately above.
 func (p *Pass) Suppressed(pos token.Pos) bool {
-	return p.SuppressedBy(pos, p.marker())
-}
-
-// SuppressedBy is Suppressed for an explicit marker, for analyzers that
-// consult a marker other than their reporting default (ndtaint checks
-// allow-nondet at taint sources while reporting elsewhere).
-func (p *Pass) SuppressedBy(pos token.Pos, marker string) bool {
 	tf := p.Fset.File(pos)
 	if tf == nil {
 		return false
 	}
-	lines, line := p.markerLines(marker)[tf.Name()], tf.Line(pos)
+	if p.suppress == nil {
+		p.suppress = p.markerLines()
+	}
+	lines, line := p.suppress[tf.Name()], tf.Line(pos)
 	if _, same := lines[line]; same {
 		return true
 	}
 	return lines[line-1] // only a comment alone on its line reaches down
 }
 
-// markerLines lazily indexes, per file, the lines carrying a well-formed
-// suppression comment for marker; the value records whether the comment is
-// the first token on its line (a trailing comment covers its own line only).
-func (p *Pass) markerLines(marker string) map[string]map[int]bool {
-	if p.suppress == nil {
-		p.suppress = make(map[string]map[string]map[int]bool)
-	}
-	if m, ok := p.suppress[marker]; ok {
-		return m
+// markerLines indexes, per file, the lines carrying a well-formed
+// suppression comment for the analyzer's marker; the value records whether
+// the comment is the first token on its line (a trailing comment covers its
+// own line only).
+func (p *Pass) markerLines() map[string]map[int]bool {
+	marker := "allow-nondet"
+	if p.Analyzer.Marker != "" {
+		marker = p.Analyzer.Marker
 	}
 	re := regexp.MustCompile(`^//chant:` + regexp.QuoteMeta(marker) + `\s+\S`)
 	byFile := make(map[string]map[int]bool)
@@ -152,7 +124,6 @@ func (p *Pass) markerLines(marker string) map[string]map[int]bool {
 		}
 		byFile[tf.Name()] = lines
 	}
-	p.suppress[marker] = byFile
 	return byFile
 }
 
@@ -186,4 +157,88 @@ func (p *Pass) IsTest(file *ast.File) bool {
 // module's "internal/comm".
 func PathContains(pkgPath, want string) bool {
 	return strings.Contains("/"+pkgPath+"/", "/"+want+"/")
+}
+
+// CalleeFunc resolves the *types.Func a call expression invokes, or nil for
+// calls through non-selector expressions, function-typed values, and
+// built-ins.
+func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// RecvNamed reports the receiver's named type for a method, unwrapping any
+// pointer, or nil for plain functions.
+func RecvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// A Finding is one diagnostic with the file set that interprets its
+// positions, so findings from several loaded packages render uniformly.
+type Finding struct {
+	Fset *token.FileSet
+	Diagnostic
+}
+
+// Position resolves the finding's location.
+func (f Finding) Position() token.Position { return f.Fset.Position(f.Pos) }
+
+// RunAll applies each analyzer to each package of one load and returns the
+// findings sorted by (file, line, column, analyzer, message) — a total,
+// deterministic order.
+func RunAll(pkgs []*load.Package, analyzers []*Analyzer) ([]Finding, error) {
+	var findings []Finding
+	for _, pkg := range pkgs {
+		fset := pkg.Fset
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				Report: func(d Diagnostic) {
+					findings = append(findings, Finding{Fset: fset, Diagnostic: d})
+				},
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, err
+			}
+		}
+	}
+	sort.SliceStable(findings, func(i, j int) bool {
+		pi, pj := findings[i].Position(), findings[j].Position()
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
+		}
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
+		}
+		if pi.Column != pj.Column {
+			return pi.Column < pj.Column
+		}
+		if findings[i].Analyzer != findings[j].Analyzer {
+			return findings[i].Analyzer < findings[j].Analyzer
+		}
+		return findings[i].Message < findings[j].Message
+	})
+	return findings, nil
 }

@@ -5,10 +5,8 @@
 // module — by convention `module chant` with stub internal packages — so
 // import paths in fixtures resolve exactly like the real repository's.
 //
-// Packages named by one Run call are analyzed together through
-// registry.RunAll, the same driver the chantvet command uses: one call
-// graph, Finish hooks after all packages. Cross-package fixtures (ndtaint's
-// call chains) rely on this.
+// Run hands the loaded packages to analysis.RunAll, as the chantvet command
+// does, so a fixture sees exactly what a chantvet run would report.
 package analysistest
 
 import (
@@ -20,7 +18,6 @@ import (
 
 	"chant/internal/analysis"
 	"chant/internal/analysis/load"
-	"chant/internal/analysis/registry"
 )
 
 // wantRe extracts the expectation list from a `// want "re1" "re2"` comment.
@@ -35,10 +32,10 @@ type expectation struct {
 }
 
 // Run loads the packages matching patterns from the fixture module rooted at
-// dir, applies the analyzer to them as one program, and reports any mismatch
+// dir, applies the analyzer to each of them, and reports any mismatch
 // between diagnostics and `// want` comments as test errors. It returns the
 // findings for callers with further assertions to make.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []registry.Finding {
+func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []analysis.Finding {
 	t.Helper()
 	pkgs, err := load.Load(dir, patterns...)
 	if err != nil {
@@ -47,7 +44,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []r
 	if len(pkgs) == 0 {
 		t.Fatalf("fixture %s matched no packages", dir)
 	}
-	findings, err := registry.RunAll(pkgs, []*analysis.Analyzer{a})
+	findings, err := analysis.RunAll(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s on %s: %v", a.Name, dir, err)
 	}
@@ -57,7 +54,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []r
 
 // check matches findings against the union of every package's `// want`
 // comments.
-func check(t *testing.T, pkgs []*load.Package, findings []registry.Finding) {
+func check(t *testing.T, pkgs []*load.Package, findings []analysis.Finding) {
 	t.Helper()
 	var wants []*expectation
 	for _, pkg := range pkgs {

@@ -12,7 +12,6 @@ import (
 	"go/types"
 
 	"chant/internal/analysis"
-	"chant/internal/analysis/typeutil"
 )
 
 // checkLeaks runs both leak checks over one top-level declaration.
@@ -97,11 +96,11 @@ func holdsReferences(t types.Type) bool {
 // on sync.Mutex/sync.RWMutex or Chant's ult.Mutex, returning the method name
 // and a key identifying the receiver expression.
 func lockMethod(pass *analysis.Pass, call *ast.CallExpr) (method, recvKey string) {
-	fn := typeutil.CalleeFunc(pass.TypesInfo, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return "", ""
 	}
-	named := typeutil.RecvNamed(fn)
+	named := analysis.RecvNamed(fn)
 	if named == nil || named.Obj().Pkg() == nil {
 		return "", ""
 	}

@@ -1,13 +1,7 @@
-// Package nondet is the shared detector of nondeterminism sources: the
-// syntactic constructs whose results differ run to run (wall-clock reads,
-// global PRNG draws, raw goroutine spawns, order-sensitive map iteration,
-// multi-case selects, sync.Pool traffic). Two analyzers consume it: detlint
-// reports every source appearing directly in a simulation-critical package,
-// and ndtaint seeds its interprocedural taint propagation with the sources
-// of every loaded package. Keeping one scanner guarantees the two agree on
-// what "a nondeterminism source" is and on which //chant:allow-nondet
-// comments sanction one.
-package nondet
+// The nondeterminism sources: the syntactic constructs whose results differ
+// run to run (wall-clock reads, global PRNG draws, raw goroutine spawns,
+// order-sensitive map iteration, multi-case selects, sync.Pool traffic).
+package detlint
 
 import (
 	"fmt"
@@ -16,11 +10,10 @@ import (
 	"go/types"
 
 	"chant/internal/analysis"
-	"chant/internal/analysis/typeutil"
 )
 
-// A Source is one nondeterminism source surviving suppression filtering.
-type Source struct {
+// A source is one nondeterminism source surviving suppression filtering.
+type source struct {
 	Pos token.Pos
 	// What is the leading clause of a diagnostic: "time.Now",
 	// "global rand.Intn", "raw go statement", "select with 2 communication
@@ -39,14 +32,13 @@ var wallClock = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
-// Scan walks root (a file or a single declaration) and returns its
-// nondeterminism sources in position order, excluding any covered by a
-// //chant:allow-nondet <reason> comment. The pass supplies type information
-// and the suppression index; the scan itself reports nothing.
-func Scan(pass *analysis.Pass, root ast.Node) []Source {
-	var out []Source
-	add := func(s Source) {
-		if !pass.SuppressedBy(s.Pos, analysis.DefaultMarker) {
+// scan walks root (a single declaration) and returns its nondeterminism
+// sources in position order, excluding any covered by a
+// //chant:allow-nondet <reason> comment.
+func scan(pass *analysis.Pass, root ast.Node) []source {
+	var out []source
+	add := func(s source) {
+		if !pass.Suppressed(s.Pos) {
 			out = append(out, s)
 		}
 	}
@@ -57,7 +49,7 @@ func Scan(pass *analysis.Pass, root ast.Node) []Source {
 				add(s)
 			}
 		case *ast.GoStmt:
-			add(Source{
+			add(source{
 				Pos:  n.Pos(),
 				What: "raw go statement",
 				Why:  "goroutine interleaving is nondeterministic",
@@ -78,31 +70,31 @@ func Scan(pass *analysis.Pass, root ast.Node) []Source {
 
 // callSource classifies wall-clock reads, global math/rand draws, and
 // sync.Pool traffic.
-func callSource(pass *analysis.Pass, call *ast.CallExpr) (Source, bool) {
-	fn := typeutil.CalleeFunc(pass.TypesInfo, call)
+func callSource(pass *analysis.Pass, call *ast.CallExpr) (source, bool) {
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
-		return Source{}, false
+		return source{}, false
 	}
-	if named := typeutil.RecvNamed(fn); named != nil {
+	if named := analysis.RecvNamed(fn); named != nil {
 		return poolSource(call, fn.Name(), named)
 	}
 	switch fn.Pkg().Path() {
 	case "time":
 		if wallClock[fn.Name()] {
-			return Source{
+			return source{
 				Pos:  call.Pos(),
 				What: "time." + fn.Name(),
 				Why:  "the wall clock is nondeterministic; use the Host/sim clock",
 			}, true
 		}
 	case "math/rand", "math/rand/v2":
-		return Source{
+		return source{
 			Pos:  call.Pos(),
 			What: fmt.Sprintf("global %s.%s", fn.Pkg().Name(), fn.Name()),
 			Why:  "shared PRNG state is order-dependent; use sim.RNG with an explicit seed",
 		}, true
 	}
-	return Source{}, false
+	return source{}, false
 }
 
 // poolSource classifies Get and Put on sync.Pool: the pool hands objects
@@ -111,14 +103,14 @@ func callSource(pass *analysis.Pass, call *ast.CallExpr) (Source, bool) {
 // varies run to run. Deterministic code wants a plain LIFO freelist; a pool
 // whose reuse cannot be observed (comm's message pool, whose every field is
 // overwritten before use) carries the annotation with that reason.
-func poolSource(call *ast.CallExpr, method string, named *types.Named) (Source, bool) {
+func poolSource(call *ast.CallExpr, method string, named *types.Named) (source, bool) {
 	if named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" || named.Obj().Name() != "Pool" {
-		return Source{}, false
+		return source{}, false
 	}
 	if method != "Get" && method != "Put" {
-		return Source{}, false
+		return source{}, false
 	}
-	return Source{
+	return source{
 		Pos:  call.Pos(),
 		What: "sync.Pool." + method,
 		Why:  "pool reuse order is scheduler- and GC-dependent; use a plain freelist, or annotate a pool whose reuse cannot be observed with that reason",
@@ -129,13 +121,13 @@ func poolSource(call *ast.CallExpr, method string, named *types.Named) (Source, 
 // beyond plain reads and builtin calls: Go randomizes map order, so any
 // order-sensitive effect (emitting events, sends, non-builtin calls)
 // diverges between runs.
-func rangeSource(pass *analysis.Pass, rng *ast.RangeStmt) (Source, bool) {
+func rangeSource(pass *analysis.Pass, rng *ast.RangeStmt) (source, bool) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
-		return Source{}, false
+		return source{}, false
 	}
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return Source{}, false
+		return source{}, false
 	}
 	var effect ast.Node
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
@@ -153,9 +145,9 @@ func rangeSource(pass *analysis.Pass, rng *ast.RangeStmt) (Source, bool) {
 		return true
 	})
 	if effect == nil {
-		return Source{}, false
+		return source{}, false
 	}
-	return Source{
+	return source{
 		Pos:  rng.Pos(),
 		What: "range over map with order-sensitive effects",
 		Why:  "map iteration order is randomized; sort the keys first",
@@ -184,7 +176,7 @@ func isPureBuiltin(pass *analysis.Pass, call *ast.CallExpr) bool {
 
 // selectSource classifies selects that choose among multiple ready
 // communications: the runtime picks uniformly at random.
-func selectSource(sel *ast.SelectStmt) (Source, bool) {
+func selectSource(sel *ast.SelectStmt) (source, bool) {
 	comm := 0
 	for _, clause := range sel.Body.List {
 		if c, ok := clause.(*ast.CommClause); ok && c.Comm != nil {
@@ -192,9 +184,9 @@ func selectSource(sel *ast.SelectStmt) (Source, bool) {
 		}
 	}
 	if comm < 2 {
-		return Source{}, false
+		return source{}, false
 	}
-	return Source{
+	return source{
 		Pos:  sel.Pos(),
 		What: fmt.Sprintf("select with %d communication cases", comm),
 		Why:  "case choice is randomized when several are ready",

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"chant/internal/analysis"
-	"chant/internal/analysis/typeutil"
 )
 
 // parkCalls lists method names that surrender the processor: a loop that
@@ -37,7 +36,7 @@ func checkSpinLoops(pass *analysis.Pass, root ast.Node) {
 		if !isUnboundedSpin(pass, loop) {
 			return true
 		}
-		if pass.SuppressedBy(loop.Pos(), analysis.DefaultMarker) {
+		if pass.Suppressed(loop.Pos()) {
 			// Sanctioned spins (none today) still skip their nested loops.
 			return false
 		}
@@ -77,7 +76,7 @@ func isUnboundedSpin(pass *analysis.Pass, loop *ast.ForStmt) bool {
 		if !ok {
 			return true
 		}
-		fn := typeutil.CalleeFunc(pass.TypesInfo, call)
+		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			pure = false // dynamic or unresolvable call: assume it can block
 			return false

@@ -30,7 +30,6 @@ import (
 
 	"chant/internal/analysis"
 	"chant/internal/analysis/cfg"
-	"chant/internal/analysis/typeutil"
 )
 
 // Marker is the suppression marker: //chant:allow-leak <reason>.
@@ -153,7 +152,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return // goto-using control flow: skip rather than guess
 	}
 	for _, acq := range acqs {
-		if pass.SuppressedBy(acq.stmt.Pos(), Marker) {
+		if pass.Suppressed(acq.stmt.Pos()) {
 			continue
 		}
 		checkAcquisition(pass, fd, graph, acq)
@@ -163,7 +162,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // acquirer classifies call as a resource acquisition, returning the acquirer
 // name and resource kind.
 func acquirer(pass *analysis.Pass, call *ast.CallExpr) (string, kind, bool) {
-	fn := typeutil.CalleeFunc(pass.TypesInfo, call)
+	fn := analysis.CalleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return "", 0, false
 	}

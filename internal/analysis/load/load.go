@@ -18,15 +18,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 )
 
 // Package is one type-checked target package.
 type Package struct {
-	PkgPath string
-	// Imports are the package's direct imports (canonical paths); topoSort
-	// orders packages by them.
-	Imports   []string
+	PkgPath   string
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Types     *types.Package
@@ -39,7 +35,6 @@ type listPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	Error      *struct{ Err string }
 }
 
@@ -78,51 +73,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		out = append(out, &Package{
 			PkgPath:   lp.ImportPath,
-			Imports:   lp.Imports,
 			Fset:      fset,
 			Files:     files,
 			Types:     tpkg,
 			TypesInfo: info,
 		})
 	}
-	return topoSort(out), nil
-}
-
-// topoSort orders packages so every package follows the packages it imports
-// (considering only imports within the slice), with import-path order
-// breaking ties. The result is deterministic for a given input set, which
-// keeps multi-package diagnostic output byte-stable across runs.
-func topoSort(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	paths := make([]string, 0, len(pkgs))
-	for _, p := range pkgs {
-		paths = append(paths, p.PkgPath)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(pkgs))
-	state := make(map[string]int, len(pkgs)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(path string)
-	visit = func(path string) {
-		p, ok := byPath[path]
-		if !ok || state[path] != 0 {
-			return // external, already emitted, or a cycle (impossible in Go)
-		}
-		state[path] = 1
-		deps := append([]string(nil), p.Imports...)
-		sort.Strings(deps)
-		for _, dep := range deps {
-			visit(dep)
-		}
-		state[path] = 2
-		out = append(out, p)
-	}
-	for _, path := range paths {
-		visit(path)
-	}
-	return out
+	return out, nil
 }
 
 // goList runs the go command twice: once without -deps to learn which
