@@ -11,6 +11,9 @@ package analysistest
 
 import (
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -37,6 +40,7 @@ type expectation struct {
 // findings for callers with further assertions to make.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []analysis.Finding {
 	t.Helper()
+	statFixture(t, dir)
 	pkgs, err := load.Load(dir, patterns...)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
@@ -50,6 +54,25 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, patterns ...string) []a
 	}
 	check(t, pkgs, findings)
 	return findings
+}
+
+// statFixture lists every directory and stats every file of the fixture
+// module from the test process itself. go test keys a cached pass on the
+// files the test process opened or stat'ed, and the fixture's go.mod and
+// any package it does not parse reach the analyzer only through `go list`,
+// a separate process; so does the listing that reveals an added or removed
+// file. Without this, such an edit replays the cached result.
+func statFixture(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("reading fixture %s: %v", dir, err)
+	}
 }
 
 // check matches findings against the union of every package's `// want`

@@ -152,8 +152,11 @@ func (e *Endpoint) Send(dst Addr, ctx, tag, srcThread int32, data []byte) {
 	e.SendFlags(dst, ctx, tag, srcThread, 0, data)
 }
 
-// SendFlags is Send with delivery flags (FlagSync) in the header. Once the
-// message is on its way it relaxes the host (machine.Host.Relax).
+// SendFlags is Send with delivery flags (FlagSync) in the header. It only
+// injects the message and does not offer the processor: the hand-off comes
+// where the sending thread next waits (a missed Test, or the Scheduler-polls
+// (PS) wait), by which time it has posted its reply receive, so a reply
+// lands in it with no extra copy (DESIGN.md "Processor sharing").
 func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []byte) {
 	var sendBegin sim.Time
 	if e.tracer != nil {
@@ -186,10 +189,6 @@ func (e *Endpoint) SendFlags(dst Addr, ctx, tag, srcThread, flags int32, data []
 	if e.tracer != nil {
 		e.tracer.Span(trace.SpanSend, e.addr.PE, srcThread, sendBegin, e.host.Now(), uint64(len(data)))
 	}
-	// One unconditional hand-off per send, whichever path delivered it: the
-	// receiver now has work, and a data-independent yield keeps PEs that
-	// share a core in step.
-	e.host.Relax()
 }
 
 // Irecv posts a nonblocking receive for a message matching spec, to be

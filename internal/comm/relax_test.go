@@ -24,9 +24,11 @@ func (tr *selfTransport) DeliverFrom(hdr Header, data []byte, from machine.Host)
 }
 
 // TestRelaxRule pins where a real-mode endpoint offers its OS processor:
-// once per send (whether DeliverFrom or Deliver carried it), once per
-// missed Test, TestAny or Probe, and nowhere else on the receive path — a
-// missed Poll, the Scheduler-polls (WQ) walk's msgtest, included.
+// once per missed Test, TestAny or Probe, and nowhere else. A send only
+// injects, on each of its exits (a deposit into a posted receive, the
+// unexpected queue, the transport's Deliver); the sender relaxes where it
+// next waits. A missed Poll, the Scheduler-polls (WQ) walk's msgtest, and
+// an Irecv relax neither.
 func TestRelaxRule(t *testing.T) {
 	host := newFakeHost(machine.Modern())
 	tr := &selfTransport{direct: true}
@@ -63,7 +65,7 @@ func TestRelaxRule(t *testing.T) {
 			t.Fatalf("TestAny = %d before any send", i)
 		}
 	})
-	step("Send into a posted receive (DeliverFrom, deposited)", 1, func() { ep.Send(self, 0, 1, 0, []byte("a")) })
+	step("Send into a posted receive (DeliverFrom, deposited)", 0, func() { ep.Send(self, 0, 1, 0, []byte("a")) })
 	if _, _, direct := ep.IngressStats(); direct != 1 {
 		t.Fatalf("direct deliveries %d, want 1: the send took the wrong exit", direct)
 	}
@@ -83,9 +85,9 @@ func TestRelaxRule(t *testing.T) {
 			t.Fatal("Probe hit before any send")
 		}
 	})
-	step("Send with no receive posted (DeliverFrom, queued)", 1, func() { ep.Send(self, 0, 2, 0, []byte("b")) })
+	step("Send with no receive posted (DeliverFrom, queued)", 0, func() { ep.Send(self, 0, 2, 0, []byte("b")) })
 	tr.direct = false
-	step("Send through Deliver (DeliverFrom declined)", 1, func() { ep.Send(self, 0, 3, 0, []byte("c")) })
+	step("Send through Deliver (DeliverFrom declined)", 0, func() { ep.Send(self, 0, 3, 0, []byte("c")) })
 	if _, msgs, direct := ep.IngressStats(); direct != 1 || msgs != 2 {
 		t.Fatalf("direct %d, messages %d; want 1, 2: a send took the wrong path", direct, msgs)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -19,43 +20,52 @@ import (
 
 // The one-P liveness contract of real mode: with every PE sharing a single
 // OS processor, each loop that waits for another PE must keep reaching
-// machine.Host.Relax (a send, a missed poll, a no-switch yield), or the PE
-// it waits for runs only when the Go runtime preempts the spinner, 10 ms
-// at a time. Every case below needs hundreds of hand-offs, so a spin site
-// that lost its yield is a 5 s timeout here, not a hang.
+// machine.Host.Relax (a missed poll, the Scheduler-polls (PS) wait's offer
+// before it parks, a no-switch yield) or park, or the PE it waits for runs
+// only when the Go runtime preempts the spinner, 10 ms at a time. A send
+// does not relax: a one-way sender hands off where it next waits. Every
+// case below needs hundreds of hand-offs, so a spin site that lost its
+// yield is a 5 s timeout here, not a hang.
 
 const livenessBound = 5 * time.Second
 
-// runOneP runs a 2-PE real-mode machine at GOMAXPROCS(1) and fails the test
-// if it has not finished within livenessBound.
-func runOneP(t *testing.T, cfg Config, handler Handler, m0, m1 MainFunc) {
+// runOneP runs a 2-PE real-mode machine at GOMAXPROCS(1), fails the test
+// if it has not finished within livenessBound, and returns its result.
+func runOneP(t *testing.T, cfg Config, handler Handler, m0, m1 MainFunc) *Result {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rt := NewRealRuntime(Topology{PEs: 2, ProcsPerPE: 1}, cfg, machine.Modern())
 	if handler != nil {
 		rt.RegisterHandler(1, handler)
 	}
-	done := make(chan error, 1) // the run may outlive a timed-out test
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1) // the run may outlive a timed-out test
 	go func() {
-		_, err := rt.Run(map[comm.Addr]MainFunc{{PE: 0, Proc: 0}: m0, {PE: 1, Proc: 0}: m1})
-		done <- err
+		res, err := rt.Run(map[comm.Addr]MainFunc{{PE: 0, Proc: 0}: m0, {PE: 1, Proc: 0}: m1})
+		done <- outcome{res, err}
 	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
 		}
+		return o.res
 	case <-time.After(livenessBound):
 		t.Fatalf("not finished after %v at one P: some waiting loop no longer yields the processor", livenessBound)
 	}
+	return nil
 }
 
 var livenessPolicies = []PolicyKind{ThreadPolls, SchedulerPollsPS, SchedulerPollsWQ}
 
-// In the plain ping-pong the send's own hand-off keeps the PEs in step and
-// every receive finds its message waiting. With a yield between receive and
-// reply the peer runs first, finds nothing and has to wait in its policy's
-// loop every round: that variant is the one that needs the loops live.
+// In the plain ping-pong each side sends and then waits for the echo, and
+// the wait hands the processor to the peer after the echo's receive is
+// posted. With a yield between receive and reply the peer runs first,
+// finds nothing and has to wait in its policy's loop every round: that
+// variant is the one that needs the loops live.
 func TestOnePLivenessPingPong(t *testing.T) {
 	const rounds = 2000
 	for _, pol := range livenessPolicies {
@@ -84,6 +94,87 @@ func TestOnePLivenessPingPong(t *testing.T) {
 				runOneP(t, Config{Policy: pol}, nil, echo(gid(1, 0, 0), true), echo(gid(0, 0, 0), false))
 			})
 		}
+	}
+}
+
+// One PE floods the other: 4,096 × 4 KiB sends with no credit window and
+// no wait in between, so at one P the sender keeps the processor for the
+// whole burst (sends do not relax) and the arrivals pile up in the
+// receiver's unexpected queue. Unbounded, the receiver still gets every
+// message in the sender's order. With the queue capped at 64 entries the
+// overflow is dropped, and every drop is counted: sent = received +
+// UnexpectedDropped, exactly. The flood runs from the coordinator PE: its
+// termination handshake is not retried (Config.TermGrace is off), so a done
+// message meeting a full queue would be dropped like any other arrival.
+func TestOnePLivenessFlood(t *testing.T) {
+	const msgs, size = 4096, 4 << 10
+	for _, maxUnexpected := range []int{0, 64} {
+		t.Run(fmt.Sprintf("MaxUnexpected=%d", maxUnexpected), func(t *testing.T) {
+			var finished atomic.Bool // every Send has returned: memnet has deposited, queued or dropped each message
+			received := 0
+			res := runOneP(t, Config{Policy: SchedulerPollsPS, MaxUnexpected: maxUnexpected}, nil,
+				func(th *Thread) {
+					buf := make([]byte, size)
+					for i := 0; i < msgs; i++ {
+						binary.LittleEndian.PutUint32(buf, uint32(i))
+						if err := th.Send(gid(1, 0, 0), 1, buf); err != nil {
+							t.Errorf("send %d: %v", i, err)
+							break
+						}
+					}
+					finished.Store(true)
+				},
+				func(th *Thread) {
+					buf := make([]byte, size)
+					next := uint32(0) // the lowest sequence number still to come
+					for {
+						h, err := th.Irecv(gid(0, 0, 0), 1, buf)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if maxUnexpected == 0 {
+							th.Msgwait(h)
+						} else {
+							// Some of the flood may have been dropped, so a
+							// blocking wait could outlast it: poll until the
+							// message is in or the sender is done.
+							done := th.Msgtest(h)
+							for !done && !finished.Load() {
+								done = th.Msgtest(h)
+							}
+							if !done && !th.Msgtest(h) {
+								th.Process().Endpoint().CancelRecv(h)
+								return
+							}
+						}
+						if n := h.Len(); n != size {
+							t.Errorf("message %d: %d bytes, want %d", received, n, size)
+							return
+						}
+						// Drops may leave gaps in a capped run, never an
+						// older message after a newer one.
+						seq := binary.LittleEndian.Uint32(buf)
+						if seq < next || maxUnexpected == 0 && seq != next {
+							t.Errorf("message %d: sequence %d, want %d: out of FIFO order", received, seq, next)
+							return
+						}
+						next = seq + 1
+						received++
+						if maxUnexpected == 0 && received == msgs {
+							return
+						}
+					}
+				})
+			dropped := int(res.Total.UnexpectedDropped)
+			t.Logf("received %d, dropped %d of %d", received, dropped, msgs)
+			if received+dropped != msgs {
+				t.Errorf("received %d + dropped %d = %d, want %d sent", received, dropped, received+dropped, msgs)
+			}
+			if maxUnexpected == 0 && dropped != 0 {
+				t.Errorf("%d dropped with an unbounded queue", dropped)
+			}
+		})
 	}
 }
 

@@ -151,9 +151,17 @@ type psPolicy struct {
 }
 
 func (p *psPolicy) Wait(h *comm.RecvHandle, boostTo int) {
+	if !h.Done() {
+		// Offer the processor once before parking: the peer this thread
+		// just sent to may answer within the hand-off, and then the thread
+		// runs on without a switch. Thread polls and WQ relax here too,
+		// through the missed Test their Waits open with.
+		p.ep.Host().Relax()
+	}
 	if h.Done() {
-		// Already arrived when the receive was posted: no polling needed
-		// and no msgtest consumed (the completion is visible in the TCB).
+		// Arrived by the time the receive was posted, or within the
+		// hand-off: no polling needed and no msgtest consumed (the
+		// completion is visible in the TCB).
 		p.ep.Wait(h)
 		return
 	}

@@ -31,9 +31,10 @@ type Host interface {
 	Charge(d sim.Duration)
 	// Compute consumes units of application work.
 	Compute(units int64)
-	// Relax marks a point where this processor has just made work for
-	// another one (a message handed off) or found none for itself (a missed
-	// poll, a yield with nobody to switch to). Real hosts offer their OS
+	// Relax marks a point where this processor has found no work for
+	// itself: a missed poll, a Scheduler-polls (PS) wait about to park its
+	// thread, a yield with nobody to switch to. A send is not such a point;
+	// the sender relaxes where it next waits. Real hosts offer their OS
 	// thread to the other processing elements there; under simulation it
 	// does nothing, so no event stream depends on where it is called.
 	Relax()
@@ -89,7 +90,7 @@ func (h *SimHost) Model() *Model { return h.model }
 // RealHost runs against the wall clock: Charge does nothing (real operations
 // carry their real cost; the cost model is a simulation input only), Compute
 // spins for the requested work, Relax yields the OS thread so processing
-// elements that share a core take turns at message boundaries, and Idle
+// elements that share a core take turns where one of them waits, and Idle
 // (and Pause and Missed, which are Idle) parks on a condition variable until
 // Interrupt: a waiting processor leaves Go's run queue at once, so the
 // goroutines it waits for — a peer PE, a transport's reader parked in the
@@ -135,8 +136,9 @@ func (h *RealHost) Charge(d sim.Duration) {}
 
 // Relax yields the OS thread to the other processing elements' goroutines.
 // Polling loops stay live on a host with fewer cores than PEs only because
-// every pass through them reaches a Relax (a send, a missed poll, or a
-// no-switch yield; see DESIGN.md "Processor sharing").
+// every pass through them reaches a Relax (a missed poll, the PS wait's
+// offer before it parks, or a no-switch yield; see DESIGN.md "Processor
+// sharing").
 func (h *RealHost) Relax() { runtime.Gosched() }
 
 // Compute spins for approximately units iterations of trivial work so real
