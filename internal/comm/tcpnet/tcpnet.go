@@ -1,19 +1,27 @@
 // Package tcpnet is the distributed transport: Chant processes running in
-// separate OS processes (or machines) exchange messages over TCP with a
-// length-prefixed binary wire format. A rendezvous leader collects every
-// process's listen address and broadcasts the peer table, after which data
-// flows directly process-to-process over one connection per direction —
-// preserving the per-pair FIFO order the mailbox matching relies on.
+// separate OS processes (or machines) exchange messages over TCP in
+// length-prefixed frames encoded with internal/wire. A rendezvous leader
+// collects every process's listen address and broadcasts the peer table,
+// after which data flows directly process-to-process.
+//
+// One TCP connection carries both directions between two processes. The
+// process that sends first dials; the other adopts the accepted connection
+// as its own sender to that peer, so a reply rides the connection its
+// request came in on and its segment carries the request's ACK. Each process
+// writes to a peer on one connection until that connection dies, which
+// keeps the per-direction FIFO order the mailbox matching relies on. If both
+// send first at the same moment there are two connections; each side keeps
+// writing on the one it picked and reads both.
 package tcpnet
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,6 +30,7 @@ import (
 	"chant/internal/comm"
 	"chant/internal/machine"
 	"chant/internal/trace"
+	"chant/internal/wire"
 )
 
 // Options configures one process's attachment to the distributed machine.
@@ -86,10 +95,15 @@ type Node struct {
 	hb       time.Duration
 	epoch    uint32
 
-	mu       sync.Mutex
-	eps      map[comm.Addr]*comm.Endpoint
-	conns    map[string]*sender
-	inbound  map[net.Conn]struct{}
+	mu  sync.Mutex
+	eps map[comm.Addr]*comm.Endpoint
+	// conns is the per-peer connection table: every live connection, dialed
+	// or accepted, filed under the process at its other end (an accepted one
+	// under noPeer until its first frame names the sender). Each has a
+	// readLoop. The first connection in a peer's list is this node's sender
+	// to that peer; a connection leaves the table when its reader ends or a
+	// write to it fails, so the next send takes the next one or redials.
+	conns    map[comm.Addr][]*sender
 	lastSeen map[comm.Addr]time.Time
 	dead     map[comm.Addr]bool
 	backoffs map[comm.Addr]*backoffState
@@ -103,12 +117,13 @@ type Node struct {
 	wg     sync.WaitGroup
 }
 
-// sender is one outbound connection with a write lock (frames must not
-// interleave).
+// sender is one connection to a peer. Its readLoop reads it; frames are
+// written under its lock (frames must not interleave).
 type sender struct {
-	mu sync.Mutex
-	c  net.Conn
-	w  *bufio.Writer
+	mu   sync.Mutex
+	c    net.Conn
+	w    *bufio.Writer
+	head [frameHeadLen]byte // the frame prefix being written, under mu
 
 	// pending counts writers that have announced a frame but not yet
 	// written it (group commit): whoever drains the burst last flushes
@@ -128,8 +143,16 @@ type tableMsg struct {
 	Peers []regMsg
 }
 
-// wireHeaderLen is the fixed encoded header size: nine int32 fields.
-const wireHeaderLen = 36
+// A frame is a u32 length (header plus payload), the header's nine i32
+// fields and the payload, little-endian through internal/wire.
+const (
+	wireHeaderLen = 36                // the encoded comm.Header
+	frameHeadLen  = 4 + wireHeaderLen // length prefix and header
+)
+
+// noPeer files an accepted connection whose first frame has not yet named
+// the process at its other end. No process has a negative address.
+var noPeer = comm.Addr{PE: -1, Proc: -1}
 
 // hbTag marks a heartbeat control frame. User tags are non-negative and the
 // runtime's reserved tags are positive, so no data frame can collide.
@@ -177,6 +200,10 @@ func (b *backoffState) reset() { b.cur = b.initial }
 // ErrFrameTooLarge reports a message exceeding Options.MaxFrameSize.
 var ErrFrameTooLarge = errors.New("tcpnet: frame exceeds MaxFrameSize")
 
+// errBadLength reports a length prefix shorter than a header or longer than
+// MaxFrameSize; the reader drops the connection.
+var errBadLength = errors.New("tcpnet: bad frame length")
+
 // Bootstrap joins (or leads) the machine's rendezvous and returns a Node
 // ready to create endpoints. It blocks until every process has registered.
 func Bootstrap(o Options) (*Node, error) {
@@ -192,8 +219,7 @@ func Bootstrap(o Options) (*Node, error) {
 		hb:       o.Heartbeat,
 		epoch:    o.Epoch,
 		eps:      make(map[comm.Addr]*comm.Endpoint),
-		conns:    make(map[string]*sender),
-		inbound:  make(map[net.Conn]struct{}),
+		conns:    make(map[comm.Addr][]*sender),
 		lastSeen: make(map[comm.Addr]time.Time),
 		dead:     make(map[comm.Addr]bool),
 		backoffs: make(map[comm.Addr]*backoffState),
@@ -343,15 +369,17 @@ func (n *Node) NewEndpoint(addr comm.Addr, host machine.Host, ctrs *trace.Counte
 }
 
 // Deliver implements comm.Transport: local destinations are delivered
-// directly; remote ones are framed onto the destination's connection. A
-// failed send redials with bounded backoff; once the redial budget is
-// exhausted the peer is declared dead and the message dropped — the wire is
-// lossy by contract now, and recovery belongs to the retry layers above.
+// directly; remote ones are framed onto this node's sender to the
+// destination. A failed send redials with bounded backoff; once the redial
+// budget is exhausted the peer is declared dead and the message dropped —
+// the wire is lossy by contract now, and recovery belongs to the retry
+// layers above.
 func (n *Node) Deliver(msg *comm.Message) {
 	dst := msg.Hdr.Dst()
 	n.mu.Lock()
 	ep := n.eps[dst]
 	dead := n.dead[dst]
+	s := n.sendingTo(dst)
 	n.mu.Unlock()
 	if ep != nil {
 		ep.DeliverLocal(msg)
@@ -361,11 +389,19 @@ func (n *Node) Deliver(msg *comm.Message) {
 		comm.ReleaseMessage(msg)
 		return // dead peers receive nothing
 	}
-	addr, ok := n.peers[dst]
-	if !ok {
+	if _, ok := n.peers[dst]; !ok {
 		panic(fmt.Sprintf("tcpnet: send to unknown process %v", dst))
 	}
-	n.deliverRemote(msg, dst, addr)
+	n.deliverRemote(msg, dst, s)
+}
+
+// sendingTo reports this node's sender to peer, or nil when it has none.
+// The caller holds n.mu.
+func (n *Node) sendingTo(peer comm.Addr) *sender {
+	if cs := n.conns[peer]; len(cs) > 0 {
+		return cs[0]
+	}
+	return nil
 }
 
 // DeliverFrom implements comm.DirectTransport for loopback destinations: a
@@ -383,22 +419,26 @@ func (n *Node) DeliverFrom(hdr comm.Header, data []byte, from machine.Host) bool
 	return true
 }
 
-// deliverRemote frames msg onto dst's connection, redialing with bounded
-// backoff on failure.
-func (n *Node) deliverRemote(msg *comm.Message, dst comm.Addr, addr string) {
+// deliverRemote frames msg onto s, this node's sender to dst (nil: none
+// yet), redialing with bounded backoff on failure.
+func (n *Node) deliverRemote(msg *comm.Message, dst comm.Addr, s *sender) {
 	if uint32(wireHeaderLen+len(msg.Data)) > n.maxFrame {
 		panic(fmt.Sprintf("tcpnet: send to %v: %v (%d bytes)", dst, ErrFrameTooLarge, len(msg.Data)))
 	}
 	for attempt := 0; ; attempt++ {
-		s, err := n.senderFor(addr)
+		var err error
+		if s == nil {
+			s, err = n.senderFor(dst)
+		}
 		if err == nil {
 			if err = s.writeFrame(msg); err == nil {
 				comm.ReleaseMessage(msg) // frame is flushed; recycle the buffer
 				return
 			}
-			// The connection is wedged; drop it so the next attempt dials
-			// fresh.
-			n.dropSender(addr, s)
+			// The connection is wedged; drop it so the next attempt takes
+			// another or dials fresh.
+			n.dropSender(dst, s)
+			s = nil
 		}
 		if n.isClosed() || attempt >= maxRedials {
 			n.markPeerDead(dst)
@@ -433,15 +473,34 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
-// dropSender discards a wedged outbound connection so the next send redials,
-// unless another sender already replaced it.
-func (n *Node) dropSender(addr string, s *sender) {
+// dropSender discards a wedged connection to peer so the next send takes
+// another or redials. Its reader then ends on the closed socket.
+func (n *Node) dropSender(peer comm.Addr, s *sender) {
 	n.mu.Lock()
-	if n.conns[addr] == s {
-		delete(n.conns, addr)
-	}
+	n.unfile(peer, s)
 	n.mu.Unlock()
 	s.c.Close()
+}
+
+// unfile removes s from peer's list in the connection table. The caller
+// holds n.mu.
+func (n *Node) unfile(peer comm.Addr, s *sender) {
+	cs := slices.DeleteFunc(n.conns[peer], func(c *sender) bool { return c == s })
+	if len(cs) == 0 {
+		delete(n.conns, peer)
+	} else {
+		n.conns[peer] = cs
+	}
+}
+
+// file moves s, an accepted connection, from noPeer to the peer its first
+// frame named. If the node has no sender to that peer yet, s becomes it: the
+// check runs under n.mu, so a node picks its sender to a peer once.
+func (n *Node) file(s *sender, peer comm.Addr) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.unfile(noPeer, s)
+	n.conns[peer] = append(n.conns[peer], s)
 }
 
 // markPeerDead declares peer failed: future sends to it are dropped and
@@ -504,24 +563,35 @@ func (n *Node) revivePeer(peer comm.Addr) {
 	}
 }
 
-// senderFor returns (dialing if necessary) the outbound connection to a
-// peer's data address.
-func (n *Node) senderFor(addr string) (*sender, error) {
+// senderFor returns this node's sender to peer, dialing the peer's data
+// address when the node holds no connection to it. The dialed connection
+// gets a reader like any accepted one: the peer answers on it.
+func (n *Node) senderFor(peer comm.Addr) (*sender, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		return nil, errors.New("tcpnet: node closed")
 	}
-	if s, ok := n.conns[addr]; ok {
+	if s := n.sendingTo(peer); s != nil {
 		return s, nil
 	}
-	c, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	c, err := net.DialTimeout("tcp", n.peers[peer], 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
+	return n.track(c, peer), nil
+}
+
+// track files a new connection under peer and starts its reader. The caller
+// holds n.mu and has checked that the node is not closed.
+func (n *Node) track(c net.Conn, peer comm.Addr) *sender {
 	s := &sender{c: c, w: bufio.NewWriter(c)}
-	n.conns[addr] = s
-	return s, nil
+	n.conns[peer] = append(n.conns[peer], s)
+	n.wg.Add(1)
+	// Real transport: frames arrive preemptively by nature.
+	//chant:allow-nondet real network I/O goroutine
+	go n.readLoop(s, peer)
+	return s
 }
 
 // writeFrame encodes one message and flushes with group commit: the frame
@@ -535,10 +605,9 @@ func (s *sender) writeFrame(msg *comm.Message) error {
 	s.pending.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var hdr [4 + wireHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(wireHeaderLen+len(msg.Data)))
-	putHeader(hdr[4:], msg.Hdr)
-	if _, err := s.w.Write(hdr[:]); err != nil {
+	e := wire.NewEncInto(s.head[:0], frameHeadLen)
+	putFrameHead(&e, msg.Hdr, len(msg.Data))
+	if _, err := s.w.Write(e.Out()); err != nil {
 		s.pending.Add(-1)
 		return err
 	}
@@ -554,19 +623,47 @@ func (s *sender) writeFrame(msg *comm.Message) error {
 	return s.w.Flush()
 }
 
-func putHeader(b []byte, h comm.Header) {
-	fields := [9]int32{h.SrcPE, h.SrcProc, h.SrcThread, h.DstPE, h.DstProc, h.Ctx, h.Tag, h.Size, h.Flags}
-	for i, f := range fields {
-		binary.BigEndian.PutUint32(b[i*4:], uint32(f))
-	}
+// putFrameHead encodes the length prefix and header of a frame whose
+// payload is payload bytes long.
+func putFrameHead(e *wire.Enc, h comm.Header, payload int) {
+	e.U32(uint32(wireHeaderLen + payload))
+	e.I32(h.SrcPE)
+	e.I32(h.SrcProc)
+	e.I32(h.SrcThread)
+	e.I32(h.DstPE)
+	e.I32(h.DstProc)
+	e.I32(h.Ctx)
+	e.I32(h.Tag)
+	e.I32(h.Size)
+	e.I32(h.Flags)
 }
 
-func getHeader(b []byte) comm.Header {
-	f := func(i int) int32 { return int32(binary.BigEndian.Uint32(b[i*4:])) }
-	return comm.Header{
-		SrcPE: f(0), SrcProc: f(1), SrcThread: f(2),
-		DstPE: f(3), DstProc: f(4), Ctx: f(5), Tag: f(6), Size: f(7), Flags: f(8),
+// readFrame reads one frame's length prefix and header off r and reports
+// the header and the payload length, leaving the payload unread. A length
+// shorter than a header or longer than maxFrame is errBadLength: a corrupt
+// or hostile prefix must not drive allocation, so the caller drops the
+// connection. The bytes are decoded in place in r's buffer, which must hold
+// frameHeadLen bytes.
+func readFrame(r *bufio.Reader, maxFrame uint32) (comm.Header, int, error) {
+	b, err := r.Peek(4)
+	if err != nil {
+		return comm.Header{}, 0, err
 	}
+	d := wire.NewDec(b)
+	frameLen := d.U32()
+	if frameLen < wireHeaderLen || frameLen > maxFrame {
+		return comm.Header{}, 0, errBadLength
+	}
+	if b, err = r.Peek(frameHeadLen); err != nil {
+		return comm.Header{}, 0, err
+	}
+	d = wire.NewDec(b[4:])
+	h := comm.Header{
+		SrcPE: d.I32(), SrcProc: d.I32(), SrcThread: d.I32(),
+		DstPE: d.I32(), DstProc: d.I32(), Ctx: d.I32(), Tag: d.I32(), Size: d.I32(), Flags: d.I32(),
+	}
+	r.Discard(frameHeadLen) // cannot fail: the bytes are buffered
+	return h, int(frameLen) - wireHeaderLen, nil
 }
 
 // heartbeatLoop periodically pings every peer and declares dead any peer
@@ -625,11 +722,10 @@ func (n *Node) sortedPeers() []comm.Addr {
 // sendHeartbeat emits one control frame to peer, best-effort: a failure
 // here simply leaves the peer's silence clock running.
 func (n *Node) sendHeartbeat(peer comm.Addr) {
-	addr, ok := n.peers[peer]
-	if !ok {
+	if _, ok := n.peers[peer]; !ok {
 		return
 	}
-	s, err := n.senderFor(addr)
+	s, err := n.senderFor(peer)
 	if err != nil {
 		return
 	}
@@ -640,7 +736,7 @@ func (n *Node) sendHeartbeat(peer comm.Addr) {
 		Tag: hbTag,
 	}}
 	if err := s.writeFrame(hb); err != nil {
-		n.dropSender(addr, s)
+		n.dropSender(peer, s)
 	}
 }
 
@@ -671,7 +767,8 @@ func (n *Node) noteAlive(hdr comm.Header) *comm.Endpoint {
 	return ep
 }
 
-// acceptLoop receives inbound connections; each gets a reader goroutine.
+// acceptLoop receives inbound connections; each gets a reader goroutine and
+// waits under noPeer for its first frame to name the peer.
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -685,48 +782,39 @@ func (n *Node) acceptLoop() {
 			c.Close()
 			return
 		}
-		n.inbound[c] = struct{}{}
+		n.track(c, noPeer)
 		n.mu.Unlock()
-		n.wg.Add(1)
-		//chant:allow-nondet real network I/O goroutine
-		go n.readLoop(c)
 	}
 }
 
-// readLoop decodes frames from one inbound connection and delivers them to
-// the addressed local endpoint.
-func (n *Node) readLoop(c net.Conn) {
+// readLoop decodes frames from one connection, filed under peer, and
+// delivers them to the addressed local endpoint. When it ends (EOF, reset,
+// a bad length or Close) the connection leaves the table, so the next send
+// to the peer takes another connection or redials instead of writing into a
+// dead socket.
+func (n *Node) readLoop(s *sender, peer comm.Addr) {
 	defer n.wg.Done()
 	defer func() {
-		c.Close()
 		n.mu.Lock()
-		delete(n.inbound, c)
+		n.unfile(peer, s)
 		n.mu.Unlock()
+		s.c.Close()
 	}()
-	r := bufio.NewReaderSize(c, readBufSize(n.maxFrame))
+	r := bufio.NewReaderSize(s.c, readBufSize(n.maxFrame))
 	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return // peer closed
+		hdr, payload, err := readFrame(r, n.maxFrame)
+		if err != nil {
+			return // peer closed, or a length that must not drive allocation
 		}
-		frameLen := binary.BigEndian.Uint32(lenBuf[:])
-		if frameLen < wireHeaderLen || frameLen > n.maxFrame {
-			// A corrupt (or hostile) length prefix must not drive
-			// allocation: fail the connection cleanly instead.
-			return
+		if peer == noPeer {
+			// The first frame names the process at the other end.
+			peer = hdr.Src()
+			n.file(s, peer)
 		}
-		var hdrBuf [wireHeaderLen]byte
-		if _, err := io.ReadFull(r, hdrBuf[:]); err != nil {
-			return
-		}
-		hdr := getHeader(hdrBuf[:])
 		ep := n.noteAlive(hdr)
-		payload := int(frameLen) - wireHeaderLen
 		if hdr.Tag == hbTag {
-			if payload > 0 {
-				if _, err := io.CopyN(io.Discard, r, int64(payload)); err != nil {
-					return
-				}
+			if _, err := r.Discard(payload); err != nil {
+				return
 			}
 			// A heartbeat from a peer this node declared dead is the rejoin
 			// signal, whatever the incarnation its Ctx field carries (higher
@@ -747,10 +835,8 @@ func (n *Node) readLoop(c net.Conn) {
 			ep = n.noteAlive(hdr)
 		}
 		if ep == nil {
-			if payload > 0 {
-				if _, err := io.CopyN(io.Discard, r, int64(payload)); err != nil {
-					return
-				}
+			if _, err := r.Discard(payload); err != nil {
+				return
 			}
 			continue // no such local endpoint; drop (like NX)
 		}
@@ -783,7 +869,7 @@ func (n *Node) readLoop(c net.Conn) {
 	}
 }
 
-// Read-buffer sizing for inbound connections. The seed used bufio's 4 KiB
+// Read-buffer sizing for every connection. The seed used bufio's 4 KiB
 // default, so any frame beyond that straddled buffer refills and the
 // zero-copy receive path could never see a whole payload in place. The
 // buffer is sized to hold one maximal frame, clamped to a sane ceiling so a
@@ -805,7 +891,7 @@ func readBufSize(maxFrame uint32) int {
 	return n
 }
 
-// Close shuts the node down: the listener, all connections, and the reader
+// Close shuts the node down: the listener, every connection, and the reader
 // goroutines.
 func (n *Node) Close() error {
 	n.mu.Lock()
@@ -815,22 +901,16 @@ func (n *Node) Close() error {
 	}
 	n.closed = true
 	close(n.hbStop)
-	conns := n.conns
-	n.conns = map[string]*sender{}
-	var inbound []net.Conn
-	for c := range n.inbound {
-		inbound = append(inbound, c)
+	// Teardown is order-insensitive: each Close is independent. The readers
+	// then end and unfile their connections.
+	//chant:allow-nondet connection teardown order does not matter
+	for _, cs := range n.conns {
+		for _, s := range cs {
+			s.c.Close()
+		}
 	}
 	n.mu.Unlock()
 	err := n.ln.Close()
-	// Teardown is order-insensitive: each Close is independent.
-	//chant:allow-nondet connection teardown order does not matter
-	for _, s := range conns {
-		s.c.Close()
-	}
-	for _, c := range inbound {
-		c.Close()
-	}
 	n.wg.Wait()
 	return err
 }

@@ -1,8 +1,11 @@
 package tcpnet
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"chant/internal/comm"
 	"chant/internal/machine"
 	"chant/internal/trace"
+	"chant/internal/wire"
 )
 
 // freeRendezvous picks an ephemeral rendezvous address by binding and
@@ -219,11 +223,16 @@ func TestTCPBidirectional(t *testing.T) {
 }
 
 func TestHeaderWireRoundtrip(t *testing.T) {
-	f := func(a, b, c, d, e, g, h, i, j int32) bool {
+	f := func(a, b, c, d, e, g, h, i, j int32, size uint16) bool {
 		hdr := comm.Header{SrcPE: a, SrcProc: b, SrcThread: c, DstPE: d, DstProc: e, Ctx: g, Tag: h, Size: i, Flags: j}
-		var buf [wireHeaderLen]byte
-		putHeader(buf[:], hdr)
-		return getHeader(buf[:]) == hdr
+		enc := wire.NewEnc(frameHeadLen)
+		putFrameHead(&enc, hdr, int(size))
+		if len(enc.Out()) != frameHeadLen {
+			return false
+		}
+		r := bufio.NewReader(bytes.NewReader(enc.Out()))
+		got, payload, err := readFrame(r, wireHeaderLen+math.MaxUint16)
+		return err == nil && got == hdr && payload == int(size) && r.Buffered() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
