@@ -74,8 +74,9 @@ func BenchmarkTable1ContextSwitch(b *testing.B) {
 }
 
 // BenchmarkHotPathProcSwitch measures a simulated process switch: two
-// processes alternating Advance, so every op is one process yielding to
-// Kernel.Run and Run resuming the other (two coroutine switches).
+// processes alternating Advance, so every op is one process running the
+// event loop and switching straight into the other, or back up to it (one
+// coroutine switch).
 func BenchmarkHotPathProcSwitch(b *testing.B) {
 	k := sim.NewKernel()
 	steps := b.N/2 + 1

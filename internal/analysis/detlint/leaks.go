@@ -32,7 +32,9 @@ func checkLeaks(pass *analysis.Pass, decl ast.Decl) {
 // slices, maps, chans, funcs, strings): append shifts the tail left but the
 // old last slot keeps its value, pinning the removed object until the slice
 // is reallocated — exactly the failPeer leak this repo once shipped. The
-// fix is copy + nil the vacated slot + truncate.
+// result may be stored anywhere (`*list = append(s[:i], s[i+1:]...)`
+// strands the slot just the same). The fix is copy + nil the vacated slot
+// + truncate.
 func checkCompactDelete(pass *analysis.Pass, n *ast.AssignStmt) {
 	if n.Tok != token.ASSIGN || len(n.Lhs) != 1 || len(n.Rhs) != 1 {
 		return
@@ -57,7 +59,7 @@ func checkCompactDelete(pass *analysis.Pass, n *ast.AssignStmt) {
 		return
 	}
 	base := types.ExprString(head.X)
-	if types.ExprString(tail.X) != base || types.ExprString(n.Lhs[0]) != base {
+	if types.ExprString(tail.X) != base {
 		return
 	}
 	tv, ok := pass.TypesInfo.Types[head.X]

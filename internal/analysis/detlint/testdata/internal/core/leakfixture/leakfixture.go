@@ -39,6 +39,13 @@ func compactDeleteStruct(xs []withRef, i int) []withRef {
 	return xs
 }
 
+// compactDeleteElsewhere stores the shortened slice through a pointer: the
+// appended slice's vacated slot is stranded all the same.
+func compactDeleteElsewhere(list *[]*peer, i int) {
+	s := *list
+	*list = append(s[:i], s[i+1:]...) // want `append-based compact delete on s strands a live reference`
+}
+
 // compactDeleteFixed is the sanctioned removal shape: shift, zero the
 // vacated slot, truncate.
 func compactDeleteFixed(ptrs []*peer, i int) []*peer {

@@ -11,8 +11,9 @@
 //     cached ready/blocked/live counts against the ground truth of thread
 //     states every scheduling iteration;
 //   - a monotonic-time audit on the simulation kernel's event heap;
-//   - a count of coroutine resumptions per scheduler and per kernel, so
-//     tests can pin how many a coroutine switch costs, not only how long.
+//   - a count of coroutine resumptions per scheduler and of coroutine
+//     switches per kernel, so tests can pin how many a hand-off costs, not
+//     only how long.
 //
 // Violations panic through Failf with a diagnostic dump, because an
 // invariant breach means later behaviour is undefined — there is nothing

@@ -1,8 +1,11 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
+	"sync"
 
+	"chant/internal/check"
 	"chant/internal/comm"
 	"chant/internal/core"
 	"chant/internal/machine"
@@ -90,12 +93,18 @@ func RunPolling(cfg PollingConfig) PollingRow {
 			Tracer: cfg.Tracer},
 		cfg.Model)
 	workers := int32(cfg.Workers)
+	size := cfg.MsgSize
+	pooled := takeSlab(2 * cfg.Workers * 2 * size)
+	slab := *pooled
 	mk := func(pe int32) core.MainFunc {
 		return func(t *core.Thread) {
 			var ws []*core.Thread
 			for w := int32(0); w < workers; w++ {
 				w := w
-				ws = append(ws, t.Process().CreateLocal(fmt.Sprintf("w%d", w), func(me *core.Thread) {
+				at := (int(pe)*cfg.Workers + int(w)) * 2 * size
+				out := slab[at : at+size : at+size]
+				buf := slab[at+size : at+2*size : at+2*size]
+				ws = append(ws, t.Process().CreateLocal("w"+strconv.Itoa(int(w)), func(me *core.Thread) {
 					rng := sim.NewRNG(cfg.Seed + uint64(pe)*1009 + uint64(w) + 1)
 					jitter := func(n int64) int64 {
 						if cfg.JitterPct == 0 || n == 0 {
@@ -111,8 +120,6 @@ func RunPolling(cfg PollingConfig) PollingRow {
 					sendTo := core.GlobalID{PE: 1 - pe, Proc: 0, Thread: (w+cfg.Shift)%workers + 1}
 					recvFrom := core.GlobalID{PE: 1 - pe, Proc: 0, Thread: (w-cfg.Shift+workers)%workers + 1}
 					host := me.Process().Endpoint().Host()
-					out := make([]byte, cfg.MsgSize)
-					buf := make([]byte, cfg.MsgSize)
 					for i := 0; i < cfg.Iters; i++ {
 						host.Compute(jitter(cfg.Alpha))
 						if err := me.Send(sendTo, 1, out); err != nil {
@@ -139,6 +146,7 @@ func RunPolling(cfg PollingConfig) PollingRow {
 	if err != nil {
 		panic("experiments: polling run: " + err.Error())
 	}
+	keepSlab(pooled)
 	return PollingRow{
 		Policy:       cfg.Policy,
 		Alpha:        cfg.Alpha,
@@ -152,6 +160,37 @@ func RunPolling(cfg PollingConfig) PollingRow {
 		AvgWaiting:   res.Total.AvgWaiting,
 		MaxWaiting:   res.Total.MaxWaiting,
 	}
+}
+
+// cellSlabs recycles the message buffers of finished cells. A cell's
+// 2 x Workers x 2 buffers (each thread's send and receive buffer) are carved
+// from one slab; allocating them afresh, 4 KiB apiece, was most of a
+// Table-3 cell's allocated bytes. Every byte of a slab stays zero — senders
+// never write theirs and receivers only receive those zeros — so a reused
+// slab is indistinguishable from a new one, and which one a cell gets
+// cannot reach an event.
+var cellSlabs sync.Pool
+
+// takeSlab returns a zeroed slab of n bytes, a pooled one if it is big
+// enough.
+func takeSlab(n int) *[]byte {
+	//chant:allow-nondet every pooled slab is all zeros: which one comes back is invisible
+	b, _ := cellSlabs.Get().(*[]byte)
+	if b == nil || cap(*b) < n {
+		b = new([]byte)
+		*b = make([]byte, n)
+	}
+	*b = (*b)[:n]
+	return b
+}
+
+// keepSlab returns a finished cell's slab to the pool.
+func keepSlab(b *[]byte) {
+	if check.Enabled && slices.ContainsFunc(*b, func(c byte) bool { return c != 0 }) {
+		check.Failf("experiments: a polling cell wrote into its message buffers; its slab cannot be reused")
+	}
+	//chant:allow-nondet the slab is all zeros and has no other holder
+	cellSlabs.Put(b)
 }
 
 // PollingSweep holds one full polling table: rows for every (policy, alpha)

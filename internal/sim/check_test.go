@@ -49,11 +49,13 @@ func TestHeapMonotonicAuditCatchesPastEvent(t *testing.T) {
 	t.Fatal("Run returned despite a backwards event")
 }
 
-// TestHandoffCountPinned pins the number of coroutine resumptions, not just
-// their cost: Run is the only dispatcher, so every start and every return
-// from a yield is exactly one resumption (two coroutine switches: out to Run,
-// in to the process), a process that finishes just returns to Run, and the
-// end of the run costs nothing — there is no Run goroutine to wake.
+// TestHandoffCountPinned pins the number of coroutine switches, not just
+// their cost. Whoever gives up the processor runs the event loop: a process
+// that is itself next goes on with no switch, another process is switched
+// into directly, or back up to if it is one of the running process's
+// resumers, and a process that finishes switches back up to its resumer.
+// Every switch into a process is matched by one switch back out of it, so
+// the count goes up by two per resumption.
 func TestHandoffCountPinned(t *testing.T) {
 	t.Run("two procs alternating", func(t *testing.T) {
 		const n = 100 // Advance calls per process
@@ -68,10 +70,12 @@ func TestHandoffCountPinned(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		// 2 starts + 2n returns from Advance; the two exits return to Run
-		// without a resumption.
-		if got, want := k.handoffs, uint64(2*n+2); got != want {
-			t.Fatalf("%d resumptions for %d alternating Advances, want %d", got, 2*n, want)
+		// Run switches into a, and each of the 2n Advances is one switch:
+		// into b from a, back up to a from b. Then a finishes back up to
+		// Run, Run switches into b for its last return, and b finishes back
+		// up to Run: 2n+4, one switch per hand-off.
+		if got, want := k.handoffs, uint64(2*n+4); got != want {
+			t.Fatalf("%d coroutine switches for %d alternating Advances, want %d", got, 2*n, want)
 		}
 	})
 
@@ -89,10 +93,10 @@ func TestHandoffCountPinned(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		// A process that is itself next still goes through Run: n returns
-		// from Advance, plus the start.
-		if during != n || k.handoffs != n+1 {
-			t.Fatalf("%d resumptions across %d lone Advances, %d in the whole run, want %d and %d", during, n, k.handoffs, n, n+1)
+		// A process that is itself next keeps running: no switch at all,
+		// only the start and the finish.
+		if during != 0 || k.handoffs != 2 {
+			t.Fatalf("%d coroutine switches across %d lone Advances, %d in the whole run, want 0 and 2", during, n, k.handoffs)
 		}
 	})
 
@@ -118,10 +122,11 @@ func TestHandoffCountPinned(t *testing.T) {
 		if err := k.Run(0); err != nil {
 			t.Fatal(err)
 		}
-		// One resumption per wakeup; the 10 callbacks themselves run on
-		// Run's goroutine and cost none.
-		if during != 10 || k.Now() != 50 {
-			t.Fatalf("%d resumptions across 10 wakeups ending at %v, want 10 and 50", during, k.Now())
+		// The parked process runs the loop itself: the callback that
+		// signals it runs on its goroutine and the process then due is
+		// itself, so a wakeup costs no switch.
+		if during != 0 || k.Now() != 50 {
+			t.Fatalf("%d coroutine switches across 10 wakeups ending at %v, want 0 and 50", during, k.Now())
 		}
 	})
 }

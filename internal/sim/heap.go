@@ -11,18 +11,22 @@ type event struct {
 
 // eventHeap is a binary min-heap ordered by (at, seq). It is hand-rolled
 // rather than using container/heap to avoid interface boxing on the hot path;
-// the simulator pushes and pops one event per virtual-time step.
+// the simulator pushes and pops one event per virtual-time step, in one
+// pass when a process advances (pushPop).
 type eventHeap struct {
 	ev []event
 }
 
 func (h *eventHeap) Len() int { return len(h.ev) }
 
-func (h *eventHeap) less(i, j int) bool {
-	if h.ev[i].at != h.ev[j].at {
-		return h.ev[i].at < h.ev[j].at
+func (h *eventHeap) less(i, j int) bool { return h.ev[i].before(h.ev[j]) }
+
+// before reports whether e comes before f in (at, seq) order.
+func (e event) before(f event) bool {
+	if e.at != f.at {
+		return e.at < f.at
 	}
-	return h.ev[i].seq < h.ev[j].seq
+	return e.seq < f.seq
 }
 
 func (h *eventHeap) push(e event) {
@@ -48,6 +52,19 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// pushPop pushes e and pops the earliest event in one pass. When e is itself
+// the earliest it comes straight back and the heap is untouched; otherwise
+// it takes the root's place and sinks.
+func (h *eventHeap) pushPop(e event) event {
+	if len(h.ev) == 0 || !h.ev[0].before(e) {
+		return e
+	}
+	top := h.ev[0]
+	h.ev[0] = e
+	h.siftDown(0)
+	return top
+}
+
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.ev)
 	for {
@@ -66,7 +83,3 @@ func (h *eventHeap) siftDown(i int) {
 		i = smallest
 	}
 }
-
-// peekTime reports the virtual time of the earliest event. It must not be
-// called on an empty heap.
-func (h *eventHeap) peekTime() Time { return h.ev[0].at }

@@ -33,9 +33,9 @@ func (s procState) String() string {
 // Proc is a simulation process: a body function that runs in virtual time,
 // interleaved with other processes by the kernel. A process advances the
 // clock explicitly with Advance and can park awaiting a Signal. Under the
-// covers each process is a runtime coroutine (iter.Pull) of Kernel.Run:
-// exactly one of Run and the processes runs at a time, in deterministic
-// order.
+// covers each process is a runtime coroutine (iter.Pull), switched into by
+// whichever goroutine gave up the processor to it — Run's or another
+// process's: exactly one of them runs at a time, in deterministic order.
 type Proc struct {
 	k     *Kernel
 	name  string
@@ -43,11 +43,17 @@ type Proc struct {
 	sig   bool // coalesced wakeup hint delivered while not parked
 	fn    func(*Proc)
 
-	// in switches from Run into the coroutine, out from the coroutine back
-	// to Run. Both are nil until the process is first resumed. A coroutine
-	// parks whichever goroutine calls out, not the one it was created on:
-	// that goroutine is the one in resumes. A ult thread under SimHost relies
-	// on this, advancing the process's clock from its own nested coroutine.
+	// resuming is set while p waits inside resume for the process it
+	// switched into: p is then one of the running process's resumers, and
+	// the way back to p is up, through out.
+	resuming bool
+
+	// in switches into the coroutine, out from the coroutine back to the
+	// goroutine that called in. Both are nil until the process is first
+	// resumed. A coroutine parks whichever goroutine calls out, not the one
+	// it was created on: that goroutine is the one in resumes. A ult thread
+	// under SimHost relies on this, advancing the process's clock from its
+	// own nested coroutine.
 	in  func() (struct{}, bool)
 	out func(struct{}) bool
 }
@@ -73,30 +79,43 @@ func (p *Proc) Name() string { return p.name }
 // from the running process and from event callbacks alike.
 func (p *Proc) Now() Time { return p.k.now }
 
-// resume hands the processor to p and returns when p next yields or
-// finishes. Only Run calls it.
+// resume switches into p and returns when p switches back out, to hand the
+// processor on or because it finished, leaving the next process to run in
+// k.pending.
 func (p *Proc) resume() {
-	p.state = procRunning
 	if check.Enabled {
-		p.k.handoffs++
+		p.k.handoffs += 2 // in, and back out
 	}
 	if p.in == nil {
 		p.in, _ = iter.Pull(func(out func(struct{}) bool) {
 			p.out = out
-			p.fn(p)
-			p.state = procDone
+			p.run()
 		})
 	}
 	p.in()
 }
 
-// yield gives the processor back to Run and returns once p has been resumed.
-func (p *Proc) yield() { p.out(struct{}{}) }
+// run is the coroutine body: p's function, then the event loop, whose
+// choice the goroutine that resumed p picks up from k.pending. A panic
+// escaping the function is kept for Run to re-raise, like a callback's.
+func (p *Proc) run() {
+	k := p.k
+	defer func() {
+		if r := recover(); r != nil {
+			k.pan, k.pending = r, nil
+		}
+	}()
+	p.state = procRunning
+	p.fn(p)
+	p.state = procDone
+	k.pending = k.loop(event{})
+}
 
 // Advance moves this process's clock forward by d, yielding to the kernel so
 // other processes with earlier virtual times run first. Advancing by a
 // non-positive duration is a no-op: the process keeps running without
-// yielding.
+// yielding. The resumption is queued and the earliest event taken in one
+// heap pass; when that is the resumption itself, the process just goes on.
 func (p *Proc) Advance(d Duration) {
 	if check.Enabled && p.state != procRunning {
 		check.Failf("sim: Advance on proc %q in state %s: only the currently running process may advance its clock", p.name, p.state)
@@ -104,9 +123,10 @@ func (p *Proc) Advance(d Duration) {
 	if d <= 0 {
 		return
 	}
-	p.k.scheduleProc(p, p.k.now.Add(d))
+	k := p.k
+	k.seq++
 	p.state = procReady
-	p.yield()
+	k.transfer(p, k.loop(k.heap.pushPop(event{at: k.now.Add(d), seq: k.seq, proc: p})))
 }
 
 // WaitSignal parks the process until another process or event callback calls
@@ -122,7 +142,7 @@ func (p *Proc) WaitSignal() {
 		return
 	}
 	p.state = procParked
-	p.yield()
+	p.k.transfer(p, p.k.loop(event{}))
 	p.sig = false
 }
 
