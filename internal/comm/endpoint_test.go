@@ -56,7 +56,9 @@ func (h *fakeHost) Interrupts() int {
 	defer h.mu.Unlock()
 	return h.interrupts
 }
-func (h *fakeHost) Model() *machine.Model { return h.model }
+func (h *fakeHost) Enter(body func(func())) { body(nil) }
+func (h *fakeHost) Lend(deliver func())     { deliver() }
+func (h *fakeHost) Model() *machine.Model   { return h.model }
 
 // captureTransport records sent messages instead of delivering them.
 type captureTransport struct{ msgs []*Message }

@@ -12,6 +12,16 @@
 // keeps the per-direction FIFO order the mailbox matching relies on. If both
 // send first at the same moment there are two connections; each side keeps
 // writing on the one it picked and reads both.
+//
+// Each connection is read by one goroutine at a time. A frame that completes
+// the receive of an idle PE is run by its reader: once the frame is
+// consumed the reader lends itself to the PE (machine.Host.Lend), switching
+// into the PE's coroutine, and reads on when the PE parks again or goes home
+// (the lend covers one thread turn). Any other wake-up goes through the
+// PE's home goroutine. A lend that outlasts standInAfter — the woken
+// thread sleeps, computes, or waits in a socket write — leaves the
+// connection to a stand-in reader, and the lender exits when its lend ends,
+// so heartbeats and the peer's frames are read whatever the PE does.
 package tcpnet
 
 import (
@@ -115,9 +125,12 @@ type Node struct {
 	selfUp chan struct{}
 	hbStop chan struct{}
 	wg     sync.WaitGroup
+
+	// standIns counts the stand-in readers started (see standInAfter).
+	standIns atomic.Uint64
 }
 
-// sender is one connection to a peer. Its readLoop reads it; frames are
+// sender is one connection to a peer. Its reader reads it; frames are
 // written under its lock (frames must not interleave).
 type sender struct {
 	mu   sync.Mutex
@@ -787,34 +800,94 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one connection, filed under peer, and
-// delivers them to the addressed local endpoint. When it ends (EOF, reset,
-// a bad length or Close) the connection leaves the table, so the next send
-// to the peer takes another connection or redials instead of writing into a
-// dead socket.
+// standInAfter is the period of a reader's stand-in timer, which ticks
+// while the reader lends itself to PEs: a lend in flight at two ticks in a
+// row, so between one and two periods long, is taken over by a stand-in
+// reader. It bounds how long the connection goes unread whatever the woken
+// thread does, so it sits far below any heartbeat detection window
+// (heartbeatMisses intervals) a run would set, and far above a lend that
+// ends when the woken thread parks again (a Scheduler-polls ping-pong's
+// round trip, two lends, takes ~21 µs, and none of ~235,000 such lends in
+// a 2 s run met a stand-in), so a stand-in — one goroutine — is rare where
+// lending pays, and the tick costs a timer expiry per period, not per
+// frame.
+const standInAfter = time.Millisecond
+
+// reader is a connection's reading role. One goroutine holds it at a time:
+// the one track starts, then a stand-in whenever a lend outlasts
+// standInAfter.
+type reader struct {
+	n    *Node
+	s    *sender
+	peer comm.Addr
+	r    *bufio.Reader
+
+	// The frame being handed to ep: in place in the read buffer (data), or
+	// in a pooled message (msg).
+	ep        *comm.Endpoint
+	hdr       comm.Header
+	data      []byte
+	msg       *comm.Message
+	deliverFn func() // deliver, made once so a frame's Lend allocates nothing
+
+	// lend is the number of the lend in flight, 0 while the holder reads.
+	// It is set once deliver has consumed the frame, and whoever clears it
+	// first — the lender when Lend returns, or the stand-in timer — holds
+	// the role. seq numbers the lends, touched only by the holder.
+	lend atomic.Uint64
+	seq  uint64
+	// standIn ticks (tick) while armed; a lend sets armed if it is not.
+	// seen is the lend in flight at the last tick.
+	standIn *time.Timer
+	armed   atomic.Bool
+	seen    atomic.Uint64
+}
+
+// readLoop is a connection's first reader.
 func (n *Node) readLoop(s *sender, peer comm.Addr) {
 	defer n.wg.Done()
-	defer func() {
+	rd := &reader{n: n, s: s, peer: peer, r: bufio.NewReaderSize(s.c, readBufSize(n.maxFrame))}
+	rd.deliverFn = rd.deliver
+	//chant:allow-nondet a reader lent past standInAfter is replaced in real time
+	rd.standIn = time.AfterFunc(time.Hour, rd.tick)
+	rd.standIn.Stop()
+	rd.run()
+}
+
+// run decodes frames from the connection, filed under rd.peer, and delivers
+// them to the addressed local endpoint, until a stand-in takes the role
+// over during a lend. When the connection ends (EOF, reset, a bad length or
+// Close) it leaves the table, so the next send to the peer takes another
+// connection or redials instead of writing into a dead socket.
+func (rd *reader) run() {
+	if !rd.read() {
+		rd.standIn.Stop()
+		n := rd.n
 		n.mu.Lock()
-		n.unfile(peer, s)
+		n.unfile(rd.peer, rd.s)
 		n.mu.Unlock()
-		s.c.Close()
-	}()
-	r := bufio.NewReaderSize(s.c, readBufSize(n.maxFrame))
+		rd.s.c.Close()
+	}
+}
+
+// read is run's loop. It reports true when a stand-in took the role over,
+// and false when the connection failed.
+func (rd *reader) read() bool {
+	n, r := rd.n, rd.r
 	for {
 		hdr, payload, err := readFrame(r, n.maxFrame)
 		if err != nil {
-			return // peer closed, or a length that must not drive allocation
+			return false // peer closed, or a length that must not drive allocation
 		}
-		if peer == noPeer {
+		if rd.peer == noPeer {
 			// The first frame names the process at the other end.
-			peer = hdr.Src()
-			n.file(s, peer)
+			rd.peer = hdr.Src()
+			n.file(rd.s, rd.peer)
 		}
 		ep := n.noteAlive(hdr)
 		if hdr.Tag == hbTag {
 			if _, err := r.Discard(payload); err != nil {
-				return
+				return false
 			}
 			// A heartbeat from a peer this node declared dead is the rejoin
 			// signal, whatever the incarnation its Ctx field carries (higher
@@ -830,16 +903,17 @@ func (n *Node) readLoop(s *sender, peer comm.Addr) {
 			select {
 			case <-n.selfUp:
 			case <-n.hbStop: // Close closes it
-				return
+				return false
 			}
 			ep = n.noteAlive(hdr)
 		}
 		if ep == nil {
 			if _, err := r.Discard(payload); err != nil {
-				return
+				return false
 			}
 			continue // no such local endpoint; drop (like NX)
 		}
+		rd.ep, rd.hdr, rd.data, rd.msg = ep, hdr, nil, nil
 		if r.Buffered() >= payload {
 			// The whole payload already sits in the read buffer: hand it to
 			// the endpoint in place, so a matching posted receive takes it
@@ -847,26 +921,71 @@ func (n *Node) readLoop(s *sender, peer comm.Addr) {
 			// must queue is copied out). The guard makes Peek neither block
 			// on the socket nor fail on a payload larger than the buffer;
 			// such a payload is read into a pooled message below.
-			b, err := r.Peek(payload)
-			if err != nil {
-				return
+			if rd.data, err = r.Peek(payload); err != nil {
+				return false
 			}
-			ep.DeliverFrom(hdr, b, nil)
-			if _, err := r.Discard(payload); err != nil {
-				return
+		} else {
+			// Inbound payloads come from the message pool: a steady-state
+			// receiver recycles its buffers instead of allocating per frame.
+			rd.msg = comm.GetPooledMessage(payload)
+			if _, err := io.ReadFull(r, rd.msg.Data); err != nil {
+				comm.ReleaseMessage(rd.msg)
+				return false
 			}
-			continue
+			rd.msg.Hdr = hdr
 		}
-		// Inbound payloads come from the message pool: a steady-state
-		// receiver recycles its buffers instead of allocating per frame.
-		msg := comm.GetPooledMessage(payload)
-		if _, err := io.ReadFull(r, msg.Data); err != nil {
-			comm.ReleaseMessage(msg)
-			return
+		// If the frame woke the idle PE, this goroutine runs it now.
+		rd.seq++
+		k := rd.seq
+		ep.Host().Lend(rd.deliverFn)
+		if !rd.lend.CompareAndSwap(k, 0) {
+			return true // a stand-in reads on
 		}
-		msg.Hdr = hdr
-		ep.DeliverLocal(msg)
+		n.wg.Done() // no stand-in took this lend's slot
 	}
+}
+
+// deliver hands the frame to its endpoint and consumes it. From then on
+// the connection may be read by a stand-in, whose goroutine it counts in
+// the node's wait group ahead of time.
+func (rd *reader) deliver() {
+	if rd.msg != nil {
+		rd.ep.DeliverLocal(rd.msg)
+	} else {
+		rd.ep.DeliverFrom(rd.hdr, rd.data, nil)
+		rd.r.Discard(len(rd.data)) // cannot fail: the bytes are buffered
+	}
+	rd.ep, rd.data, rd.msg = nil, nil, nil
+	rd.n.wg.Add(1)
+	rd.lend.Store(rd.seq)
+	if !rd.armed.Load() && rd.armed.CompareAndSwap(false, true) {
+		//chant:allow-nondet a reader lent past standInAfter is replaced in real time
+		rd.standIn.Reset(standInAfter)
+	}
+}
+
+// tick runs on the stand-in timer's goroutine. A lend that was already in
+// flight at the last tick is taken over: this goroutine becomes the
+// reader, and the lender exits when its lend ends. Otherwise the timer
+// ticks again while a lend is in flight, and stops until the next lend
+// when none is.
+func (rd *reader) tick() {
+	k := rd.lend.Load()
+	if k != 0 && rd.seen.Swap(k) == k && rd.lend.CompareAndSwap(k, 0) {
+		rd.armed.Store(false) // the stand-in's own lends arm it again
+		defer rd.n.wg.Done()
+		rd.n.standIns.Add(1)
+		rd.run()
+		return
+	}
+	if k == 0 {
+		rd.armed.Store(false)
+		if rd.lend.Load() == 0 || !rd.armed.CompareAndSwap(false, true) {
+			return // the next lend arms the timer
+		}
+	}
+	//chant:allow-nondet a reader lent past standInAfter is replaced in real time
+	rd.standIn.Reset(standInAfter)
 }
 
 // Read-buffer sizing for every connection. The seed used bufio's 4 KiB
@@ -891,8 +1010,12 @@ func readBufSize(maxFrame uint32) int {
 	return n
 }
 
+// StandIns reports how many times a stand-in reader took a connection over
+// from a reader lent to a PE for longer than standInAfter.
+func (n *Node) StandIns() uint64 { return n.standIns.Load() }
+
 // Close shuts the node down: the listener, every connection, and the reader
-// goroutines.
+// goroutines. A reader lent to a PE is joined once its lend ends.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {

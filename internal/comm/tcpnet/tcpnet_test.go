@@ -6,80 +6,48 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"chant/internal/comm"
+	"chant/internal/comm/tcpnet/tcpnettest"
 	"chant/internal/machine"
 	"chant/internal/trace"
 	"chant/internal/wire"
 )
 
-// freeRendezvous picks an ephemeral rendezvous address by binding and
-// immediately releasing a port. (A race with other processes is possible
-// in principle; these tests run alone in CI.)
-func freeRendezvous(t testing.TB) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
 // bootMachine starts procs nodes joined at one rendezvous, with one
 // endpoint each, and returns them with a cleanup.
 func bootMachine(t testing.TB, procs int) ([]*Node, []*comm.Endpoint) {
 	t.Helper()
-	nodes := bootNodes(t, procs)
-	eps := make([]*comm.Endpoint, procs)
-	for i, n := range nodes {
-		eps[i] = n.NewEndpoint(comm.Addr{PE: int32(i), Proc: 0},
-			machine.NewRealHost(machine.Modern()), &trace.Counters{})
-	}
-	return nodes, eps
+	return bootWithOptions(t, procs, nil)
 }
 
 // bootNodes starts procs nodes joined at one rendezvous, with no endpoint
 // yet, and returns them with a cleanup.
 func bootNodes(t testing.TB, procs int) []*Node {
 	t.Helper()
-	rendezvous := freeRendezvous(t)
-	nodes := make([]*Node, procs)
-	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	for i := 0; i < procs; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nodes[i], errs[i] = Bootstrap(Options{
-				Self:       comm.Addr{PE: int32(i), Proc: 0},
-				Rendezvous: rendezvous,
-				Lead:       i == 0,
-				Procs:      procs,
-			})
-		}()
-	}
-	wg.Wait()
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
+	return bootNodesWith(t, procs, nil)
+}
+
+// bootNodesWith is bootNodes with tweak (if non-nil) applied to every node's
+// options (see tcpnettest.Boot for the port race it retries).
+func bootNodesWith(t testing.TB, procs int, tweak func(o *Options)) []*Node {
+	t.Helper()
+	return tcpnettest.Boot(t, procs, func(rendezvous string, i int) (*Node, error) {
+		o := Options{
+			Self:       comm.Addr{PE: int32(i), Proc: 0},
+			Rendezvous: rendezvous,
+			Lead:       i == 0,
+			Procs:      procs,
 		}
+		if tweak != nil {
+			tweak(&o)
+		}
+		return Bootstrap(o)
 	})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d bootstrap: %v", i, err)
-		}
-	}
-	return nodes
 }
 
 // A peer may send as soon as its own Bootstrap returns, before the
@@ -277,50 +245,14 @@ func TestLoopbackThroughNode(t *testing.T) {
 
 // bootWithOptions is bootMachine with per-node option tweaks applied on top
 // of the defaults.
-func bootWithOptions(t *testing.T, procs int, tweak func(o *Options)) ([]*Node, []*comm.Endpoint) {
+func bootWithOptions(t testing.TB, procs int, tweak func(o *Options)) ([]*Node, []*comm.Endpoint) {
 	t.Helper()
-	rendezvous := freeRendezvous(t)
-	nodes := make([]*Node, procs)
+	nodes := bootNodesWith(t, procs, tweak)
 	eps := make([]*comm.Endpoint, procs)
-	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	for i := 0; i < procs; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := Options{
-				Self:       comm.Addr{PE: int32(i), Proc: 0},
-				Rendezvous: rendezvous,
-				Lead:       i == 0,
-				Procs:      procs,
-			}
-			if tweak != nil {
-				tweak(&o)
-			}
-			n, err := Bootstrap(o)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			nodes[i] = n
-			eps[i] = n.NewEndpoint(comm.Addr{PE: int32(i), Proc: 0},
-				machine.NewRealHost(machine.Modern()), &trace.Counters{})
-		}()
+	for i, n := range nodes {
+		eps[i] = n.NewEndpoint(comm.Addr{PE: int32(i), Proc: 0},
+			machine.NewRealHost(machine.Modern()), &trace.Counters{})
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d bootstrap: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	})
 	return nodes, eps
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -18,26 +17,13 @@ import (
 // processes would have — and exercises p2p messaging, RSR, and remote
 // create/join across real TCP.
 func TestDistributedOverTCP(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rendezvous := l.Addr().String()
-	l.Close()
+	nodes := bootTCP(t, nil)
 
 	topo := Topology{PEs: 2, ProcsPerPE: 1}
 	cfg := Config{Policy: SchedulerPollsPS, Delivery: DeliverCtx}
 
 	newProc := func(pe int32, lead bool) (*tcpnet.Node, *comm.Endpoint, *Runtime, error) {
-		node, err := tcpnet.Bootstrap(tcpnet.Options{
-			Self:       comm.Addr{PE: pe, Proc: 0},
-			Rendezvous: rendezvous,
-			Lead:       lead,
-			Procs:      2,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		node := nodes[pe]
 		ep := node.NewEndpoint(comm.Addr{PE: pe, Proc: 0},
 			machine.NewRealHost(machine.Modern()), &trace.Counters{})
 		rt := NewDistRuntime(topo, cfg, machine.Modern())

@@ -4,17 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"chant/internal/comm"
-	"chant/internal/comm/tcpnet"
 	"chant/internal/machine"
 	"chant/internal/sim"
-	"chant/internal/trace"
 	"chant/internal/ult"
 )
 
@@ -287,41 +284,7 @@ func TestOnePLivenessCallWithTimeout(t *testing.T) {
 // poll — keeps it from ever being consulted.
 func runOnePTCP(t *testing.T, cfg Config, m0, m1 MainFunc) {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rendezvous := l.Addr().String()
-	l.Close()
-	mains := [2]MainFunc{m0, m1}
-	done := make(chan error, 2) // the runs may outlive a timed-out test
-	for pe := int32(0); pe < 2; pe++ {
-		go func() {
-			self := comm.Addr{PE: pe, Proc: 0}
-			node, err := tcpnet.Bootstrap(tcpnet.Options{Self: self, Rendezvous: rendezvous, Lead: pe == 0, Procs: 2})
-			if err != nil {
-				done <- err
-				return
-			}
-			defer node.Close()
-			ep := node.NewEndpoint(self, machine.NewRealHost(machine.Modern()), &trace.Counters{})
-			rt := NewDistRuntime(Topology{PEs: 2, ProcsPerPE: 1}, cfg, machine.Modern())
-			_, err = rt.RunOne(self, ep, mains[pe])
-			done <- err
-		}()
-	}
-	deadline := time.After(livenessBound)
-	for range mains {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-deadline:
-			t.Fatalf("not finished after %v at one P over tcpnet: a waiting PE keeps the netpoller from running", livenessBound)
-		}
-	}
+	mustRun(t, runTCP(t, 1, cfg, nil, m0, m1))
 }
 
 // The ping-pong of TestOnePLivenessPingPong between two tcpnet nodes, under

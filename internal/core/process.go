@@ -149,6 +149,9 @@ type Process struct {
 	// rejoinedAt, on a restored process, is when the rejoin handshake
 	// finished (for recovery-latency measurements).
 	rejoinedAt sim.Time
+	// termErr is what the graceful termination handshake could not do
+	// (release a peer declared dead); run returns it.
+	termErr error
 }
 
 // Thread is a chanter: a global thread handle combining the local TCB with
@@ -234,7 +237,7 @@ func (p *Process) EventLog() *trace.Log { return p.sched.EventLog() }
 // run executes main as thread 0, with the server thread (unless disabled)
 // and, in body-delivery mode, the dispatcher thread created first.
 func (p *Process) run(main func(t *Thread)) error {
-	return p.sched.Run(func() {
+	err := p.sched.Run(func() {
 		t := p.adopt(p.sched.Current())
 		if !p.cfg.DisableServer {
 			p.startServer()
@@ -244,6 +247,7 @@ func (p *Process) run(main func(t *Thread)) error {
 		}
 		main(t)
 	})
+	return errors.Join(err, p.termErr)
 }
 
 // adopt wraps a TCB as a global thread and registers it.

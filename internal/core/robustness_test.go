@@ -224,3 +224,21 @@ func TestUnexpectedQueueCapDropsOverflow(t *testing.T) {
 		t.Errorf("UnexpectedDropped = %d, want 6", got)
 	}
 }
+
+// A release the graceful handshake sends to a peer declared dead cannot
+// arrive. It is reported — the coordinator's run returns comm.ErrPeerDead
+// naming the release — not dropped silently. The peer here is alive and
+// released all the same: only the coordinator's endpoint marked it dead.
+func TestReleaseToDeadPeerReported(t *testing.T) {
+	rt := NewSimRuntime(Topology{PEs: 2, ProcsPerPE: 1}, robustCfg(), machine.Paragon1994())
+	_, err := rt.Run(map[comm.Addr]MainFunc{
+		{PE: 0, Proc: 0}: func(th *Thread) {
+			th.proc.ep.MarkPeerDead(comm.Addr{PE: 1, Proc: 0})
+		},
+		{PE: 1, Proc: 0}: func(th *Thread) {},
+	})
+	if !errors.Is(err, comm.ErrPeerDead) {
+		t.Fatalf("Run returned %v, want the release to pe1 reported as comm.ErrPeerDead", err)
+	}
+	t.Log(err)
+}

@@ -110,7 +110,10 @@ func (rt *Runtime) RunOne(addr comm.Addr, ep *comm.Endpoint, main MainFunc) (tra
 	rt.mu.Unlock()
 	var err error
 	machine.WithPprofLabels(int(addr.PE), rt.cfg.Policy.String(), "run", func() {
-		err = proc.run(rt.wrapMain(addr, main))
+		ep.Host().Enter(func(turn func()) {
+			proc.sched.OnTurn(turn)
+			err = proc.run(rt.wrapMain(addr, main))
+		})
 	})
 	return ep.Counters().Snap(ep.Host().Now()), err
 }
@@ -229,7 +232,7 @@ func (rt *Runtime) wrapMain(addr comm.Addr, userMain MainFunc) MainFunc {
 			return
 		}
 		if rt.cfg.TermGrace > 0 {
-			rt.gracefulHandshake(addr, t)
+			t.proc.termErr = rt.gracefulHandshake(addr, t)
 			return
 		}
 		p := t.proc
@@ -269,8 +272,9 @@ const (
 // gracefulHandshake is the fault-tolerant termination handshake, enabled by
 // Config.TermGrace: done and release messages are resent when a grace
 // window passes without progress, and both sides excuse peers declared dead
-// instead of blocking forever on a message that will never come.
-func (rt *Runtime) gracefulHandshake(addr comm.Addr, t *Thread) {
+// instead of blocking forever on a message that will never come. It returns
+// the releases the coordinator sent that cannot arrive (see release).
+func (rt *Runtime) gracefulHandshake(addr comm.Addr, t *Thread) error {
 	p := t.proc
 	coord := rt.coordinator()
 	grace := rt.cfg.TermGrace
@@ -290,7 +294,7 @@ func (rt *Runtime) gracefulHandshake(addr comm.Addr, t *Thread) {
 			if err := p.send(t.gid.Thread, coordID, tagDone, nil); err != nil {
 				p.ep.CancelRecv(h)
 				p.ep.ReleaseHandle(h)
-				return
+				return nil
 			}
 			werr := p.waitDeadline(h, host.Now().Add(grace))
 			// waitDeadline leaves the handle terminal on every path
@@ -298,11 +302,11 @@ func (rt *Runtime) gracefulHandshake(addr comm.Addr, t *Thread) {
 			// this function: recycle it.
 			p.ep.ReleaseHandle(h)
 			if werr == nil || errors.Is(werr, comm.ErrPeerDead) {
-				return // released, or the coordinator died: shut down
+				return nil // released, or the coordinator died: shut down
 			}
 			// Grace window expired: the done or the release was lost; resend.
 		}
-		return // coordinator unreachable after all attempts; shut down anyway
+		return nil // coordinator unreachable after all attempts; shut down anyway
 	}
 
 	// Coordinator: collect one done from every other process — deduplicating
@@ -345,25 +349,41 @@ func (rt *Runtime) gracefulHandshake(addr comm.Addr, t *Thread) {
 			heard++
 		}
 	}
+	var lost []error
 	for _, a := range others {
-		_ = p.send(t.gid.Thread, GlobalID{PE: a.PE, Proc: a.Proc, Thread: 0}, tagRelease, nil)
+		lost = append(lost, p.release(t, a))
 	}
 	// Linger briefly answering duplicate dones, so a process whose release
 	// was dropped (and which therefore resent its done) is not stranded.
 	for round := 0; round < 2; round++ {
 		spec, err := p.recvSpec(t.gid.Thread, AnyThread, tagDone)
 		if err != nil {
-			return
+			break
 		}
 		h := p.ep.Irecv(spec, buf[:])
 		if p.waitDeadline(h, host.Now().Add(grace)) != nil {
 			p.ep.ReleaseHandle(h)
-			return
+			break
 		}
 		hdr := h.Header()
 		p.ep.ReleaseHandle(h)
-		_ = p.send(t.gid.Thread, GlobalID{PE: hdr.SrcPE, Proc: hdr.SrcProc, Thread: 0}, tagRelease, nil)
+		lost = append(lost, p.release(t, hdr.Src()))
 	}
+	return errors.Join(lost...)
+}
+
+// release sends a's main thread its release and reports one that cannot
+// arrive: the send failed, or a is declared dead. The send is made either
+// way, so the run's event stream does not depend on the check.
+func (p *Process) release(t *Thread, a comm.Addr) error {
+	err := p.send(t.gid.Thread, GlobalID{PE: a.PE, Proc: a.Proc, Thread: 0}, tagRelease, nil)
+	if err == nil && p.ep.PeerDead(a) {
+		err = comm.ErrPeerDead
+	}
+	if err != nil {
+		return fmt.Errorf("core: release to %v: %w", a, err)
+	}
+	return nil
 }
 
 // runSim executes the machine on the discrete-event simulator. Processes
@@ -490,9 +510,12 @@ func (rt *Runtime) runReal(mains map[comm.Addr]MainFunc) (*Result, error) {
 			defer wg.Done()
 			proc := rt.procs[addr]
 			machine.WithPprofLabels(int(addr.PE), rt.cfg.Policy.String(), "run", func() {
-				if err := proc.run(rt.wrapMain(addr, mains[addr])); err != nil {
-					errs[i] = fmt.Errorf("%v: %w", addr, err)
-				}
+				proc.ep.Host().Enter(func(turn func()) {
+					proc.sched.OnTurn(turn)
+					if err := proc.run(rt.wrapMain(addr, mains[addr])); err != nil {
+						errs[i] = fmt.Errorf("%v: %w", addr, err)
+					}
+				})
 			})
 		}()
 	}

@@ -45,6 +45,8 @@ type Sched struct {
 	host machine.Host
 	ctrs *trace.Counters
 	opts Options
+	// turn, if non-nil, is called as each thread's turn begins (OnTurn).
+	turn func()
 
 	ready ReadyQueue
 	cur   *TCB
@@ -164,11 +166,11 @@ func (s *Sched) SpawnWith(name string, fn func(), o SpawnOpts) *TCB {
 // (non-daemon) thread has finished, then cancels and reaps any remaining
 // daemons. It returns ErrDeadlock (wrapped, with a state dump) if blocked
 // threads remain with no possible wakeup source, and re-raises any panic
-// that escaped a thread body as a *PanicError. A panic raised at a
-// scheduling point — by the pre-schedule hook, a Pending check or an
-// invariant check — is wrapped the same way, naming the thread whose
-// coroutine was dispatching, so it too surfaces here and not inside a
-// thread.
+// that escaped a thread body as a *PanicError, once the other threads are
+// reaped. A panic raised at a scheduling point — by the pre-schedule hook,
+// a Pending check or an invariant check — is wrapped the same way, naming
+// the thread whose coroutine was dispatching, so it too surfaces here and
+// not inside a thread.
 func (s *Sched) Run(main func()) error {
 	if check.Enabled {
 		s.owner.Acquire("sched " + s.opts.Name)
@@ -179,10 +181,13 @@ func (s *Sched) Run(main func()) error {
 	for t := s.dispatch("scheduler"); t != nil; t = s.pending {
 		s.resume(t)
 	}
-	if s.pan != nil {
-		panic(s.pan)
-	}
+	// The other threads are unwound first, so that none is left behind as a
+	// suspended coroutine; the first panic is the one re-raised.
+	pan := s.pan
 	s.reapRemaining()
+	if pan != nil {
+		panic(pan)
+	}
 	if s.err != nil {
 		return s.err
 	}
@@ -302,12 +307,21 @@ func (s *Sched) switchIn(t *TCB) {
 	s.ctrs.FullSwitches.Add(1)
 	s.host.Charge(s.host.Model().FullSwitch)
 	s.logEvent(trace.EvSwitchIn, t.id)
+	if s.turn != nil {
+		s.turn()
+	}
 	if s.opts.Tracer != nil {
 		t.runBegin = s.host.Now()
 	}
 	t.state = Running
 	s.cur = t
 }
+
+// OnTurn makes f (nil: nothing) the function called as each thread's turn
+// begins: at every switch-in, and at a yield that switches nowhere. It is
+// the turn hook of machine.Host.Enter, by which a real host bounds how much
+// of its processor a transport goroutine runs. Call it before Run.
+func (s *Sched) OnTurn(f func()) { s.turn = f }
 
 // switchOut ends t's occupancy of the processor (it is parking, or has
 // finished): from here until the next switchIn no thread is current.
@@ -471,7 +485,11 @@ func (s *Sched) Yield() {
 		s.host.Charge(s.host.Model().YieldNoSwitch)
 		s.logEvent(trace.EvYieldFast, t.id)
 		// A lone thread spinning on Yield has nobody to switch to here, but
-		// another PE sharing the core may be what it is waiting for.
+		// another PE sharing the core may be what it is waiting for. Its
+		// next turn begins here.
+		if s.turn != nil {
+			s.turn()
+		}
 		s.host.Relax()
 		return
 	}
